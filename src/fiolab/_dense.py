@@ -62,20 +62,11 @@ class TrigTable:
         return out * grid.cell_volume
 
     def _analysis_chunk(self, u: np.ndarray, sl: slice) -> np.ndarray:
-        dim = self.grid.dim
-        if dim == 1:
-            return self.phases[0][sl] @ u
-        if dim == 2:
-            b = u @ self.phases[1][sl].T  # (N1, M)
-            return np.einsum("mj,jm->m", self.phases[0][sl], b)
-        if dim == 3:
-            c = np.tensordot(u, self.phases[2][sl], axes=([2], [1]))  # (N1, N2, M)
-            b = np.einsum("mb,abm->ma", self.phases[1][sl], c)  # (M, N1)
-            return np.einsum("ma,ma->m", self.phases[0][sl], b)
-        # generic fallback: full phase per chunk
-        pts = self.grid.spatial_vectors()
-        phase = self.targets[sl] @ pts.T
-        return np.exp(-1j * phase) @ u.reshape(-1)
+        # one matmul on the last axis, then each remaining axis right to left
+        b = u @ self.phases[-1][sl].T  # (N, ..., N, M)
+        for phase in reversed(self.phases[:-1]):
+            b = np.einsum("mj,...jm->...m", phase[sl], b)
+        return b
 
     def synthesis(self, weights: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`analysis`: scatter weighted exponentials back.
@@ -94,19 +85,14 @@ class TrigTable:
         return out * grid.spectral_weight
 
     def _synthesis_chunk(self, w: np.ndarray, sl: slice) -> np.ndarray:
-        dim = self.grid.dim
-        if dim == 1:
-            return np.conj(self.phases[0][sl]).T @ w
-        if dim == 2:
-            g = np.conj(self.phases[0][sl]) * w[:, np.newaxis]  # (M, N1)
-            return g.T @ np.conj(self.phases[1][sl])
-        if dim == 3:
-            g = np.conj(self.phases[0][sl]) * w[:, np.newaxis]  # (M, N1)
-            e = g[:, :, np.newaxis] * np.conj(self.phases[1][sl])[:, np.newaxis, :]
-            return np.tensordot(e, np.conj(self.phases[2][sl]), axes=([0], [0]))
-        pts = self.grid.spatial_vectors()
-        phase = self.targets[sl] @ pts.T
-        return (np.exp(1j * phase).T @ w).reshape(self.grid.shape)
+        # outer products of the leading axes left to right, then one matmul
+        # on the last axis; the conjugates stay inline so no table-sized
+        # temporary outlives its product
+        g = w
+        for phase in self.phases[:-1]:
+            g = np.conj(phase[sl])[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
+        out = g.reshape(w.size, -1).T @ np.conj(self.phases[-1][sl])
+        return out.reshape(self.grid.shape)
 
 
 def kernel_apply(kernel, values, in_volume: float, out_count: int, adjoint: bool = False):

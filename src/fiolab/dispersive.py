@@ -229,8 +229,7 @@ def apply_half_derivative_ratio(p: HomogeneousSymbol, u: Field) -> Field:
     p2 = symbol_on_grid(p, grid) ** 2
     mesh = grid.frequency_mesh()
     mult = (1.0 + np.sum(mesh * mesh, axis=-1)) ** 0.25 * (1.0 + p2) ** -0.25
-    spec = forward_transform(u).values * mult
-    return inverse_transform(SpectralField(grid, spec))
+    return multiplier_operator(grid, mult).apply(u)
 
 
 def egorov_residual(p: HomogeneousSymbol, u: Field, psi: CanonicalMap | None = None) -> float:
@@ -250,5 +249,5 @@ def egorov_residual(p: HomogeneousSymbol, u: Field, psi: CanonicalMap | None = N
     p2 = symbol_on_grid(p, grid) ** 2
 
     conjugated = t_fwd.apply(lap.apply(t_inv.apply(u)))
-    direct = inverse_transform(SpectralField(grid, forward_transform(u).values * p2))
+    direct = multiplier_operator(grid, p2).apply(u)
     return norm(conjugated - direct) / norm(u)

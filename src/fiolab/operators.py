@@ -25,7 +25,7 @@ spectral tail, which is measured and recorded in the result metadata.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -178,11 +178,7 @@ def evaluate_multiplier(a, grid: Grid, value_at_zero=None) -> np.ndarray:
 
 def apply_multiplier(a, u: Field, value_at_zero=None, zero_nyquist_mode: bool = False) -> Field:
     """Apply the Fourier multiplier ``u -> F^{-1}[a(xi) F u]``."""
-    vals = evaluate_multiplier(a, u.grid, value_at_zero)
-    spec = forward_transform(u).values * vals
-    if zero_nyquist_mode:
-        spec = zero_nyquist(spec, u.grid)
-    return inverse_transform(SpectralField(u.grid, spec))
+    return multiplier_operator(u.grid, a, value_at_zero, zero_nyquist_mode).apply(u)
 
 
 def multiplier_operator(
@@ -192,8 +188,8 @@ def multiplier_operator(
     if zero_nyquist_mode:
         vals = zero_nyquist(vals, grid)
 
-    def _apply(u: Field, table=vals) -> Field:
-        spec = forward_transform(u).values * table
+    def _apply(u: Field) -> Field:
+        spec = forward_transform(u).values * vals
         return inverse_transform(SpectralField(grid, spec))
 
     def _adjoint(u: Field) -> Field:
@@ -250,54 +246,6 @@ def _canonical_targets(m: CanonicalMap, grid: Grid, direction: str) -> np.ndarra
     return targets
 
 
-class _CanonicalApplier:
-    """Precomputed machinery for one (map, grid, direction) triple."""
-
-    def __init__(self, m: CanonicalMap, grid: Grid, direction: str, tail_threshold: float):
-        self.grid = grid
-        self.tail_threshold = tail_threshold
-        targets = _canonical_targets(m, grid, direction)
-        xi_max = grid.dxi * grid.points_per_axis / 2.0
-        in_box = np.all(np.abs(targets) < xi_max * (1.0 - 1e-13), axis=-1)
-        in_box &= ~nyquist_mask(grid).reshape(-1)
-        self.in_box = in_box
-        self.table = TrigTable(grid, targets[in_box])
-        self.out_of_box_count = int(np.sum(~in_box))
-
-    def _tail(self, spec: np.ndarray) -> float:
-        return spectral_tail_fraction(SpectralField(self.grid, spec))
-
-    def apply(self, u: Field) -> Field:
-        grid = self.grid
-        spec_raw = forward_transform(u).values
-        tail = self._tail(spec_raw)
-        spec_in = zero_nyquist(spec_raw, grid)
-        if tail > self.tail_threshold:
-            warnings.warn(
-                f"spectral tail fraction {tail:.3e} exceeds {self.tail_threshold:.1e}; "
-                "canonical transform accuracy is limited by the tail",
-                SpectralTailWarning,
-                stacklevel=3,
-            )
-        filtered = inverse_transform(SpectralField(grid, spec_in))
-        out_spec = np.zeros(grid.size, dtype=np.complex128)
-        out_spec[self.in_box] = self.table.analysis(filtered.values)
-        out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
-        meta = {
-            "spectral_tail": tail,
-            "tail_warning": tail > self.tail_threshold,
-            "out_of_box_modes": self.out_of_box_count,
-        }
-        return Field(grid, out.values, meta)
-
-    def apply_adjoint(self, v: Field) -> Field:
-        grid = self.grid
-        spec = zero_nyquist(forward_transform(v).values, grid).reshape(-1)
-        scattered = self.table.synthesis(spec[self.in_box])
-        out_spec = zero_nyquist(forward_transform(Field(grid, scattered)).values, grid)
-        return inverse_transform(SpectralField(grid, out_spec))
-
-
 def apply_canonical_transform(
     m: CanonicalMap,
     u: Field,
@@ -311,7 +259,7 @@ def apply_canonical_transform(
     records the input spectral tail and the number of mapped points that
     left the frequency box.
     """
-    return _CanonicalApplier(m, u.grid, direction, tail_threshold).apply(u)
+    return canonical_transform_operator(m, u.grid, direction, tail_threshold).apply(u)
 
 
 def canonical_transform_operator(
@@ -325,82 +273,98 @@ def canonical_transform_operator(
     The handle suppresses tail warnings by default (tail_threshold=inf)
     since norm estimation drives it with rough random fields on purpose.
     """
-    applier = _CanonicalApplier(m, grid, direction, tail_threshold)
-    return OperatorHandle(
-        grid,
-        applier.apply,
-        applier.apply_adjoint,
-        label=f"T[{m.label}]" if direction == "forward" else f"T^-1[{m.label}]",
-    )
+    targets = _canonical_targets(m, grid, direction)
+    xi_max = grid.dxi * grid.points_per_axis / 2.0
+    in_box = np.all(np.abs(targets) < xi_max * (1.0 - 1e-13), axis=-1)
+    in_box &= ~nyquist_mask(grid).reshape(-1)
+    table = TrigTable(grid, targets[in_box])
+    out_of_box_count = int(np.sum(~in_box))
+
+    def _apply(u: Field) -> Field:
+        spec_raw = forward_transform(u).values
+        tail = spectral_tail_fraction(SpectralField(grid, spec_raw))
+        if tail > tail_threshold:
+            warnings.warn(
+                f"spectral tail fraction {tail:.3e} exceeds {tail_threshold:.1e}; "
+                "canonical transform accuracy is limited by the tail",
+                SpectralTailWarning,
+                stacklevel=3,
+            )
+        filtered = inverse_transform(SpectralField(grid, zero_nyquist(spec_raw, grid)))
+        out_spec = np.zeros(grid.size, dtype=np.complex128)
+        out_spec[in_box] = table.analysis(filtered.values)
+        out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
+        meta = {
+            "spectral_tail": tail,
+            "tail_warning": tail > tail_threshold,
+            "out_of_box_modes": out_of_box_count,
+        }
+        return Field(grid, out.values, meta)
+
+    def _adjoint(v: Field) -> Field:
+        spec = zero_nyquist(forward_transform(v).values, grid).reshape(-1)
+        scattered = table.synthesis(spec[in_box])
+        out_spec = zero_nyquist(forward_transform(Field(grid, scattered)).values, grid)
+        return inverse_transform(SpectralField(grid, out_spec))
+
+    label = f"T[{m.label}]" if direction == "forward" else f"T^-1[{m.label}]"
+    return OperatorHandle(grid, _apply, _adjoint, label=label)
 
 
 # ---------------------------------------------------------------------------
-# pseudo-differential operators
+# dense kernels: pseudo-differential and oscillatory integral operators
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_forward(a_func, grid: Grid, u: Field) -> Field:
-    spec = forward_transform(u).values.reshape(-1)
-    xs = grid.spatial_vectors()
-    xis = grid.frequency_vectors()
+def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: float):
+    """Dense quadrature ``out_m = sum_q exp(i phase(o_m, i_q)) amp(o_m, i_q) v_q in_measure``.
+
+    ``phase`` and ``amp`` (None for a unit amplitude) take stacked output and
+    input points, broadcast against each other.  Returns the apply and its
+    exact adjoint with respect to the ``in_measure``- and
+    ``out_measure``-weighted pairings; both act on flat arrays.
+    """
 
     def block(sl):
-        x_blk = xs[sl][:, np.newaxis, :]
-        phase = np.exp(1j * (xs[sl] @ xis.T))
-        return phase * np.asarray(a_func(x_blk, xis[np.newaxis, :, :]), dtype=np.complex128)
-
-    vals = kernel_apply(block, spec, grid.spectral_weight, grid.size)
-    return Field(grid, vals.reshape(grid.shape))
-
-
-def _pseudo_adjoint(a_func, grid: Grid, v: Field) -> Field:
-    vv = v.values.reshape(-1)
-    xs = grid.spatial_vectors()
-    xis = grid.frequency_vectors()
-
-    def block(sl):
-        x_blk = xs[sl][:, np.newaxis, :]
-        phase = np.exp(1j * (xs[sl] @ xis.T))
-        return phase * np.asarray(a_func(x_blk, xis[np.newaxis, :, :]), dtype=np.complex128)
-
-    spec = kernel_apply(block, vv, grid.cell_volume, grid.size, adjoint=True)
-    return inverse_transform(SpectralField(grid, spec.reshape(grid.shape)))
-
-
-def apply_pseudo(a: Amplitude, u: Field) -> Field:
-    """Pseudo-differential action ``(2pi)^{-n} sum_k e^{i x xi_k} a(x, xi_k) uhat_k dxi^n``."""
-    if a.arity != "x_xi":
-        raise ValueError(f"apply_pseudo needs an a(x,xi) amplitude, got arity {a.arity!r}")
-    return _pseudo_forward(a.factor_main, u.grid, u)
-
-
-def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> OperatorHandle:
-    if a.arity != "x_xi":
-        raise ValueError(f"pseudo_operator needs an a(x,xi) amplitude, got arity {a.arity!r}")
-    func = a.factor_main
-    return OperatorHandle(
-        grid,
-        lambda u: _pseudo_forward(func, grid, u),
-        lambda v: _pseudo_adjoint(func, grid, v),
-        label=label or f"pseudo[{a.label}]",
-    )
-
-
-# ---------------------------------------------------------------------------
-# oscillatory integral operators
-# ---------------------------------------------------------------------------
-
-
-def _oscillatory_kernel(phase, amp, out_points, in_points):
-    def block(sl):
-        o_blk = out_points[sl][:, np.newaxis, :]
-        i_blk = in_points[np.newaxis, :, :]
+        o_blk = out_pts[sl][:, np.newaxis, :]
+        i_blk = in_pts[np.newaxis, :, :]
         ker = np.exp(1j * np.asarray(phase(o_blk, i_blk), dtype=float))
         if amp is not None:
             ker = ker * np.asarray(amp(o_blk, i_blk), dtype=np.complex128)
         return ker
 
-    return block
+    def apply(values: np.ndarray) -> np.ndarray:
+        return kernel_apply(block, values, in_measure, out_pts.shape[0])
+
+    def adjoint(values: np.ndarray) -> np.ndarray:
+        return kernel_apply(block, values, out_measure, in_pts.shape[0], adjoint=True)
+
+    return apply, adjoint
+
+
+def apply_pseudo(a: Amplitude, u: Field) -> Field:
+    """Pseudo-differential action ``(2pi)^{-n} sum_k e^{i x xi_k} a(x, xi_k) uhat_k dxi^n``."""
+    return pseudo_operator(u.grid, a).apply(u)
+
+
+def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> OperatorHandle:
+    """Quantization ``a(X, D)``: the dense kernel with phase ``x . xi`` from frequency to space."""
+    if a.arity != "x_xi":
+        raise ValueError(f"pseudo_operator needs an a(x,xi) amplitude, got arity {a.arity!r}")
+    apply, adjoint = _dense_kernel(
+        lambda x, xi: np.sum(x * xi, axis=-1),
+        a.factor_main,
+        grid.spatial_vectors(),
+        grid.frequency_vectors(),
+        grid.spectral_weight,
+        grid.cell_volume,
+    )
+    return OperatorHandle(
+        grid,
+        lambda u: Field(grid, apply(forward_transform(u).values).reshape(grid.shape)),
+        lambda v: inverse_transform(SpectralField(grid, adjoint(v.values).reshape(grid.shape))),
+        label=label or f"pseudo[{a.label}]",
+    )
 
 
 def apply_oscillatory(phase, amplitude, u: Field) -> Field:
@@ -410,156 +374,105 @@ def apply_oscillatory(phase, amplitude, u: Field) -> Field:
     against each other); output lives on the same spatial grid.  Dense
     quadrature, intended for modest grids.
     """
-    grid = u.grid
-    pts = grid.spatial_vectors()
-    block = _oscillatory_kernel(phase, amplitude, pts, pts)
-    vals = kernel_apply(block, u.values, grid.cell_volume, grid.size)
-    return Field(grid, vals.reshape(grid.shape))
+    return oscillatory_operator(u.grid, phase, amplitude).apply(u)
 
 
 def oscillatory_operator(grid: Grid, phase, amplitude, label: str = "oscillatory") -> OperatorHandle:
     pts = grid.spatial_vectors()
-    block = _oscillatory_kernel(phase, amplitude, pts, pts)
-
-    def _apply(u: Field) -> Field:
-        vals = kernel_apply(block, u.values, grid.cell_volume, grid.size)
-        return Field(grid, vals.reshape(grid.shape))
-
-    def _adjoint(v: Field) -> Field:
-        vals = kernel_apply(block, v.values, grid.cell_volume, grid.size, adjoint=True)
-        return Field(grid, vals.reshape(grid.shape))
-
-    return OperatorHandle(grid, _apply, _adjoint, label=label)
-
-
-def _oscillatory_to_frequency(phase_fn, amp_fn, u: Field) -> np.ndarray:
-    """Inner analysis operator of the factorized integral-operator paths.
-
-    Computes ``I[xi_k] = sum_l exp(i phi(y_l, xi_k)) a(y_l, xi_k) u_l dy^n``
-    with output on the frequency grid (math order).
-    """
-    grid = u.grid
-    ys = grid.spatial_vectors()
-    xis = grid.frequency_vectors()
-
-    def block(sl):
-        xi_blk = xis[sl][:, np.newaxis, :]
-        y_blk = ys[np.newaxis, :, :]
-        ker = np.exp(1j * np.asarray(phase_fn(y_blk, xi_blk), dtype=float))
-        if amp_fn is not None:
-            ker = ker * np.asarray(amp_fn(y_blk, xi_blk), dtype=np.complex128)
-        return ker
-
-    return kernel_apply(block, u.values, grid.cell_volume, grid.size).reshape(grid.shape)
-
-
-def _oscillatory_from_frequency(phase_fn, amp_fn, spec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Adjoint of :func:`_oscillatory_to_frequency` (spectral weights)."""
-    ys = grid.spatial_vectors()
-    xis = grid.frequency_vectors()
-
-    def block(sl):
-        xi_blk = xis[sl][:, np.newaxis, :]
-        y_blk = ys[np.newaxis, :, :]
-        ker = np.exp(1j * np.asarray(phase_fn(y_blk, xi_blk), dtype=float))
-        if amp_fn is not None:
-            ker = ker * np.asarray(amp_fn(y_blk, xi_blk), dtype=np.complex128)
-        return ker
-
-    return kernel_apply(
-        block, spec, grid.spectral_weight, grid.size, adjoint=True
-    ).reshape(grid.shape)
-
-
-# ---------------------------------------------------------------------------
-# phase-and-amplitude integral operators (factorized application paths)
-# ---------------------------------------------------------------------------
-
-
-def _fio_full_arity(phase: PhaseFunction, amplitude: Amplitude, u: Field) -> Field:
-    grid = u.grid
-    if grid.dim != 1:
-        raise ValueError("full-arity a(x,y,xi) integral operators are restricted to dim 1")
-    if grid.points_per_axis > FULL_ARITY_MAX_POINTS:
-        cost = grid.points_per_axis**3
-        raise ValueError(
-            f"full-arity path needs a dense {grid.points_per_axis}^3 = {cost} element sum; "
-            f"refusing above N = {FULL_ARITY_MAX_POINTS}"
-        )
-    x = grid.spatial_vectors()
-    xi = grid.frequency_vectors()
-    phase_lk = np.exp(1j * phase.evaluate(x[:, np.newaxis, :], xi[np.newaxis, :, :]))
-    amp = amplitude.evaluate(
-        x[:, np.newaxis, np.newaxis, :],
-        x[np.newaxis, :, np.newaxis, :],
-        xi[np.newaxis, np.newaxis, :, :],
+    apply, adjoint = _dense_kernel(phase, amplitude, pts, pts, grid.cell_volume, grid.cell_volume)
+    return OperatorHandle(
+        grid,
+        lambda u: Field(grid, apply(u.values).reshape(grid.shape)),
+        lambda v: Field(grid, adjoint(v.values).reshape(grid.shape)),
+        label=label,
     )
-    tmp = np.einsum("lk,jlk,l->jk", phase_lk, np.asarray(amp, dtype=np.complex128), u.values)
-    osc = np.exp(1j * (x @ xi.T))
-    out = np.einsum("jk,jk->j", osc, tmp) * grid.cell_volume * grid.dxi**grid.dim
-    return Field(grid, out)
+
+
+def _fio_analysis(grid: Grid, phase, amp) -> OperatorHandle:
+    """Inner analysis handle ``F^{-1} I_{phi,a}`` of the factorized FIO paths.
+
+    ``I[xi_k] = sum_l exp(i phi(y_l, xi_k)) a(y_l, xi_k) u_l dy^n`` is the
+    dense kernel from space to frequency; the inverse transform brings the
+    frequency samples back to a field.  ``amp`` may be None (unit amplitude).
+    """
+    to_freq, from_freq = _dense_kernel(
+        lambda xi, y: phase(y, xi),
+        None if amp is None else (lambda xi, y: amp(y, xi)),
+        grid.frequency_vectors(),
+        grid.spatial_vectors(),
+        grid.cell_volume,
+        grid.spectral_weight,
+    )
+    return OperatorHandle(
+        grid,
+        lambda u: inverse_transform(SpectralField(grid, to_freq(u.values).reshape(grid.shape))),
+        lambda v: Field(grid, from_freq(forward_transform(v).values).reshape(grid.shape)),
+        label="F^-1 I_phi",
+    )
+
+
+# ---------------------------------------------------------------------------
+# phase-and-amplitude integral operators
+# ---------------------------------------------------------------------------
 
 
 def apply_fio(phase: PhaseFunction, amplitude: Amplitude, u: Field) -> Field:
     """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a u(y) dy dxi``.
 
-    Dispatches on the amplitude arity:
-
-    * ``a(x,xi)``: factorized as ``(2pi)^n a(X,D) F^{-1} I_phi`` where
-      ``I_phi`` maps the field to frequency samples;
-    * ``a(y,xi)``: factorized as ``(2pi)^n F^{-1} I_phi`` with the amplitude
-      inside the analysis sum;
-    * product arities peel the scalar factor off exactly;
-    * full arity runs the dense triple sum (dim 1, small N only).
+    See :func:`fio_operator` for how each amplitude arity is applied.
     """
-    grid = u.grid
-    two_pi_n = (2.0 * np.pi) ** grid.dim
-    if amplitude.arity == "x_xi":
-        inner = _oscillatory_to_frequency(phase.evaluate, None, u)
-        w = inverse_transform(SpectralField(grid, inner))
-        return _pseudo_forward(amplitude.factor_main, grid, w) * two_pi_n
-    if amplitude.arity == "y_xi":
-        inner = _oscillatory_to_frequency(phase.evaluate, amplitude.factor_main, u)
-        return inverse_transform(SpectralField(grid, inner)) * two_pi_n
-    if amplitude.arity == "x_xi*y":
-        scaled = Field(grid, u.values * amplitude.factor_scalar(grid.spatial_mesh()))
-        return apply_fio(phase, Amplitude.of_x_xi(amplitude.factor_main), scaled)
-    if amplitude.arity == "x*y_xi":
-        out = apply_fio(phase, Amplitude.of_y_xi(amplitude.factor_main), u)
-        return Field(grid, out.values * amplitude.factor_scalar(grid.spatial_mesh()))
-    return _fio_full_arity(phase, amplitude, u)
+    return fio_operator(u.grid, phase, amplitude).apply(u)
 
 
 def fio_operator(grid: Grid, phase: PhaseFunction, amplitude: Amplitude) -> OperatorHandle:
-    """Handle form of :func:`apply_fio` with the exact discrete adjoint."""
+    """Handle form of :func:`apply_fio` with the exact discrete adjoint.
+
+    Built by composition according to the amplitude arity:
+
+    * ``a(x,xi)``: ``(2pi)^n a(X,D) F^{-1} I_phi`` where ``I_phi`` maps the
+      field to frequency samples;
+    * ``a(y,xi)``: ``(2pi)^n F^{-1} I_{phi,a}`` with the amplitude inside the
+      analysis sum;
+    * product arities compose the above with multiplication by the scalar
+      factor, on the input side for ``a1(x,xi) a2(y)`` and on the output
+      side for ``a2(x) a1(y,xi)``;
+    * full arity assembles the dense N x N kernel once (dim 1, small N only).
+    """
     two_pi_n = (2.0 * np.pi) ** grid.dim
-
-    def _apply(u: Field) -> Field:
-        return apply_fio(phase, amplitude, u)
-
-    if amplitude.arity == "y_xi":
-
-        def _adjoint(v: Field) -> Field:
-            spec = forward_transform(v).values
-            vals = _oscillatory_from_frequency(phase.evaluate, amplitude.factor_main, spec, grid)
-            return Field(grid, vals * two_pi_n)
-
-    elif amplitude.arity == "x_xi":
-
-        def _adjoint(v: Field) -> Field:
-            w = _pseudo_adjoint(amplitude.factor_main, grid, v)
-            spec = forward_transform(w).values
-            vals = _oscillatory_from_frequency(phase.evaluate, None, spec, grid)
-            return Field(grid, vals * two_pi_n)
-
+    arity = amplitude.arity
+    if arity == "x_xi":
+        inner = _fio_analysis(grid, phase.evaluate, None)
+        h = scale(two_pi_n, compose(pseudo_operator(grid, amplitude), inner))
+    elif arity == "y_xi":
+        h = scale(two_pi_n, _fio_analysis(grid, phase.evaluate, amplitude.factor_main))
+    elif arity == "x_xi*y":
+        main = fio_operator(grid, phase, Amplitude.of_x_xi(amplitude.factor_main))
+        h = compose(main, multiplication_operator(grid, amplitude.factor_scalar))
+    elif arity == "x*y_xi":
+        main = fio_operator(grid, phase, Amplitude.of_y_xi(amplitude.factor_main))
+        h = compose(multiplication_operator(grid, amplitude.factor_scalar), main)
     else:
-
-        def _adjoint(v: Field) -> Field:
-            raise NotImplementedError(
-                f"adjoint not implemented for amplitude arity {amplitude.arity!r}"
+        if grid.dim != 1:
+            raise ValueError("full-arity a(x,y,xi) integral operators are restricted to dim 1")
+        if grid.points_per_axis > FULL_ARITY_MAX_POINTS:
+            cost = grid.points_per_axis**3
+            raise ValueError(
+                f"full-arity path needs a dense {grid.points_per_axis}^3 = {cost} element sum; "
+                f"refusing above N = {FULL_ARITY_MAX_POINTS}"
             )
-
-    return OperatorHandle(grid, _apply, _adjoint, label=f"fio[{amplitude.label}]")
+        # K[j, l] = sum_k e^{i(x_j xi_k + phi(x_l, xi_k))} a(x_j, x_l, xi_k) dxi
+        x = grid.spatial_vectors()
+        xi = grid.frequency_vectors()
+        phase_lk = np.exp(1j * phase.evaluate(x[:, np.newaxis, :], xi[np.newaxis, :, :]))
+        amp = amplitude.evaluate(
+            x[:, np.newaxis, np.newaxis, :],
+            x[np.newaxis, :, np.newaxis, :],
+            xi[np.newaxis, np.newaxis, :, :],
+        )
+        osc = np.exp(1j * (x @ xi.T))
+        kernel = np.einsum("jk,lk,jlk->jl", osc, phase_lk, np.asarray(amp, dtype=np.complex128))
+        h = kernel_operator(grid, kernel * grid.dxi)
+    return replace(h, label=f"fio[{amplitude.label}]")
 
 
 # ---------------------------------------------------------------------------

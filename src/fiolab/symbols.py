@@ -75,6 +75,8 @@ class CanonicalMap:
     ``inverse`` may be None, in which case :func:`invert_map` runs a Newton
     iteration seeded by ``newton_seed`` (defaults to the direction itself).
     The map value at the origin is defined as 0 by the continuity limit.
+    ``uses_fd_derivatives`` marks a Jacobian assembled from finite-difference
+    symbol derivatives.
     """
 
     dim: int
@@ -83,6 +85,7 @@ class CanonicalMap:
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
     newton_seed: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "map"
+    uses_fd_derivatives: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,10 @@ def gauss_phase(p: HomogeneousSymbol, check_samples: int = 64) -> CanonicalMap:
         direction = np.asarray(direction, dtype=float)
         return direction / p.evaluate(direction)[..., np.newaxis]
 
-    return CanonicalMap(dim, fwd, jac, inverse=None, newton_seed=seed, label=f"gauss({p.label})")
+    return CanonicalMap(
+        dim, fwd, jac, inverse=None, newton_seed=seed, label=f"gauss({p.label})",
+        uses_fd_derivatives=p.uses_fd_derivatives,
+    )
 
 
 def invert_map(m: CanonicalMap, eta, tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
@@ -440,7 +446,7 @@ def check_jacobian_bound(m: CanonicalMap, directions: int) -> JacobianReport:
         min_abs_det=float(dets[k]),
         argmin_direction=tuple(pts[k].tolist()),
         samples=pts.shape[0],
-        fd_derivatives=False,
+        fd_derivatives=m.uses_fd_derivatives,
     )
 
 

@@ -3,10 +3,8 @@ import pytest
 
 from fiolab.lattice import (
     Field,
-    SpectralField,
     forward_transform,
     inner_product,
-    inverse_transform,
     make_grid,
     norm,
 )
@@ -301,10 +299,9 @@ class TestFio:
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
         out = apply_fio(phase, Amplitude.of_x_xi(a_func), u)
 
-        from fiolab.operators import _oscillatory_to_frequency
+        from fiolab.operators import _fio_analysis
 
-        inner = _oscillatory_to_frequency(phase.evaluate, None, u)
-        w = inverse_transform(SpectralField(g, inner))
+        w = _fio_analysis(g, phase.evaluate, None).apply(u)
         ref = apply_pseudo(Amplitude.of_x_xi(a_func), w) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-8
 
@@ -379,13 +376,20 @@ def probe_handles(grid):
                 grid, lambda x, y: np.sum(x * y, axis=-1) * 0.7, lambda x, y: ones_amp(x, y)
             )
         )
-        handles.append(
-            fio_operator(
-                grid,
-                PhaseFunction(lambda y, xi: -np.sum(y * xi, axis=-1)),
-                Amplitude.of_y_xi(lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
-            )
+        phase = PhaseFunction(
+            lambda y, xi: -np.sum(y * xi, axis=-1)
+            + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
+        a_main = lambda z, xi: 1.0 / (1.0 + np.sum(z * z, axis=-1) + np.sum(xi * xi, axis=-1))
+        a_scalar = lambda z: 1.0 + 0.5 * np.cos(np.sum(z, axis=-1))
+        amplitudes = [
+            Amplitude.of_y_xi(lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
+            Amplitude.of_x_xi(a_main),
+            Amplitude.product_x_xi(a_main, a_scalar),
+            Amplitude.product_y_xi(a_main, a_scalar),
+            Amplitude.full(lambda x, y, xi: a_main(x, xi) * a_scalar(y) * (1.0 + 0.3j)),
+        ]
+        handles.extend(fio_operator(grid, phase, amp) for amp in amplitudes)
     handles.append(compose(handles[1], handles[2]))
     handles.append(add(handles[0], scale(0.5j, handles[1])))
     return handles

@@ -194,6 +194,14 @@ class TestJacobianBound:
             scaled = np.linalg.det(psi.jacobian(lam * pts))
             assert np.max(np.abs(scaled - base)) <= 1e-8
 
+    def test_flags_finite_difference_derivatives(self):
+        exact = check_jacobian_bound(gauss_phase(ELLIPSE), 32)
+        assert not exact.fd_derivatives
+        wrapped = symbol_from_callable(ELLIPSE.evaluate, 2, label="ellipse-fd")
+        rep = check_jacobian_bound(gauss_phase(wrapped), 32)
+        assert rep.fd_derivatives
+        assert rep.min_abs_det == pytest.approx(exact.min_abs_det, rel=1e-4)
+
 
 class TestCurvature:
     def test_sphere_has_unit_curvature(self):
