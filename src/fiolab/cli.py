@@ -10,11 +10,11 @@ subcommands::
     fiolab cotlar       --config cfg.json --out results/
     fiolab validate     --config cfg.json
 
-Each run writes ``report.json`` (machine readable, deterministic for a
-fixed config/seed/version) and, when the experiment sweeps a parameter,
-``sweep.csv`` with one row per sub-run.  Wall-clock time is printed to
-stdout but deliberately kept out of the report files so that repeated runs
-are byte-identical.
+Each run writes ``report.json`` (strict JSON, deterministic for a fixed
+config/seed/version; a failed sub-run's missing number is ``null``) and,
+when the experiment sweeps a parameter, ``sweep.csv`` with one row per
+sub-run.  Wall-clock time is printed to stdout but deliberately kept out
+of the report files so that repeated runs are byte-identical.
 
 Config schema (JSON object); fields not used by a kind are ignored::
 
@@ -55,6 +55,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from fiolab.symbols import (
     gauss_phase,
     symbol_from_config,
 )
-from fiolab.dispersive import TimeWindow, egorov_residual, smoothing_constant
+from fiolab.dispersive import DerivativeKind, TimeWindow, egorov_residual, smoothing_constant
 
 __all__ = [
     "ExperimentConfig",
@@ -152,6 +153,14 @@ def _horizon_list(window_cfg: dict) -> list:
     return list(t) if isinstance(t, (list, tuple)) else [t]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate_config(config: ExperimentConfig) -> list:
     """Collect violations; empty error list means the experiment can run."""
     v: list[Violation] = []
@@ -166,13 +175,13 @@ def validate_config(config: ExperimentConfig) -> list:
             v.append(Violation("grid", "required mapping", grid_cfg))
         else:
             dim = grid_cfg.get("dim")
-            if not isinstance(dim, int) or dim < 1:
+            if not _is_int(dim) or dim < 1:
                 v.append(Violation("grid.dim", "positive integer", dim))
             half = grid_cfg.get("half_width")
-            if not isinstance(half, (int, float)) or half <= 0:
+            if not _is_number(half) or half <= 0:
                 v.append(Violation("grid.half_width", "positive number", half))
             for n_pts in _grid_points_list(grid_cfg):
-                if not isinstance(n_pts, int) or n_pts < 4:
+                if not _is_int(n_pts) or n_pts < 4:
                     v.append(Violation("grid.points", "integer >= 4", n_pts))
                 elif n_pts % 2 != 0:
                     v.append(Violation("grid.points", "must be even", n_pts))
@@ -187,10 +196,10 @@ def validate_config(config: ExperimentConfig) -> list:
             v.append(Violation("window", "required for smoothing experiments", window_cfg))
         else:
             for t in _horizon_list(window_cfg):
-                if not isinstance(t, (int, float)) or t <= 0:
+                if not _is_number(t) or t <= 0:
                     v.append(Violation("window.horizon", "positive number", t))
             spu = window_cfg.get("steps_per_unit", 32)
-            if not isinstance(spu, int) or spu < 1:
+            if not _is_int(spu) or spu < 1:
                 v.append(Violation("window.steps_per_unit", "positive integer", spu))
         grid_cfg = raw.get("grid", {})
         if isinstance(grid_cfg, dict) and grid_cfg.get("dim") not in (None, 3):
@@ -204,8 +213,11 @@ def validate_config(config: ExperimentConfig) -> list:
             )
         weights = raw.get("weights", {})
         delta = weights.get("delta", 1.0) if isinstance(weights, dict) else None
-        if not isinstance(delta, (int, float)) or delta < 0:
+        if not _is_number(delta) or delta < 0:
             v.append(Violation("weights.delta", "nonnegative number", delta))
+        kind = weights.get("kind", "inhomogeneous") if isinstance(weights, dict) else None
+        if kind not in get_args(DerivativeKind):
+            v.append(Violation("weights.kind", f"must be one of {get_args(DerivativeKind)}", kind))
 
     if config.kind == "norm":
         op_cfg = raw.get("operator")
@@ -223,7 +235,7 @@ def validate_config(config: ExperimentConfig) -> list:
         else:
             if sc.get("kind") not in ("S00", "SG"):
                 v.append(Violation("symbol_class.kind", "must be S00 or SG", sc.get("kind")))
-            if not isinstance(sc.get("max_order"), int) or sc.get("max_order", 0) < 1:
+            if not _is_int(sc.get("max_order")) or sc["max_order"] < 1:
                 v.append(Violation("symbol_class.max_order", "integer >= 1", sc.get("max_order")))
         if not isinstance(raw.get("amplitude"), dict):
             v.append(Violation("amplitude", "required mapping with a 'name'", raw.get("amplitude")))
@@ -278,7 +290,7 @@ def _run_egorov(config: ExperimentConfig, report: ReportRecord):
             u = _packet_field(grid, raw.get("data", {}))
             return [n_pts, grid_cfg["half_width"], egorov_residual(p, u), True], None
         except Exception as exc:  # noqa: BLE001 - propagated into the report
-            return [n_pts, grid_cfg["half_width"], float("nan"), False], f"egorov N={n_pts}: {exc}"
+            return [n_pts, grid_cfg["half_width"], None, False], f"egorov N={n_pts}: {exc}"
 
     for row, warning in _sweep(_grid_points_list(grid_cfg), worker, config.threads):
         report.sweep_rows.append(row)
@@ -316,7 +328,7 @@ def _run_smoothing(config: ExperimentConfig, report: ReportRecord):
             if not est.converged:
                 report.failed = True
         except Exception as exc:  # noqa: BLE001
-            row.update(N_t=0, constant=float("nan"), converged=False)
+            row.update(N_t=0, constant=None, converged=False)
             report.warnings.append(f"smoothing T={horizon}: {exc}")
             report.failed = True
         report.sweep_rows.append([row[k] for k in report.sweep_header])
@@ -324,7 +336,7 @@ def _run_smoothing(config: ExperimentConfig, report: ReportRecord):
     report.results["constants"] = constants
     if len(constants) > 1:
         lo, hi = min(constants), max(constants)
-        report.results["max_pairwise_deviation"] = (hi - lo) / lo if lo > 0 else float("nan")
+        report.results["max_pairwise_deviation"] = (hi - lo) / lo if lo > 0 else None
 
 
 def _build_norm_operator(raw: dict, grid):
@@ -365,7 +377,7 @@ def _run_norm(config: ExperimentConfig, report: ReportRecord):
                    est.estimate, est.iterations, est.converged]
             return row, None if est.converged else "non-converged"
         except Exception as exc:  # noqa: BLE001
-            row = ["failed", m_in, m_out, n_pts, grid_cfg["half_width"], float("nan"), 0, False]
+            row = ["failed", m_in, m_out, n_pts, grid_cfg["half_width"], None, 0, False]
             return row, f"norm N={n_pts}: {exc}"
 
     for row, warning in _sweep(_grid_points_list(grid_cfg), worker, config.threads):
@@ -494,7 +506,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:
 
 def write_report(report: ReportRecord, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    # strict JSON: failed sub-runs carry null, never a bare NaN
+    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / "report.json").write_text(payload)
     if report.sweep_rows:
         with (out_dir / "sweep.csv").open("w", newline="") as fh:

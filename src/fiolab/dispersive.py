@@ -24,10 +24,10 @@ from typing import Literal
 
 import numpy as np
 
-from fiolab.lattice import (
+# forward/inverse_transform are unused here but stay for perfbench/spans.py to wrap
+from fiolab.lattice import (  # noqa: F401
     Field,
     Grid,
-    SpectralField,
     bracket,
     forward_transform,
     inverse_transform,
@@ -54,7 +54,7 @@ __all__ = [
 
 DerivativeKind = Literal["inhomogeneous", "homogeneous"]
 
-_BATCH_NODES = 64
+_BATCH_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -110,25 +110,52 @@ def symbol_on_grid(p: HomogeneousSymbol, grid: Grid) -> np.ndarray:
     return vals
 
 
-def _half_derivative_values(grid: Grid, kind: DerivativeKind) -> np.ndarray:
+def _fft_order_tables(p: HomogeneousSymbol, grid: Grid, kind: DerivativeKind, space_power: float):
+    """``p^2``, the half-derivative multiplier and ``<x>^space_power``, in FFT order."""
     mesh = grid.frequency_mesh()
     mag2 = np.sum(mesh * mesh, axis=-1)
     if kind == "inhomogeneous":
-        return (1.0 + mag2) ** 0.25
-    if kind == "homogeneous":
-        return mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
-    raise ValueError(f"unknown derivative kind {kind!r}")
+        half_d = (1.0 + mag2) ** 0.25
+    elif kind == "homogeneous":
+        half_d = mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
+    else:
+        raise ValueError(f"unknown derivative kind {kind!r}")
+    tables = (symbol_on_grid(p, grid) ** 2, half_d, bracket(grid.spatial_mesh()) ** space_power)
+    return tuple(np.fft.ifftshift(a) for a in tables)
+
+
+def _evolve(p2: np.ndarray, spec: np.ndarray, window: TimeWindow):
+    """The spectral time loop: yield ``(w_batch, phases, fields)`` per batch of nodes.
+
+    ``phases[k] = exp(i t_k p^2)`` by the recurrence ``P_k = P_{k-1} exp(i h p^2)``
+    from ``P_0 = 1`` (no ``exp`` per node, O(batch) memory at any horizon) and
+    ``fields[k] = ifftn(phases[k] spec)``, all in FFT order.  Both buffers are
+    reused by the next batch, so consumers may overwrite them.
+    """
+    axes = tuple(range(1, p2.ndim + 1))
+    step = np.exp(1j * (window.horizon / (window.steps - 1)) * p2)
+    weights = window.weights()
+    phase_buf, field_buf = np.empty((2, min(_BATCH_NODES, window.steps)) + p2.shape, complex)
+    carry = np.ones(p2.shape, dtype=complex)
+    for start in range(0, window.steps, _BATCH_NODES):
+        w_batch = weights[start : start + _BATCH_NODES]
+        phases, fields = phase_buf[: w_batch.size], field_buf[: w_batch.size]
+        phases[0] = carry
+        for k in range(1, w_batch.size):
+            np.multiply(phases[k - 1], step, out=phases[k])
+        np.multiply(phases[-1], step, out=carry)
+        np.multiply(phases, spec, out=fields)
+        np.fft.ifftn(fields, axes=axes, out=fields)
+        yield w_batch, phases, fields
 
 
 def propagate(p: HomogeneousSymbol, f: Field, window: TimeWindow) -> SpaceTimeField:
     """Exact spectral evolution ``uhat(t_j) = exp(i t_j p^2) fhat``."""
-    grid = f.grid
-    p2 = symbol_on_grid(p, grid) ** 2
-    fhat = forward_transform(f).values
+    p2 = np.fft.ifftshift(symbol_on_grid(p, f.grid) ** 2)
+    spec = np.fft.fftn(np.fft.ifftshift(f.values))
     slices = []
-    for t in window.nodes():
-        spec = np.exp(1j * t * p2) * fhat
-        slices.append(inverse_transform(SpectralField(grid, spec)))
+    for _, _, fields in _evolve(p2, spec, window):
+        slices.extend(Field(f.grid, np.fft.fftshift(u)) for u in fields)
     return SpaceTimeField(window, tuple(slices))
 
 
@@ -144,27 +171,13 @@ def smoothing_functional(
     Streams over time nodes in batches; the propagator and half-derivative
     act in frequency, the weight in space.
     """
-    grid = f.grid
-    p2 = symbol_on_grid(p, grid) ** 2
-    half_d = _half_derivative_values(grid, kind)
-    w_space = bracket(grid.spatial_mesh()) ** (-weight_exponent)
-    fhat = forward_transform(f).values
-    nodes = window.nodes()
-    weights = window.weights()
+    p2, half_d, w_space = _fft_order_tables(p, f.grid, kind, -weight_exponent)
+    spec = half_d * np.fft.fftn(np.fft.ifftshift(f.values))
     total = 0.0
-    fft_axes = tuple(range(1, grid.dim + 1))
-    for start in range(0, nodes.size, _BATCH_NODES):
-        t_batch = nodes[start : start + _BATCH_NODES]
-        w_batch = weights[start : start + _BATCH_NODES]
-        phases = np.exp(1j * t_batch.reshape((-1,) + (1,) * grid.dim) * p2)
-        spec = phases * (half_d * fhat)
-        fields = np.fft.fftshift(
-            np.fft.ifftn(np.fft.ifftshift(spec, axes=fft_axes), axes=fft_axes), axes=fft_axes
-        ) / grid.cell_volume
-        weighted = w_space * fields
-        slice_sq = np.sum(np.abs(weighted) ** 2, axis=fft_axes) * grid.cell_volume
-        total += float(np.sum(w_batch * slice_sq))
-    return float(np.sqrt(total))
+    for w_batch, _, fields in _evolve(p2, spec, window):
+        fields *= w_space
+        total += np.tensordot(w_batch, np.abs(fields) ** 2, axes=1).sum()
+    return float(np.sqrt(total * f.grid.cell_volume))
 
 
 def smoothing_constant(
@@ -181,38 +194,25 @@ def smoothing_constant(
 
     Power iteration on the composed normal operator
 
-        sum_j w_j exp(-i t_j p^2) D^{1/2} <x>^{-2 delta} D^{1/2} exp(i t_j p^2)
+        D^{1/2} sum_j w_j exp(-i t_j p^2) <x>^{-2 delta} exp(i t_j p^2) D^{1/2}
 
-    streaming over time nodes with batched transforms.
+    streaming over time nodes with batched in-place transforms.
     """
-    p2 = symbol_on_grid(p, grid) ** 2
-    half_d = _half_derivative_values(grid, kind)
-    w2_space = bracket(grid.spatial_mesh()) ** (-2.0 * delta)
-    nodes = window.nodes()
-    weights = window.weights()
-    fft_axes = tuple(range(1, grid.dim + 1))
+    p2, half_d, w2_space = _fft_order_tables(p, grid, kind, -2.0 * delta)
+    axes = tuple(range(1, grid.dim + 1))
 
     def normal_apply(v: Field) -> Field:
-        vhat = forward_transform(v).values
-        acc = np.zeros(grid.shape, dtype=np.complex128)
-        for start in range(0, nodes.size, _BATCH_NODES):
-            t_batch = nodes[start : start + _BATCH_NODES]
-            w_batch = weights[start : start + _BATCH_NODES]
-            phases = np.exp(1j * t_batch.reshape((-1,) + (1,) * grid.dim) * p2)
-            spec = phases * (half_d * vhat)
-            # the ifft/fft normalizations of this round trip cancel exactly,
-            # so the cell-volume factors of the outer transform pair carry
-            fields = np.fft.fftshift(
-                np.fft.ifftn(np.fft.ifftshift(spec, axes=fft_axes), axes=fft_axes), axes=fft_axes
-            )
-            weighted = w2_space * fields
-            back = np.fft.fftshift(
-                np.fft.fftn(np.fft.ifftshift(weighted, axes=fft_axes), axes=fft_axes),
-                axes=fft_axes,
-            )
-            contrib = np.conj(phases) * (half_d * back)
-            acc += np.tensordot(w_batch, contrib, axes=([0], [0]))
-        return inverse_transform(SpectralField(grid, acc))
+        # the ifft/fft normalizations of each round trip cancel exactly, and
+        # so do those of the outer transform pair
+        acc = np.zeros(grid.shape, dtype=complex)
+        spec = half_d * np.fft.fftn(np.fft.ifftshift(v.values))
+        for w_batch, phases, fields in _evolve(p2, spec, window):
+            fields *= w2_space
+            np.fft.fftn(fields, axes=axes, out=fields)
+            fields *= np.conjugate(phases, out=phases)
+            acc += np.tensordot(w_batch, fields, axes=1)
+        acc *= half_d
+        return Field(grid, np.fft.fftshift(np.fft.ifftn(acc)))
 
     rng = np.random.default_rng(seed)
     start_field = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))

@@ -8,6 +8,7 @@ from fiolab.cli import (
     run_experiment,
     validate_config,
 )
+from fiolab.normest import NormEstimate
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -22,6 +23,20 @@ EGOROV_CFG = {
     "grid": {"dim": 1, "half_width": 10.0, "points": 64},
     "data": {"sigma": 1.0},
     "seed": 0,
+}
+
+SMOOTHING_CFG = {
+    "kind": "smoothing",
+    "symbol": {"name": "euclidean"},
+    "grid": {"dim": 3, "half_width": 6.0, "points": 8},
+    "window": {"horizon": 0.5, "steps_per_unit": 8},
+    "weights": {"delta": 1.0, "kind": "inhomogeneous"},
+}
+
+SYMBOL_CHECK_CFG = {
+    "kind": "symbol-check",
+    "amplitude": {"name": "reciprocal_quadratic"},
+    "symbol_class": {"kind": "S00", "max_order": 2},
 }
 
 
@@ -64,6 +79,34 @@ class TestValidateConfig:
 
     def test_valid_config_is_clean(self):
         assert validate_config(ExperimentConfig.from_dict(EGOROV_CFG)) == []
+        assert validate_config(ExperimentConfig.from_dict(SMOOTHING_CFG)) == []
+        assert validate_config(ExperimentConfig.from_dict(SYMBOL_CHECK_CFG)) == []
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "grid.dim",
+            "grid.points",
+            "grid.half_width",
+            "window.horizon",
+            "window.steps_per_unit",
+            "weights.delta",
+            "symbol_class.max_order",
+        ],
+    )
+    def test_bool_rejected_for_numeric_fields(self, path):
+        # isinstance(True, int) holds, so a bare isinstance check lets it through
+        section, key = path.split(".")
+        base = SYMBOL_CHECK_CFG if section == "symbol_class" else SMOOTHING_CFG
+        cfg = ExperimentConfig.from_dict({**base, section: {**base[section], key: True}})
+        assert any(v.field == path and v.severity == "error" for v in validate_config(cfg))
+
+    def test_unknown_derivative_kind_is_config_error(self, tmp_path):
+        path = write_config(
+            tmp_path, {**SMOOTHING_CFG, "weights": {"delta": 1.0, "kind": "inhomogenous"}}
+        )
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["smoothing", "--config", str(path)]) == 1
 
 
 class TestRunExperiment:
@@ -113,6 +156,7 @@ class TestRunExperiment:
         assert report.failed
         assert len(report.sweep_rows) == 2  # no silent drops
         assert all(row[-1] is False for row in report.sweep_rows)
+        assert all(row[2] is None for row in report.sweep_rows)  # null residual, not NaN
         assert report.warnings
 
     def test_symbol_check_experiment(self):
@@ -207,6 +251,26 @@ class TestMainExitCodes:
             },
         )
         assert main(["egorov", "--config", str(path)]) == 2
+
+    def test_failed_rows_give_strict_json(self, tmp_path, monkeypatch):
+        def fake_constant(p, grid, window, *args, **kwargs):
+            if window.horizon > 1.0:
+                raise FloatingPointError("forced failure")
+            return NormEstimate(0.0, 1, True)
+
+        monkeypatch.setattr("fiolab.cli.smoothing_constant", fake_constant)
+        window = {"horizon": [0.5, 1.0, 2.0], "steps_per_unit": 8}
+        path = write_config(tmp_path, {**SMOOTHING_CFG, "window": window})
+        out = tmp_path / "out"
+        assert main(["smoothing", "--config", str(path), "--out", str(out)]) == 2
+
+        def reject(name):
+            raise ValueError(f"report.json holds the non-standard constant {name}")
+
+        data = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert data["failed"]
+        assert data["sweep"]["rows"][2][4] is None  # the failed horizon's constant
+        assert data["results"]["max_pairwise_deviation"] is None  # zero lowest constant
 
     def test_missing_config_file(self):
         assert main(["egorov", "--config", "/nonexistent/config.json"]) == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fiolab.dispersive import (
+    _BATCH_NODES,
     SpaceTimeField,
     TimeWindow,
+    _evolve,
     apply_half_derivative_ratio,
     egorov_residual,
     propagate,
@@ -11,7 +13,16 @@ from fiolab.dispersive import (
     smoothing_functional,
     symbol_on_grid,
 )
-from fiolab.lattice import Field, make_grid, norm
+from fiolab.lattice import (
+    Field,
+    SpectralField,
+    bracket,
+    forward_transform,
+    inverse_transform,
+    make_grid,
+    norm,
+)
+from fiolab.normest import NormEstimate
 from fiolab.symbols import euclidean_symbol, perturbed_symbol, quadratic_form_symbol
 from tests.conftest import gaussian_field, random_field
 
@@ -223,3 +234,109 @@ class TestEgorovResidual:
             u = gaussian_field(g, sigma=1.2, carrier=[5.0, 0.0])
             residuals[n_pts] = egorov_residual(ELLIPSE, u)
         assert residuals[128] < residuals[64] / 1.5
+
+
+# Frozen reference: the per-node spectral time loop that preceded the batched
+# kernel, with exp per node, shifts around every transform and 64-node batches.
+def _reference_tables(p, grid, kind, space_power):
+    mesh = grid.frequency_mesh()
+    mag2 = np.sum(mesh * mesh, axis=-1)
+    half_d = (1.0 + mag2) ** 0.25 if kind == "inhomogeneous" else mag2**0.25
+    return symbol_on_grid(p, grid) ** 2, half_d, bracket(grid.spatial_mesh()) ** space_power
+
+
+def _reference_batches(p2, spec, window, batch=64):
+    """Yield ``(w_batch, phases, fields)`` with math-order fields ``ifft(phases spec)``."""
+    axes = tuple(range(1, p2.ndim + 1))
+    nodes, weights = window.nodes(), window.weights()
+    for start in range(0, nodes.size, batch):
+        t_batch = nodes[start : start + batch].reshape((-1,) + (1,) * p2.ndim)
+        phases = np.exp(1j * t_batch * p2)
+        fields = np.fft.fftshift(
+            np.fft.ifftn(np.fft.ifftshift(phases * spec, axes=axes), axes=axes), axes=axes
+        )
+        yield weights[start : start + batch], phases, fields
+
+
+def _reference_functional(p, f, window, weight_exponent, kind):
+    grid = f.grid
+    p2, half_d, w_space = _reference_tables(p, grid, kind, -weight_exponent)
+    spec = half_d * forward_transform(f).values
+    total = 0.0
+    for w_batch, _, fields in _reference_batches(p2, spec, window):
+        weighted = w_space * fields / grid.cell_volume
+        slice_sq = np.sum(np.abs(weighted) ** 2, axis=tuple(range(1, grid.dim + 1)))
+        total += float(np.sum(w_batch * slice_sq * grid.cell_volume))
+    return float(np.sqrt(total))
+
+
+def _reference_normal_apply(p, grid, window, delta, kind, v):
+    p2, half_d, w2_space = _reference_tables(p, grid, kind, -2.0 * delta)
+    axes = tuple(range(1, grid.dim + 1))
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    for w_batch, phases, fields in _reference_batches(p2, half_d * forward_transform(v).values, window):
+        back = np.fft.fftshift(
+            np.fft.fftn(np.fft.ifftshift(w2_space * fields, axes=axes), axes=axes), axes=axes
+        )
+        acc += np.tensordot(w_batch, np.conj(phases) * (half_d * back), axes=([0], [0]))
+    return inverse_transform(SpectralField(grid, acc))
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestEvolutionKernel:
+    # 19 nodes: two full batches of 8 and a partial one
+    GRID = make_grid(3, 6.0, 8)
+    WINDOW = TimeWindow(1.5, 19)
+    SYMBOL = quadratic_form_symbol(np.diag([1.0, 2.0, 4.0]))
+
+    def test_window_spans_full_and_partial_batches(self):
+        assert self.WINDOW.steps > 2 * _BATCH_NODES
+        assert self.WINDOW.steps % _BATCH_NODES != 0
+
+    @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
+    def test_normal_apply_matches_frozen_reference(self, kind, monkeypatch):
+        captured = {}
+
+        def capture(normal_apply, start, tol, max_iters):
+            captured["apply"] = normal_apply
+            return NormEstimate(0.0, 0, False)
+
+        monkeypatch.setattr("fiolab.dispersive.power_iteration", capture)
+        smoothing_constant(self.SYMBOL, self.GRID, self.WINDOW, 0.75, kind)
+        v = random_field(self.GRID, seed=11)
+        want = _reference_normal_apply(self.SYMBOL, self.GRID, self.WINDOW, 0.75, kind, v)
+        assert _rel_err(captured["apply"](v).values, want.values) < 1e-13
+
+    @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
+    def test_functional_matches_frozen_reference(self, kind):
+        f = random_field(self.GRID, seed=12)
+        got = smoothing_functional(self.SYMBOL, f, self.WINDOW, 0.75, kind)
+        want = _reference_functional(self.SYMBOL, f, self.WINDOW, 0.75, kind)
+        assert abs(got - want) < 1e-13 * want
+
+    def test_propagate_matches_frozen_reference(self):
+        f = random_field(self.GRID, seed=13)
+        got = propagate(self.SYMBOL, f, self.WINDOW).slices
+        p2 = symbol_on_grid(self.SYMBOL, self.GRID) ** 2
+        fhat = forward_transform(f).values
+        assert len(got) == self.WINDOW.steps
+        for u, (_, _, fields) in zip(got, _reference_batches(p2, fhat, self.WINDOW, batch=1)):
+            assert _rel_err(u.values, fields[0] / self.GRID.cell_volume) < 1e-13
+
+    def test_phase_recurrence_tracks_exp_over_longest_window(self):
+        # criterion-5 grid and longest window: t p^2 reaches about 1684 rad,
+        # where exp's own argument rounding is about 2e-13
+        grid = make_grid(3, 12.0, 32)
+        window = TimeWindow(16.0, 1025)
+        p2 = symbol_on_grid(quadratic_form_symbol(np.diag([1.0, 1.0, 4.0])), grid) ** 2
+        p2 = np.fft.ifftshift(p2)
+        nodes = iter(window.nodes())
+        worst = 0.0
+        for _, phases, _ in _evolve(p2, np.zeros(grid.shape, dtype=complex), window):
+            for phase in phases:
+                worst = max(worst, np.max(np.abs(phase - np.exp(1j * next(nodes) * p2))))
+        assert next(nodes, None) is None
+        assert worst < 1e-12
