@@ -16,33 +16,37 @@ when the experiment sweeps a parameter, ``sweep.csv`` with one row per
 sub-run.  Wall-clock time is printed to stdout but deliberately kept out
 of the report files so that repeated runs are byte-identical.
 
-Config schema (JSON object); fields not used by a kind are ignored::
+Config schema (JSON object).  Fields not used by a kind are ignored;
+``<...>`` marks a value to supply, and the other values shown are the
+defaults of optional fields (``weights.kind`` defaults to the first)::
 
     {
       "kind":   "egorov" | "smoothing" | "norm" | "symbol-check" | "cotlar",
-      "symbol": {"name": "euclidean"} |
-                {"name": "quadratic_form", "diag": [1, 4]} |
-                {"name": "perturbed", "base": {...},
-                 "bump_amplitude": 0.1, "bump_direction": [1, 0]},
-      "grid":   {"dim": 2, "half_width": 10.0, "points": 64 | [32, 64]},
-      "window": {"horizon": 4.0 | [4.0, 8.0], "steps_per_unit": 64},
-      "weights": {"m_in": 0.0, "m_out": 0.0} | {"delta": 1.0,
-                  "kind": "inhomogeneous" | "homogeneous"},
+      "seed":   0,
+      "symbol": {"name": "euclidean"} | {"name": "quadratic_form", "diag": <[...]>} |
+                {"name": "perturbed", "base": <{...}>,
+                 "bump_amplitude": <number>, "bump_direction": <[...]>},
+      "grid":   {"dim": <int>, "half_width": <number>, "points": <N> | <[N, ...]>},
+      "window": {"horizon": <T> | <[T, ...]>, "steps_per_unit": 32},
+      "weights": {"m_in": 0.0, "m_out": 0.0} |
+                 {"delta": 1.0, "kind": "inhomogeneous" | "homogeneous"},
+      "tol":    1e-6 (norm) | 1e-4 (smoothing),  "max_iters": 200 | 100,
       "operator": {"kind": "identity" | "canonical" | "canonical_inverse"
                    | "bracket_multiplier"},
       "amplitude": {"name": "reciprocal_quadratic" | "oscillating_square"
                     | "constant"},
-      "symbol_class": {"kind": "S00" | "SG", "max_order": 2,
-                       "bound_tolerance": 5.0, "weight_orders": [0, 0],
+      "symbol_class": {"kind": "S00" | "SG", "max_order": <int>,
+                       "bound_tolerance": 1.0, "weight_orders": <[m1, m2]> (SG),
                        "dim": 1, "x_half_width": 10.0, "xi_half_width": 10.0,
                        "x_points": 201, "xi_points": 33},
-      "family": {"kind": "disjoint_bumps" | "random_matrices", "size": 3},
-      "data":   {"sigma": 1.2, "carrier": [5.0, 0.0]},
-      "seed":   0
+      "family": {"kind": "disjoint_bumps" | "random_matrices", "size": 3,
+                 "half_width": 8.0, "points": 16},
+      "data":   {"sigma": 1.2, "carrier": <[k_1, ..., k_dim]> (optional)}
     }
 
-Exit codes: 0 success, 1 config validation failure, 2 numerical failure
-propagated from a sub-run.
+Each field is read once, by the kind's preparation step, so a config error
+names its field before any computation starts.  Exit codes: 0 success,
+1 config error, 2 numerical failure propagated from a sub-run.
 """
 
 from __future__ import annotations
@@ -103,17 +107,15 @@ class Violation:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    raw: dict
-    seed: int = 0
+    raw: object  # the parsed JSON; anything but a mapping is a config error
+    seed: int | None = None  # overrides the config's "seed" when set
     threads: int = 1
 
     @staticmethod
-    def from_dict(data: dict, kind: str | None = None, seed: int | None = None, threads: int = 1):
-        actual_kind = kind or data.get("kind", "")
-        actual_seed = seed if seed is not None else int(data.get("seed", 0))
-        return ExperimentConfig(
-            kind=actual_kind, raw=dict(data), seed=actual_seed, threads=max(int(threads), 1)
-        )
+    def from_dict(data, kind: str | None = None, seed: int | None = None, threads: int = 1):
+        raw = dict(data) if isinstance(data, dict) else data
+        actual_kind = kind or (raw.get("kind", "") if isinstance(raw, dict) else "")
+        return ExperimentConfig(actual_kind, raw, seed, max(int(threads), 1))
 
 
 @dataclass
@@ -143,16 +145,6 @@ class ReportRecord:
         }
 
 
-def _grid_points_list(grid_cfg: dict) -> list:
-    pts = grid_cfg.get("points")
-    return list(pts) if isinstance(pts, (list, tuple)) else [pts]
-
-
-def _horizon_list(window_cfg: dict) -> list:
-    t = window_cfg.get("horizon")
-    return list(t) if isinstance(t, (list, tuple)) else [t]
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -161,103 +153,106 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def validate_config(config: ExperimentConfig) -> list:
-    """Collect violations; empty error list means the experiment can run."""
-    v: list[Violation] = []
-    raw = config.raw
-    if config.kind not in EXPERIMENT_KINDS:
-        v.append(Violation("kind", f"must be one of {EXPERIMENT_KINDS}", config.kind))
-        return v
+# (predicate, constraint) checks for _Reader.read
+_POSITIVE_INT = (lambda x: _is_int(x) and x >= 1, "positive integer")
+_NUMBER = (_is_number, "number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "positive number")
+_NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative number")
+_GRID_POINTS = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "even integer >= 4")
 
-    if config.kind in ("egorov", "smoothing", "norm"):
-        grid_cfg = raw.get("grid")
-        if not isinstance(grid_cfg, dict):
-            v.append(Violation("grid", "required mapping", grid_cfg))
-        else:
-            dim = grid_cfg.get("dim")
-            if not _is_int(dim) or dim < 1:
-                v.append(Violation("grid.dim", "positive integer", dim))
-            half = grid_cfg.get("half_width")
-            if not _is_number(half) or half <= 0:
-                v.append(Violation("grid.half_width", "positive number", half))
-            for n_pts in _grid_points_list(grid_cfg):
-                if not _is_int(n_pts) or n_pts < 4:
-                    v.append(Violation("grid.points", "integer >= 4", n_pts))
-                elif n_pts % 2 != 0:
-                    v.append(Violation("grid.points", "must be even", n_pts))
 
-    if config.kind in ("egorov", "smoothing"):
-        if not isinstance(raw.get("symbol"), dict) or "name" not in raw.get("symbol", {}):
-            v.append(Violation("symbol", "required mapping with a 'name'", raw.get("symbol")))
+def _one_of(choices: tuple) -> tuple:
+    return (lambda x: x in choices, f"must be one of {choices}")
 
-    if config.kind == "smoothing":
-        window_cfg = raw.get("window")
-        if not isinstance(window_cfg, dict):
-            v.append(Violation("window", "required for smoothing experiments", window_cfg))
-        else:
-            for t in _horizon_list(window_cfg):
-                if not _is_number(t) or t <= 0:
-                    v.append(Violation("window.horizon", "positive number", t))
-            spu = window_cfg.get("steps_per_unit", 32)
-            if not _is_int(spu) or spu < 1:
-                v.append(Violation("window.steps_per_unit", "positive integer", spu))
-        grid_cfg = raw.get("grid", {})
-        if isinstance(grid_cfg, dict) and grid_cfg.get("dim") not in (None, 3):
-            v.append(
-                Violation(
-                    "grid.dim",
-                    "outside smoothing-theorem hypotheses (n >= 3); run is labeled, not blocked",
-                    grid_cfg.get("dim"),
-                    severity="warning",
-                )
-            )
-        weights = raw.get("weights", {})
-        delta = weights.get("delta", 1.0) if isinstance(weights, dict) else None
-        if not _is_number(delta) or delta < 0:
-            v.append(Violation("weights.delta", "nonnegative number", delta))
-        kind = weights.get("kind", "inhomogeneous") if isinstance(weights, dict) else None
-        if kind not in get_args(DerivativeKind):
-            v.append(Violation("weights.kind", f"must be one of {get_args(DerivativeKind)}", kind))
 
-    if config.kind == "norm":
-        op_cfg = raw.get("operator")
-        if not isinstance(op_cfg, dict) or "kind" not in op_cfg:
-            v.append(Violation("operator", "required mapping with a 'kind'", op_cfg))
-        elif op_cfg["kind"] in ("canonical", "canonical_inverse") and not isinstance(
-            raw.get("symbol"), dict
-        ):
-            v.append(Violation("symbol", "required for canonical-transform norms", raw.get("symbol")))
+def _vector(n: int) -> tuple:
+    return (lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x)),
+            f"list of {n} numbers")
 
-    if config.kind == "symbol-check":
-        sc = raw.get("symbol_class")
-        if not isinstance(sc, dict):
-            v.append(Violation("symbol_class", "required mapping", sc))
-        else:
-            if sc.get("kind") not in ("S00", "SG"):
-                v.append(Violation("symbol_class.kind", "must be S00 or SG", sc.get("kind")))
-            if not _is_int(sc.get("max_order")) or sc["max_order"] < 1:
-                v.append(Violation("symbol_class.max_order", "integer >= 1", sc.get("max_order")))
-        if not isinstance(raw.get("amplitude"), dict):
-            v.append(Violation("amplitude", "required mapping with a 'name'", raw.get("amplitude")))
 
-    if config.kind == "cotlar":
-        fam = raw.get("family")
-        if not isinstance(fam, dict) or fam.get("kind") not in ("disjoint_bumps", "random_matrices"):
-            v.append(
-                Violation("family.kind", "must be disjoint_bumps or random_matrices", fam)
-            )
-    return v
+_REQUIRED = object()
+
+
+class _Reader:
+    """Reads config fields and collects a violation per bad one; a bad field
+    reads as its default, or as ``None`` when it is required."""
+
+    def __init__(self):
+        self.violations: list[Violation] = []
+
+    def error(self, field: str, constraint: str, actual, severity: str = "error"):
+        self.violations.append(Violation(field, constraint, actual, severity))
+
+    def read(self, section: dict, path: str, check: tuple, default=_REQUIRED):
+        key = path.rpartition(".")[2]
+        if key not in section and default is not _REQUIRED:
+            return default
+        value = section.get(key)
+        if check[0](value):
+            return value
+        self.error(path, check[1], value)
+        return None if default is _REQUIRED else default
+
+    def section(self, raw: dict, name: str, default=_REQUIRED) -> dict:
+        return self.read(raw, name, (lambda x: isinstance(x, dict), "mapping"), default) or {}
+
+    def read_list(self, section: dict, path: str, check: tuple):
+        """A required value or non-empty list of values, as a list."""
+        value = section.get(path.rpartition(".")[2])
+        values = list(value) if isinstance(value, (list, tuple)) else [value]
+        if values and all(check[0](v) for v in values):
+            return values
+        self.error(path, f"{check[1]} or a non-empty list of them", value)
+        return None
+
+    def build(self, field: str, make, *args):
+        """``make(*args)``; a rejection becomes a violation of ``field``."""
+        try:
+            return make(*args)
+        except (TypeError, ValueError) as exc:
+            self.error(field, str(exc), args[0])
+            return None
+
+
+def _read_grids(r: _Reader, raw: dict):
+    """One grid per ``grid.points`` entry (none if the section is bad), and
+    the half width as written, for the report rows."""
+    g = r.section(raw, "grid")
+    dim = r.read(g, "grid.dim", _POSITIVE_INT)
+    half = r.read(g, "grid.half_width", _POSITIVE)
+    points = r.read_list(g, "grid.points", _GRID_POINTS)
+    if None in (dim, half, points):
+        return [], half
+    return [make_grid(dim, half, n) for n in points], half
+
+
+def _read_symbol(r: _Reader, raw: dict, grids: list):
+    return r.build("symbol", symbol_from_config, raw.get("symbol"), grids[0].dim) if grids else None
+
+
+def _collect_rows(report: ReportRecord, entries: list, worker, threads: int):
+    """Append ``worker``'s ``(row, warning)`` for each entry, in entry order
+    also on a thread pool; a false last column (ok/converged) fails the run."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, entries))
+    else:
+        results = [worker(e) for e in entries]
+    for row, warning in results:
+        report.sweep_rows.append(row)
+        if warning:
+            report.warnings.append(warning)
+        if not row[-1]:
+            report.failed = True
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment kinds: each reads its fields and returns the body that runs it
 # ---------------------------------------------------------------------------
 
 
-def _packet_field(grid, data_cfg: dict) -> Field:
+def _packet_field(grid, sigma: float, carrier) -> Field:
     """Gaussian wave packet used as default probe data."""
-    sigma = float(data_cfg.get("sigma", 1.2))
-    carrier = data_cfg.get("carrier")
     mesh = grid.spatial_mesh()
     envelope = np.exp(-np.sum(mesh * mesh, axis=-1) / (2.0 * sigma**2))
     if carrier is None:
@@ -266,132 +261,117 @@ def _packet_field(grid, data_cfg: dict) -> Field:
     return Field(grid, envelope * np.exp(1j * np.einsum("...i,i->...", mesh, k0)))
 
 
-def _sweep(entries, worker, threads: int):
-    """Run sweep entries, optionally on a thread pool, keyed by index.
+def _prepare_egorov(r: _Reader, raw: dict, seed: int, threads: int):
+    grids, half = _read_grids(r, raw)
+    p = _read_symbol(r, raw, grids)
+    data = r.section(raw, "data", {})
+    sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
+    carrier = r.read(data, "data.carrier", _vector(grids[0].dim), None) if grids else None
 
-    Results come back in entry order regardless of completion order, so
-    reports stay deterministic under parallel dispatch.
-    """
-    if threads <= 1 or len(entries) <= 1:
-        return [worker(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, entries))
+    def body(report: ReportRecord):
+        report.sweep_header = ["N", "L", "residual", "ok"]
 
+        def worker(grid):
+            n = grid.points_per_axis
+            try:
+                u = _packet_field(grid, sigma, carrier)
+                return [n, half, egorov_residual(p, u), True], None
+            except Exception as exc:  # noqa: BLE001 - propagated into the report
+                return [n, half, None, False], f"egorov N={n}: {exc}"
 
-def _run_egorov(config: ExperimentConfig, report: ReportRecord):
-    raw = config.raw
-    grid_cfg = raw["grid"]
-    report.sweep_header = ["N", "L", "residual", "ok"]
+        _collect_rows(report, grids, worker, threads)
+        report.results["residuals"] = {str(row[0]): row[2] for row in report.sweep_rows if row[3]}
 
-    def worker(n_pts):
-        try:
-            grid = make_grid(grid_cfg["dim"], grid_cfg["half_width"], n_pts)
-            p = symbol_from_config(raw["symbol"], grid.dim)
-            u = _packet_field(grid, raw.get("data", {}))
-            return [n_pts, grid_cfg["half_width"], egorov_residual(p, u), True], None
-        except Exception as exc:  # noqa: BLE001 - propagated into the report
-            return [n_pts, grid_cfg["half_width"], None, False], f"egorov N={n_pts}: {exc}"
-
-    for row, warning in _sweep(_grid_points_list(grid_cfg), worker, config.threads):
-        report.sweep_rows.append(row)
-        if warning:
-            report.warnings.append(warning)
-            report.failed = True
-    report.results["residuals"] = {
-        str(r[0]): r[2] for r in report.sweep_rows if r[3]
-    }
+    return body
 
 
-def _run_smoothing(config: ExperimentConfig, report: ReportRecord):
-    raw = config.raw
-    grid_cfg = raw["grid"]
-    window_cfg = raw["window"]
-    weights = raw.get("weights", {})
-    delta = float(weights.get("delta", 1.0))
-    kind = weights.get("kind", "inhomogeneous")
-    steps_per_unit = int(window_cfg.get("steps_per_unit", 32))
-    grid = make_grid(grid_cfg["dim"], grid_cfg["half_width"], _grid_points_list(grid_cfg)[0])
-    p = symbol_from_config(raw["symbol"], grid.dim)
-    if grid.dim < 3:
-        report.warnings.append("outside smoothing-theorem hypotheses (n >= 3)")
-    report.sweep_header = ["T", "N_t", "delta", "kind", "constant", "converged"]
-    for horizon in _horizon_list(window_cfg):
-        row = {"T": horizon, "delta": delta, "kind": kind}
-        try:
-            window = TimeWindow(horizon, int(steps_per_unit * horizon) + 1)
-            row["N_t"] = window.steps
-            est = smoothing_constant(
-                p, grid, window, delta, kind, seed=config.seed,
-                tol=float(raw.get("tol", 1e-4)), max_iters=int(raw.get("max_iters", 100)),
-            )
-            row["constant"], row["converged"] = est.estimate, est.converged
-            if not est.converged:
-                report.failed = True
-        except Exception as exc:  # noqa: BLE001
-            row.update(N_t=0, constant=None, converged=False)
-            report.warnings.append(f"smoothing T={horizon}: {exc}")
-            report.failed = True
-        report.sweep_rows.append([row[k] for k in report.sweep_header])
-    constants = [r[4] for r in report.sweep_rows if r[5]]
-    report.results["constants"] = constants
-    if len(constants) > 1:
-        lo, hi = min(constants), max(constants)
-        report.results["max_pairwise_deviation"] = (hi - lo) / lo if lo > 0 else None
+def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
+    grids, _ = _read_grids(r, raw)
+    if len(grids) > 1:
+        r.error("grid.points", "one size: smoothing sweeps window.horizon", raw["grid"]["points"])
+    grid = grids[0] if grids else None
+    p = _read_symbol(r, raw, grids)
+    if grid and grid.dim < 3:
+        r.error("grid.dim", "outside smoothing-theorem hypotheses (n >= 3); run is labeled, "
+                "not blocked", grid.dim, severity="warning")
+    window_cfg = r.section(raw, "window")
+    horizons = r.read_list(window_cfg, "window.horizon", _POSITIVE) or []
+    steps_per_unit = r.read(window_cfg, "window.steps_per_unit", _POSITIVE_INT, 32)
+    windows = [r.build("window.horizon", TimeWindow, t, int(steps_per_unit * t) + 1)
+               for t in horizons]
+    weights = r.section(raw, "weights", {})
+    delta = float(r.read(weights, "weights.delta", _NONNEGATIVE, 1.0))
+    kind = r.read(weights, "weights.kind", _one_of(get_args(DerivativeKind)), "inhomogeneous")
+    tol = float(r.read(raw, "tol", _POSITIVE, 1e-4))
+    max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 100)
+
+    def body(report: ReportRecord):
+        report.sweep_header = ["T", "N_t", "delta", "kind", "constant", "converged"]
+
+        def worker(w):
+            try:
+                est = smoothing_constant(p, grid, w, delta, kind, seed, tol, max_iters)
+                return [w.horizon, w.steps, delta, kind, est.estimate, est.converged], None
+            except Exception as exc:  # noqa: BLE001
+                return [w.horizon, 0, delta, kind, None, False], f"smoothing T={w.horizon}: {exc}"
+
+        _collect_rows(report, windows, worker, threads)
+        constants = [row[4] for row in report.sweep_rows if row[5]]
+        report.results["constants"] = constants
+        if len(constants) > 1:
+            lo, hi = min(constants), max(constants)
+            report.results["max_pairwise_deviation"] = (hi - lo) / lo if lo > 0 else None
+
+    return body
 
 
-def _build_norm_operator(raw: dict, grid):
-    kind = raw["operator"]["kind"]
+_NORM_OPERATORS = ("identity", "bracket_multiplier", "canonical", "canonical_inverse")
+
+
+def _norm_operator(kind: str, grid, p):
     if kind == "identity":
         return identity_operator(grid)
     if kind == "bracket_multiplier":
         return multiplier_operator(
             grid, lambda xi: (1.0 + np.sum(xi * xi, axis=-1)) ** 0.25, label="<xi>^1/2"
         )
-    if kind in ("canonical", "canonical_inverse"):
-        p = symbol_from_config(raw["symbol"], grid.dim)
-        direction = "forward" if kind == "canonical" else "inverse"
-        return canonical_transform_operator(gauss_phase(p), grid, direction)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    direction = "forward" if kind == "canonical" else "inverse"
+    return canonical_transform_operator(gauss_phase(p), grid, direction)
 
 
-def _run_norm(config: ExperimentConfig, report: ReportRecord):
-    raw = config.raw
-    grid_cfg = raw["grid"]
-    weights = raw.get("weights", {})
-    m_in = float(weights.get("m_in", 0.0))
-    m_out = float(weights.get("m_out", 0.0))
-    report.sweep_header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations", "converged"]
+def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
+    grids, half = _read_grids(r, raw)
+    kind = r.read(r.section(raw, "operator"), "operator.kind", _one_of(_NORM_OPERATORS))
+    p = _read_symbol(r, raw, grids) if kind in ("canonical", "canonical_inverse") else None
+    weights = r.section(raw, "weights", {})
+    m_in = float(r.read(weights, "weights.m_in", _NUMBER, 0.0))
+    m_out = float(r.read(weights, "weights.m_out", _NUMBER, 0.0))
+    tol = float(r.read(raw, "tol", _POSITIVE, 1e-6))
+    max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 200)
 
-    def worker(n_pts):
-        try:
-            grid = make_grid(grid_cfg["dim"], grid_cfg["half_width"], n_pts)
-            op = _build_norm_operator(raw, grid)
-            task = WeightedNormTask(
-                op, m_in, m_out,
-                max_iters=int(raw.get("max_iters", 200)),
-                tol=float(raw.get("tol", 1e-6)),
-                seed=config.seed,
-            )
-            est = operator_norm(task)
-            row = [op.label, m_in, m_out, n_pts, grid_cfg["half_width"],
-                   est.estimate, est.iterations, est.converged]
-            return row, None if est.converged else "non-converged"
-        except Exception as exc:  # noqa: BLE001
-            row = ["failed", m_in, m_out, n_pts, grid_cfg["half_width"], None, 0, False]
-            return row, f"norm N={n_pts}: {exc}"
+    def body(report: ReportRecord):
+        report.sweep_header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations",
+                               "converged"]
 
-    for row, warning in _sweep(_grid_points_list(grid_cfg), worker, config.threads):
-        report.sweep_rows.append(row)
-        if warning:
-            if warning != "non-converged":
-                report.warnings.append(warning)
-            report.failed = True
-    estimates = [r[5] for r in report.sweep_rows if r[7]]
-    report.results["estimates"] = estimates
-    if len(estimates) > 1 and all(e > 0 for e in estimates):
-        ns = [r[3] for r in report.sweep_rows if r[7]]
-        slope = float(np.polyfit(np.log(ns), np.log(estimates), 1)[0])
-        report.results["log_slope"] = slope
+        def worker(grid):
+            n = grid.points_per_axis
+            try:
+                op = _norm_operator(kind, grid, p)
+                est = operator_norm(WeightedNormTask(op, m_in, m_out, max_iters, tol, seed))
+                row = [op.label, m_in, m_out, n, half, est.estimate, est.iterations, est.converged]
+                return row, None
+            except Exception as exc:  # noqa: BLE001
+                return ["failed", m_in, m_out, n, half, None, 0, False], f"norm N={n}: {exc}"
+
+        _collect_rows(report, grids, worker, threads)
+        estimates = [row[5] for row in report.sweep_rows if row[7]]
+        report.results["estimates"] = estimates
+        if len(estimates) > 1 and all(e > 0 for e in estimates):
+            ns = [row[3] for row in report.sweep_rows if row[7]]
+            slope = float(np.polyfit(np.log(ns), np.log(estimates), 1)[0])
+            report.results["log_slope"] = slope
+
+    return body
 
 
 _AMPLITUDES = {
@@ -402,83 +382,119 @@ _AMPLITUDES = {
 }
 
 
-def _run_symbol_check(config: ExperimentConfig, report: ReportRecord):
-    raw = config.raw
-    sc = raw["symbol_class"]
-    amp_name = raw["amplitude"]["name"]
-    if amp_name not in _AMPLITUDES:
-        raise ValueError(f"unknown amplitude {amp_name!r}; have {sorted(_AMPLITUDES)}")
-    spec = SymbolClassSpec(
-        class_kind=sc["kind"],
-        max_order=sc["max_order"],
-        bound_tolerance=float(sc.get("bound_tolerance", 1.0)),
-        weight_orders=tuple(sc["weight_orders"]) if "weight_orders" in sc else None,
-    )
-    rep = check_symbol_class(
-        _AMPLITUDES[amp_name],
-        spec,
-        dim=int(sc.get("dim", 1)),
-        x_half_width=float(sc.get("x_half_width", 10.0)),
-        xi_half_width=float(sc.get("xi_half_width", 10.0)),
-        x_points=int(sc.get("x_points", 201)),
-        xi_points=int(sc.get("xi_points", 33)),
-    )
-    report.results.update(
-        amplitude=amp_name,
-        passes=rep.passes,
-        worst_constant=rep.worst_constant,
-        worst_orders=[list(rep.worst_orders[0]), list(rep.worst_orders[1])],
-        worst_point=[list(rep.worst_point[0]), list(rep.worst_point[1])],
-        max_order=rep.max_order,
-        x_spacing=rep.x_spacing,
-        xi_spacing=rep.xi_spacing,
+def _prepare_symbol_check(r: _Reader, raw: dict, seed: int, threads: int):
+    amp_name = r.read(r.section(raw, "amplitude"), "amplitude.name", _one_of(tuple(_AMPLITUDES)))
+    sc = r.section(raw, "symbol_class")
+    class_kind = r.read(sc, "symbol_class.kind", _one_of(("S00", "SG")))
+    max_order = r.read(sc, "symbol_class.max_order", _POSITIVE_INT)
+    tolerance = float(r.read(sc, "symbol_class.bound_tolerance", _POSITIVE, 1.0))
+    weight_orders = r.read(sc, "symbol_class.weight_orders", _vector(2), None)
+    spec = None
+    if class_kind and max_order:
+        spec = r.build("symbol_class", SymbolClassSpec, class_kind, max_order, tolerance,
+                       tuple(weight_orders) if weight_orders else None)
+    sampling = dict(
+        dim=r.read(sc, "symbol_class.dim", _POSITIVE_INT, 1),
+        x_half_width=float(r.read(sc, "symbol_class.x_half_width", _POSITIVE, 10.0)),
+        xi_half_width=float(r.read(sc, "symbol_class.xi_half_width", _POSITIVE, 10.0)),
+        x_points=r.read(sc, "symbol_class.x_points", _POSITIVE_INT, 201),
+        xi_points=r.read(sc, "symbol_class.xi_points", _POSITIVE_INT, 33),
     )
 
+    def body(report: ReportRecord):
+        rep = check_symbol_class(_AMPLITUDES[amp_name], spec, **sampling)
+        report.results.update(
+            amplitude=amp_name,
+            passes=rep.passes,
+            worst_constant=rep.worst_constant,
+            worst_orders=[list(rep.worst_orders[0]), list(rep.worst_orders[1])],
+            worst_point=[list(rep.worst_point[0]), list(rep.worst_point[1])],
+            max_order=rep.max_order,
+            x_spacing=rep.x_spacing,
+            xi_spacing=rep.xi_spacing,
+        )
 
-def _run_cotlar(config: ExperimentConfig, report: ReportRecord):
-    raw = config.raw
-    fam_cfg = raw["family"]
-    size = int(fam_cfg.get("size", 3))
-    grid = make_grid(1, float(fam_cfg.get("half_width", 8.0)), int(fam_cfg.get("points", 16)))
-    rng = np.random.default_rng(config.seed)
-    if fam_cfg["kind"] == "disjoint_bumps":
-        width = grid.points_per_axis // size
-        handles = {}
-        for i in range(size):
-            vals = np.zeros(grid.points_per_axis)
-            vals[i * width : (i + 1) * width] = rng.random() + 0.5
-            handles[(i,)] = multiplication_operator(grid, vals, label=f"bump{i}")
-    else:
-        handles = {
-            (i,): matrix_operator(
-                grid,
-                rng.standard_normal((grid.size, grid.size))
-                + 1j * rng.standard_normal((grid.size, grid.size)),
-                label=f"rand{i}",
-            )
-            for i in range(size)
-        }
-    family = OperatorFamily(tuple(handles), lambda i: handles[i], grid)
-    rep = cotlar_bound(family, seed=config.seed)
-    report.results.update(
-        bound=rep.bound,
-        sum_norm=rep.sum_norm,
-        sound=bool(rep.bound >= rep.sum_norm * (1 - 1e-9)),
-        all_converged=rep.all_converged,
-    )
-    report.sweep_header = ["index_difference", "gamma"]
-    report.sweep_rows = [[str(k), v] for k, v in sorted(rep.gamma.items())]
-    if not rep.all_converged:
-        report.failed = True
+    return body
 
 
-_RUNNERS = {
-    "egorov": _run_egorov,
-    "smoothing": _run_smoothing,
-    "norm": _run_norm,
-    "symbol-check": _run_symbol_check,
-    "cotlar": _run_cotlar,
+def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
+    fam = r.section(raw, "family")
+    kind = r.read(fam, "family.kind", _one_of(("disjoint_bumps", "random_matrices")))
+    size = r.read(fam, "family.size", _POSITIVE_INT, 3)
+    half = r.read(fam, "family.half_width", _POSITIVE, 8.0)
+    grid = make_grid(1, half, r.read(fam, "family.points", _GRID_POINTS, 16))
+
+    def body(report: ReportRecord):
+        rng = np.random.default_rng(seed)
+        if kind == "disjoint_bumps":
+            width = grid.points_per_axis // size
+            handles = {}
+            for i in range(size):
+                vals = np.zeros(grid.points_per_axis)
+                vals[i * width : (i + 1) * width] = rng.random() + 0.5
+                handles[(i,)] = multiplication_operator(grid, vals, label=f"bump{i}")
+        else:
+            handles = {
+                (i,): matrix_operator(
+                    grid,
+                    rng.standard_normal((grid.size, grid.size))
+                    + 1j * rng.standard_normal((grid.size, grid.size)),
+                    label=f"rand{i}",
+                )
+                for i in range(size)
+            }
+        family = OperatorFamily(tuple(handles), lambda i: handles[i], grid)
+        rep = cotlar_bound(family, seed=seed)
+        report.results.update(
+            bound=rep.bound,
+            sum_norm=rep.sum_norm,
+            sound=bool(rep.bound >= rep.sum_norm * (1 - 1e-9)),
+            all_converged=rep.all_converged,
+        )
+        report.sweep_header = ["index_difference", "gamma"]
+        report.sweep_rows = [[str(k), v] for k, v in sorted(rep.gamma.items())]
+        if not rep.all_converged:
+            report.failed = True
+
+    return body
+
+
+_PREPARE = {
+    "egorov": _prepare_egorov,
+    "smoothing": _prepare_smoothing,
+    "norm": _prepare_norm,
+    "symbol-check": _prepare_symbol_check,
+    "cotlar": _prepare_cotlar,
 }
+
+
+def _prepare(config: ExperimentConfig):
+    """Read every field of the experiment once and build its cheap objects;
+    return the violations and a closure that runs the experiment into a new
+    report, to be called only when no violation is an error."""
+    r = _Reader()
+    raw = config.raw
+    if not isinstance(raw, dict):
+        r.error("config", "top level must be a JSON object", type(raw).__name__)
+        return r.violations, None
+    if config.kind not in EXPERIMENT_KINDS:
+        r.error("kind", f"must be one of {EXPERIMENT_KINDS}", config.kind)
+        return r.violations, None
+    seed = config.seed if config.seed is not None else r.read(raw, "seed", (_is_int, "integer"), 0)
+    body = _PREPARE[config.kind](r, raw, seed, config.threads)
+
+    def run() -> ReportRecord:
+        report = ReportRecord(raw, config.kind, seed, fiolab.__version__)
+        report.warnings.extend(x.describe() for x in r.violations if x.severity == "warning")
+        body(report)
+        return report
+
+    return r.violations, run
+
+
+def validate_config(config: ExperimentConfig) -> list:
+    """Collect violations; empty error list means the experiment can run."""
+    return _prepare(config)[0]
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:
@@ -488,16 +504,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:
     failures inside sweep entries are recorded in the report instead of
     aborting the sweep.
     """
-    violations = validate_config(config)
+    violations, run = _prepare(config)
     errors = [x for x in violations if x.severity == "error"]
     if errors:
         raise ValueError("; ".join(x.describe() for x in errors))
-    report = ReportRecord(
-        config=config.raw, kind=config.kind, seed=config.seed, version=fiolab.__version__
-    )
-    report.warnings.extend(x.describe() for x in violations if x.severity == "warning")
     started = time.perf_counter()
-    _RUNNERS[config.kind](config, report)
+    report = run()
     report.wall_clock_seconds = time.perf_counter() - started
     if out_dir is not None:
         write_report(report, Path(out_dir))
@@ -540,7 +552,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
-    kind = args.command if args.command != "validate" else data.get("kind", "")
+    kind = None if args.command == "validate" else args.command
     config = ExperimentConfig.from_dict(data, kind=kind, seed=args.seed, threads=args.threads)
 
     if args.command == "validate":

@@ -33,7 +33,7 @@ from fiolab.lattice import (  # noqa: F401
     inverse_transform,
     norm,
 )
-from fiolab.normest import NormEstimate, power_iteration
+from fiolab.normest import NormEstimate, _random_field, power_iteration
 from fiolab.operators import (
     canonical_transform_operator,
     multiplier_operator,
@@ -214,9 +214,7 @@ def smoothing_constant(
         acc *= half_d
         return Field(grid, np.fft.fftshift(np.fft.ifftn(acc)))
 
-    rng = np.random.default_rng(seed)
-    start_field = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    return power_iteration(normal_apply, start_field, tol, max_iters)
+    return power_iteration(normal_apply, _random_field(grid, seed), tol, max_iters)
 
 
 def apply_half_derivative_ratio(p: HomogeneousSymbol, u: Field) -> Field:

@@ -15,13 +15,13 @@ power-iteration estimates in randomized trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
 from fiolab.lattice import Field, Grid, inner_product
-from fiolab.operators import OperatorHandle, compose, weight_operator
+from fiolab.operators import OperatorHandle, add, compose, weight_operator
 
 __all__ = [
     "WeightedNormTask",
@@ -65,6 +65,16 @@ def _random_field(grid: Grid, seed: int) -> Field:
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return Field(grid, vals)
+
+
+def _adjoint(h: OperatorHandle) -> OperatorHandle:
+    """The handle of ``h*``: apply and adjoint swapped."""
+    return replace(h, apply=h.apply_adjoint, apply_adjoint=h.apply, label=f"({h.label})*")
+
+
+def _normal_apply(b: OperatorHandle) -> Callable[[Field], Field]:
+    """``v -> B* B v``, the operator whose top eigenvalue is ``|B|^2``."""
+    return compose(_adjoint(b), b).apply
 
 
 def power_iteration(
@@ -111,12 +121,8 @@ def operator_norm(task: WeightedNormTask) -> NormEstimate:
         b = task.op
     else:
         b = compose(weight_operator(grid, task.m_out), task.op, weight_operator(grid, -task.m_in))
-
-    def normal_apply(v: Field) -> Field:
-        return b.apply_adjoint(b.apply(v))
-
     start = _random_field(grid, task.seed)
-    return power_iteration(normal_apply, start, task.tol, task.max_iters)
+    return power_iteration(_normal_apply(b), start, task.tol, task.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -197,35 +203,15 @@ def cotlar_bound(
         for j in family.indices:
             diff = tuple(a - b for a, b in zip(i, j))
             ti, tj = handles[i], handles[j]
-
-            def star_product(v, ti=ti, tj=tj):
-                # (Ti* Tj)* (Ti* Tj) v
-                w = ti.apply(tj.apply(v))
-                return tj.apply_adjoint(ti.apply_adjoint(w))
-
-            def product_star(v, ti=ti, tj=tj):
-                # (Ti Tj*)* (Ti Tj*) v
-                w = ti.apply(tj.apply_adjoint(v))
-                return tj.apply(ti.apply_adjoint(w))
-
-            est1 = power_iteration(star_product, start, tol, max_iters)
-            est2 = power_iteration(product_star, start, tol, max_iters)
+            est1 = power_iteration(_normal_apply(compose(_adjoint(ti), tj)), start, tol, max_iters)
+            est2 = power_iteration(_normal_apply(compose(ti, _adjoint(tj))), start, tol, max_iters)
             all_converged = all_converged and est1.converged and est2.converged
             candidate = float(np.sqrt(max(est1.estimate, est2.estimate)))
             gamma[diff] = max(gamma.get(diff, 0.0), candidate)
 
     bound = float(sum(gamma.values()))
-
-    def sum_normal(v):
-        w = handles[family.indices[0]].apply(v)
-        for idx in family.indices[1:]:
-            w = w + handles[idx].apply(v)
-        out = handles[family.indices[0]].apply_adjoint(w)
-        for idx in family.indices[1:]:
-            out = out + handles[idx].apply_adjoint(w)
-        return out
-
-    sum_est = power_iteration(sum_normal, start, tol, max_iters)
+    summed = add(*(handles[idx] for idx in family.indices))
+    sum_est = power_iteration(_normal_apply(summed), start, tol, max_iters)
     all_converged = all_converged and sum_est.converged
     return CotlarReport(
         bound=bound, gamma=gamma, sum_norm=sum_est.estimate, all_converged=all_converged

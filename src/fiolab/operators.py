@@ -88,14 +88,13 @@ class OperatorHandle:
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """Real phase ``phi(y, xi)`` with optional frequency gradient.
+    """Real phase ``phi(y, xi)``.
 
     ``evaluate`` takes stacked vectors ``y``, ``xi`` of shape (..., n) and
     returns real values of shape (...).
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_xi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     label: str = "phase"
 
 
@@ -176,17 +175,15 @@ def evaluate_multiplier(a, grid: Grid, value_at_zero=None) -> np.ndarray:
     return vals
 
 
-def apply_multiplier(a, u: Field, value_at_zero=None, zero_nyquist_mode: bool = False) -> Field:
+def apply_multiplier(a, u: Field, value_at_zero=None) -> Field:
     """Apply the Fourier multiplier ``u -> F^{-1}[a(xi) F u]``."""
-    return multiplier_operator(u.grid, a, value_at_zero, zero_nyquist_mode).apply(u)
+    return multiplier_operator(u.grid, a, value_at_zero).apply(u)
 
 
 def multiplier_operator(
-    grid: Grid, a, value_at_zero=None, zero_nyquist_mode: bool = False, label: str = "multiplier"
+    grid: Grid, a, value_at_zero=None, label: str = "multiplier"
 ) -> OperatorHandle:
     vals = evaluate_multiplier(a, grid, value_at_zero)
-    if zero_nyquist_mode:
-        vals = zero_nyquist(vals, grid)
 
     def _apply(u: Field) -> Field:
         spec = forward_transform(u).values * vals

@@ -226,6 +226,8 @@ def symbol_from_callable(
 
 def symbol_from_config(config: dict, dim: int) -> HomogeneousSymbol:
     """Build a symbol from a name + parameters mapping (CLI front door)."""
+    if not isinstance(config, dict):
+        raise ValueError(f"symbol config must be a mapping with a 'name', got {config!r}")
     name = config.get("name")
     if name == "euclidean":
         return euclidean_symbol(dim)
@@ -240,6 +242,9 @@ def symbol_from_config(config: dict, dim: int) -> HomogeneousSymbol:
             raise ValueError(f"quadratic form matrix shape {matrix.shape} does not match dim {dim}")
         return quadratic_form_symbol(matrix)
     if name == "perturbed":
+        missing = [k for k in ("base", "bump_amplitude", "bump_direction") if k not in config]
+        if missing:
+            raise ValueError(f"perturbed symbol needs {missing}")
         base = symbol_from_config(config["base"], dim)
         return perturbed_symbol(base, config["bump_amplitude"], config["bump_direction"])
     raise ValueError(f"unknown symbol family: {name!r}")

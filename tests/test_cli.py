@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fiolab.cli
 from fiolab.cli import (
     ExperimentConfig,
     main,
@@ -38,6 +39,13 @@ SYMBOL_CHECK_CFG = {
     "amplitude": {"name": "reciprocal_quadratic"},
     "symbol_class": {"kind": "S00", "max_order": 2},
 }
+
+NORM_CFG = {
+    "kind": "norm",
+    "operator": {"kind": "identity"},
+    "grid": {"dim": 1, "half_width": 5.0, "points": 16},
+}
+COTLAR_CFG = {"kind": "cotlar", "family": {"kind": "disjoint_bumps", "size": 3}}
 
 
 class TestValidateConfig:
@@ -108,6 +116,86 @@ class TestValidateConfig:
         assert main(["validate", "--config", str(path)]) == 1
         assert main(["smoothing", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("kind", ["smoothing", "norm"])
+    def test_non_mapping_weights_rejected(self, tmp_path, kind):
+        base = SMOOTHING_CFG if kind == "smoothing" else NORM_CFG
+        path = write_config(tmp_path, {**base, "weights": [1.0, 0.0]})
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main([kind, "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("dim, expected", [(2, 1), (4, 0)])
+    def test_hypothesis_warning_once_below_three_dimensions(self, dim, expected):
+        cfg = {
+            **SMOOTHING_CFG,
+            "grid": {"dim": dim, "half_width": 6.0, "points": 4},
+            "window": {"horizon": 0.25, "steps_per_unit": 8},
+            "max_iters": 3,
+        }
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert sum("hypotheses" in w for w in report.warnings) == expected
+
+
+PERTURBED_NO_BASE = {"name": "perturbed", "bump_amplitude": 0.1, "bump_direction": [1.0]}
+
+
+def _with(base, section, **fields):
+    return {**base, section: {**base[section], **fields}}
+
+
+# configs that must be rejected before any computation, with the field named
+REJECTED_CONFIGS = {
+    "egorov-carrier-length": (_with(EGOROV_CFG, "data", carrier=[1.0, 2.0]), "data.carrier"),
+    "egorov-sigma-zero": (_with(EGOROV_CFG, "data", sigma=0), "data.sigma"),
+    "egorov-no-points": (_with(EGOROV_CFG, "grid", points=[]), "grid.points"),
+    "egorov-perturbed-no-base": ({**EGOROV_CFG, "symbol": PERTURBED_NO_BASE}, "symbol"),
+    "smoothing-perturbed-no-base": (
+        {**SMOOTHING_CFG, "symbol": {**PERTURBED_NO_BASE, "bump_direction": [1.0, 0.0, 0.0]}},
+        "symbol",
+    ),
+    "smoothing-no-points": (_with(SMOOTHING_CFG, "grid", points=[]), "grid.points"),
+    "smoothing-two-sizes": (_with(SMOOTHING_CFG, "grid", points=[8, 16]), "grid.points"),
+    "smoothing-no-horizon": (_with(SMOOTHING_CFG, "window", horizon=[]), "window.horizon"),
+    "smoothing-string-tol": ({**SMOOTHING_CFG, "tol": "x"}, "tol"),
+    "smoothing-diag-length": (
+        {**SMOOTHING_CFG, "symbol": {"name": "quadratic_form", "diag": [1.0, 4.0]}},
+        "symbol",
+    ),
+    "smoothing-unknown-symbol": ({**SMOOTHING_CFG, "symbol": {"name": "ellipse"}}, "symbol"),
+    "norm-unknown-operator": (_with(NORM_CFG, "operator", kind="fourier"), "operator.kind"),
+    "norm-canonical-unknown-symbol": (
+        {**_with(NORM_CFG, "operator", kind="canonical"), "symbol": {"name": "ellipse"}},
+        "symbol",
+    ),
+    "norm-zero-tol": ({**NORM_CFG, "tol": 0}, "tol"),
+    "symbol-check-unknown-amplitude": (
+        _with(SYMBOL_CHECK_CFG, "amplitude", name="gaussian"),
+        "amplitude.name",
+    ),
+    "symbol-check-sg-without-weight-orders": (
+        _with(SYMBOL_CHECK_CFG, "symbol_class", kind="SG"),
+        "symbol_class",
+    ),
+    "cotlar-empty-family": (_with(COTLAR_CFG, "family", size=0), "family.size"),
+    "json-array": ([EGOROV_CFG], "config"),
+    "string-seed": ({**EGOROV_CFG, "seed": "abc"}, "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+def test_config_errors_caught_before_computation(tmp_path, capsys, case):
+    data, field = REJECTED_CONFIGS[case]
+    path = write_config(tmp_path, data)
+    kind = data["kind"] if isinstance(data, dict) else "egorov"
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert f"[error] {field}:" in out
+    assert "Traceback" not in err
+    assert main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert f"[error] {field}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
 
 class TestRunExperiment:
     def test_egorov_identity_symbol(self, tmp_path):
@@ -136,21 +224,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="half_width"):
             run_experiment(cfg)
 
-    def test_sweep_rows_cover_failures(self):
-        # second sweep entry is numerically impossible (odd evaluation is
-        # prevented by validation, so use a symbol failure instead): the
-        # perturbed symbol with destructive amplitude fails inside the sweep
+    def test_sweep_rows_cover_failures(self, monkeypatch):
+        # every sweep entry fails numerically; bad configs never reach the
+        # sweep, so the failure is forced in the residual itself
+        def failing_residual(p, u, *args, **kwargs):
+            raise FloatingPointError(f"forced failure at N={u.grid.points_per_axis}")
+
+        monkeypatch.setattr("fiolab.cli.egorov_residual", failing_residual)
         cfg = ExperimentConfig.from_dict(
-            {
-                "kind": "egorov",
-                "symbol": {
-                    "name": "perturbed",
-                    "base": {"name": "euclidean"},
-                    "bump_amplitude": -5.0,
-                    "bump_direction": [1.0],
-                },
-                "grid": {"dim": 1, "half_width": 10.0, "points": [32, 64]},
-            }
+            {**EGOROV_CFG, "grid": {"dim": 1, "half_width": 10.0, "points": [32, 64]}}
         )
         report = run_experiment(cfg)
         assert report.failed
@@ -236,19 +318,17 @@ class TestMainExitCodes:
         path = write_config(tmp_path, EGOROV_CFG)
         assert main(["validate", "--config", str(path)]) == 0
 
-    def test_numerical_failure_is_exit_two(self, tmp_path):
+    def test_numerical_failure_is_exit_two(self, tmp_path, monkeypatch):
+        real_residual = fiolab.cli.egorov_residual
+
+        def residual(p, u, *args, **kwargs):
+            if u.grid.points_per_axis == 64:
+                raise FloatingPointError("forced failure")
+            return real_residual(p, u, *args, **kwargs)
+
+        monkeypatch.setattr("fiolab.cli.egorov_residual", residual)
         path = write_config(
-            tmp_path,
-            {
-                "kind": "egorov",
-                "symbol": {
-                    "name": "perturbed",
-                    "base": {"name": "euclidean"},
-                    "bump_amplitude": -5.0,
-                    "bump_direction": [1.0],
-                },
-                "grid": {"dim": 1, "half_width": 10.0, "points": 32},
-            },
+            tmp_path, {**EGOROV_CFG, "grid": {"dim": 1, "half_width": 10.0, "points": [32, 64]}}
         )
         assert main(["egorov", "--config", str(path)]) == 2
 

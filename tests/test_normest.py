@@ -139,6 +139,25 @@ class TestCotlarBound:
         assert rep.gamma[(1,)] == pytest.approx(0.0, abs=1e-8)
         assert rep.gamma[(-1,)] == pytest.approx(0.0, abs=1e-8)
 
+    def test_gamma_is_the_lemma_pairwise_norm(self):
+        # gamma(k) = max over i - j = k of sqrt(max(|A_i^H A_j|, |A_i A_j^H|)),
+        # which is symmetric in k because |A_i^H A_j| = |A_j^H A_i|
+        g = make_grid(1, 4.0, 8)
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(3)]
+        handles = {(i,): matrix_operator(g, m) for i, m in enumerate(mats)}
+        fam = OperatorFamily(tuple(handles), lambda i: handles[i], g)
+        rep = cotlar_bound(fam, tol=1e-12, max_iters=5000)
+        expected = {}
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                pair = max(np.linalg.norm(a.conj().T @ b, 2), np.linalg.norm(a @ b.conj().T, 2))
+                expected[(i - j,)] = max(expected.get((i - j,), 0.0), np.sqrt(pair))
+        assert set(rep.gamma) == set(expected)
+        for k, value in expected.items():
+            assert rep.gamma[k] == pytest.approx(value, rel=1e-9)
+            assert rep.gamma[k] == pytest.approx(rep.gamma[(-k[0],)], rel=1e-9)
+
     def test_random_pseudo_families_never_undershoot(self):
         g = make_grid(1, 4.0, 8)
         rng = np.random.default_rng(7)
