@@ -400,6 +400,10 @@ def _prepare_symbol_check(r: _Reader, raw: dict, seed: int, threads: int):
         x_points=r.read(sc, "symbol_class.x_points", _POSITIVE_INT, 201),
         xi_points=r.read(sc, "symbol_class.xi_points", _POSITIVE_INT, 33),
     )
+    for key in ("x_points", "xi_points"):
+        if spec and sampling[key] < spec.min_points:
+            r.error(f"symbol_class.{key}", f"at least {spec.min_points} points for derivative "
+                    f"order {max_order}", sampling[key])
 
     def body(report: ReportRecord):
         rep = check_symbol_class(_AMPLITUDES[amp_name], spec, **sampling)
@@ -422,7 +426,10 @@ def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
     kind = r.read(fam, "family.kind", _one_of(("disjoint_bumps", "random_matrices")))
     size = r.read(fam, "family.size", _POSITIVE_INT, 3)
     half = r.read(fam, "family.half_width", _POSITIVE, 8.0)
-    grid = make_grid(1, half, r.read(fam, "family.points", _GRID_POINTS, 16))
+    points = r.read(fam, "family.points", _GRID_POINTS, 16)
+    if kind == "disjoint_bumps" and size > points:
+        r.error("family.size", f"at most family.points = {points} disjoint bumps", size)
+    grid = make_grid(1, half, points)
 
     def body(report: ReportRecord):
         rng = np.random.default_rng(seed)

@@ -36,9 +36,10 @@ from fiolab.lattice import (  # noqa: F401
 from fiolab.normest import NormEstimate, _random_field, power_iteration
 from fiolab.operators import (
     canonical_transform_operator,
+    evaluate_multiplier,
     multiplier_operator,
 )
-from fiolab.symbols import CanonicalMap, HomogeneousSymbol, gauss_phase
+from fiolab.symbols import HomogeneousSymbol, gauss_phase
 
 __all__ = [
     "TimeWindow",
@@ -101,13 +102,7 @@ class SpaceTimeField:
 
 def symbol_on_grid(p: HomogeneousSymbol, grid: Grid) -> np.ndarray:
     """Sample ``p`` on the frequency grid with ``p(0) = 0`` enforced."""
-    mesh = grid.frequency_mesh()
-    with np.errstate(all="ignore"):
-        vals = np.asarray(p.evaluate(mesh), dtype=float)
-    vals[(grid.points_per_axis // 2,) * grid.dim] = 0.0
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"symbol '{p.label}' is not finite on the frequency grid")
-    return vals
+    return evaluate_multiplier(p.evaluate, grid, value_at_zero=0.0).real
 
 
 def _fft_order_tables(p: HomogeneousSymbol, grid: Grid, kind: DerivativeKind, space_power: float):
@@ -230,7 +225,7 @@ def apply_half_derivative_ratio(p: HomogeneousSymbol, u: Field) -> Field:
     return multiplier_operator(grid, mult).apply(u)
 
 
-def egorov_residual(p: HomogeneousSymbol, u: Field, psi: CanonicalMap | None = None) -> float:
+def egorov_residual(p: HomogeneousSymbol, u: Field) -> float:
     """Relative residual of the conjugation identity for the dispersion symbol.
 
     Measures ``|| (T (-Lap) T^{-1} - p(D)^2) u || / || u ||`` where ``T`` is
@@ -239,8 +234,7 @@ def egorov_residual(p: HomogeneousSymbol, u: Field, psi: CanonicalMap | None = N
     shrink under refinement for band-limited data.
     """
     grid = u.grid
-    if psi is None:
-        psi = gauss_phase(p)
+    psi = gauss_phase(p)
     t_fwd = canonical_transform_operator(psi, grid, "forward")
     t_inv = canonical_transform_operator(psi, grid, "inverse")
     lap = multiplier_operator(grid, lambda xi: np.sum(xi * xi, axis=-1), label="-laplacian")

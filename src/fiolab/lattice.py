@@ -177,9 +177,6 @@ class Field:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 
-    def with_values(self, values, meta: dict | None = None) -> "Field":
-        return Field(self.grid, values, meta if meta is not None else {})
-
     def __add__(self, other: "Field") -> "Field":
         return Field(self.grid, self.values + other.values)
 
@@ -261,16 +258,19 @@ def zero_nyquist(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def spectral_tail_fraction(g: SpectralField, shell: float = 0.9) -> float:
+TAIL_SHELL = 0.9
+
+
+def spectral_tail_fraction(g: SpectralField) -> float:
     """Energy fraction carried by the outer frequency shell.
 
-    The shell is defined by ``max_a |k_a| >= shell * N/2`` in index units, so
-    the default measures the outermost 10 percent band per axis.
+    The shell is defined by ``max_a |k_a| >= TAIL_SHELL * N/2`` in index
+    units: the outermost 10 percent band per axis.
     """
     grid = g.grid
     n_half = grid.points_per_axis // 2
     idx = np.abs(np.arange(grid.points_per_axis) - n_half)
-    outer_1d = idx >= shell * n_half
+    outer_1d = idx >= TAIL_SHELL * n_half
     outer = np.zeros(grid.shape, dtype=bool)
     for axis in range(grid.dim):
         expand = [np.newaxis] * grid.dim

@@ -45,7 +45,6 @@ from fiolab.symbols import CanonicalMap, invert_map_batch
 
 __all__ = [
     "OperatorHandle",
-    "PhaseFunction",
     "Amplitude",
     "SpectralTailWarning",
     "apply_multiplier",
@@ -87,56 +86,26 @@ class OperatorHandle:
 
 
 @dataclass(frozen=True)
-class PhaseFunction:
-    """Real phase ``phi(y, xi)``.
-
-    ``evaluate`` takes stacked vectors ``y``, ``xi`` of shape (..., n) and
-    returns real values of shape (...).
-    """
-
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = "phase"
-
-
-@dataclass(frozen=True)
 class Amplitude:
-    """Amplitude ``a(x, y, xi)`` tagged with its argument structure.
+    """Amplitude whose ``arity`` names the arguments ``evaluate`` takes, as
+    stacked vectors of shape (..., n): ``(x, xi)``, ``(y, xi)`` or ``(x, y, xi)``.
+    Products with a function of ``x`` or ``y`` alone: see :func:`fio_operator`."""
 
-    The arity tag drives the factorized application paths; product arities
-    keep their factors so the multiplication can be peeled off exactly.
-    """
-
-    arity: Literal["x_xi", "y_xi", "x_y_xi", "x_xi*y", "x*y_xi"]
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    factor_main: Callable | None = None
-    factor_scalar: Callable | None = None
+    arity: Literal["x_xi", "y_xi", "x_y_xi"]
+    evaluate: Callable[..., np.ndarray]
     label: str = "amplitude"
 
     @staticmethod
     def of_x_xi(func, label="a(x,xi)"):
-        return Amplitude("x_xi", lambda x, y, xi: func(x, xi), factor_main=func, label=label)
+        return Amplitude("x_xi", func, label)
 
     @staticmethod
     def of_y_xi(func, label="a(y,xi)"):
-        return Amplitude("y_xi", lambda x, y, xi: func(y, xi), factor_main=func, label=label)
+        return Amplitude("y_xi", func, label)
 
     @staticmethod
     def full(func, label="a(x,y,xi)"):
-        return Amplitude("x_y_xi", func, label=label)
-
-    @staticmethod
-    def product_x_xi(a1, a2, label="a1(x,xi)a2(y)"):
-        return Amplitude(
-            "x_xi*y", lambda x, y, xi: a1(x, xi) * a2(y),
-            factor_main=a1, factor_scalar=a2, label=label,
-        )
-
-    @staticmethod
-    def product_y_xi(a1, a2, label="a2(x)a1(y,xi)"):
-        return Amplitude(
-            "x*y_xi", lambda x, y, xi: a2(x) * a1(y, xi),
-            factor_main=a1, factor_scalar=a2, label=label,
-        )
+        return Amplitude("x_y_xi", func, label)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +319,7 @@ def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> Opera
         raise ValueError(f"pseudo_operator needs an a(x,xi) amplitude, got arity {a.arity!r}")
     apply, adjoint = _dense_kernel(
         lambda x, xi: np.sum(x * xi, axis=-1),
-        a.factor_main,
+        a.evaluate,
         grid.spatial_vectors(),
         grid.frequency_vectors(),
         grid.spectral_weight,
@@ -413,7 +382,7 @@ def _fio_analysis(grid: Grid, phase, amp) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
-def apply_fio(phase: PhaseFunction, amplitude: Amplitude, u: Field) -> Field:
+def apply_fio(phase, amplitude: Amplitude, u: Field) -> Field:
     """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a u(y) dy dxi``.
 
     See :func:`fio_operator` for how each amplitude arity is applied.
@@ -421,33 +390,29 @@ def apply_fio(phase: PhaseFunction, amplitude: Amplitude, u: Field) -> Field:
     return fio_operator(u.grid, phase, amplitude).apply(u)
 
 
-def fio_operator(grid: Grid, phase: PhaseFunction, amplitude: Amplitude) -> OperatorHandle:
+def fio_operator(grid: Grid, phase, amplitude: Amplitude) -> OperatorHandle:
     """Handle form of :func:`apply_fio` with the exact discrete adjoint.
 
-    Built by composition according to the amplitude arity:
+    ``phase(y, xi)`` takes stacked vectors of shape (..., n), broadcast
+    against each other, and returns real values.  Built by composition
+    according to the amplitude arity:
 
     * ``a(x,xi)``: ``(2pi)^n a(X,D) F^{-1} I_phi`` where ``I_phi`` maps the
       field to frequency samples;
     * ``a(y,xi)``: ``(2pi)^n F^{-1} I_{phi,a}`` with the amplitude inside the
       analysis sum;
-    * product arities compose the above with multiplication by the scalar
-      factor, on the input side for ``a1(x,xi) a2(y)`` and on the output
-      side for ``a2(x) a1(y,xi)``;
-    * full arity assembles the dense N x N kernel once (dim 1, small N only).
+    * ``a(x,y,xi)`` assembles the dense N x N kernel once (dim 1, small N only).
+
+    A product ``a1(x,xi) a2(y)`` is ``compose(fio_operator(grid, phase,
+    Amplitude.of_x_xi(a1)), multiplication_operator(grid, a2))``, and
+    ``a2(x) a1(y,xi)`` composes the multiplication on the output side.
     """
     two_pi_n = (2.0 * np.pi) ** grid.dim
-    arity = amplitude.arity
-    if arity == "x_xi":
-        inner = _fio_analysis(grid, phase.evaluate, None)
+    if amplitude.arity == "x_xi":
+        inner = _fio_analysis(grid, phase, None)
         h = scale(two_pi_n, compose(pseudo_operator(grid, amplitude), inner))
-    elif arity == "y_xi":
-        h = scale(two_pi_n, _fio_analysis(grid, phase.evaluate, amplitude.factor_main))
-    elif arity == "x_xi*y":
-        main = fio_operator(grid, phase, Amplitude.of_x_xi(amplitude.factor_main))
-        h = compose(main, multiplication_operator(grid, amplitude.factor_scalar))
-    elif arity == "x*y_xi":
-        main = fio_operator(grid, phase, Amplitude.of_y_xi(amplitude.factor_main))
-        h = compose(multiplication_operator(grid, amplitude.factor_scalar), main)
+    elif amplitude.arity == "y_xi":
+        h = scale(two_pi_n, _fio_analysis(grid, phase, amplitude.evaluate))
     else:
         if grid.dim != 1:
             raise ValueError("full-arity a(x,y,xi) integral operators are restricted to dim 1")
@@ -460,7 +425,7 @@ def fio_operator(grid: Grid, phase: PhaseFunction, amplitude: Amplitude) -> Oper
         # K[j, l] = sum_k e^{i(x_j xi_k + phi(x_l, xi_k))} a(x_j, x_l, xi_k) dxi
         x = grid.spatial_vectors()
         xi = grid.frequency_vectors()
-        phase_lk = np.exp(1j * phase.evaluate(x[:, np.newaxis, :], xi[np.newaxis, :, :]))
+        phase_lk = np.exp(1j * phase(x[:, np.newaxis, :], xi[np.newaxis, :, :]))
         amp = amplitude.evaluate(
             x[:, np.newaxis, np.newaxis, :],
             x[np.newaxis, :, np.newaxis, :],
@@ -493,17 +458,7 @@ def matrix_operator(grid: Grid, matrix: np.ndarray, label: str = "matrix") -> Op
 
 def kernel_operator(grid: Grid, kernel: np.ndarray, label: str = "kernel") -> OperatorHandle:
     """Integral-kernel action ``sum_l K[j,l] u_l dy^n`` with its adjoint."""
-    k = np.asarray(kernel, dtype=np.complex128)
-    if k.shape != (grid.size, grid.size):
-        raise ValueError(f"kernel shape {k.shape} does not match grid size {grid.size}")
-    kh = np.conj(k.T)
-    vol = grid.cell_volume
-    return OperatorHandle(
-        grid,
-        lambda u: Field(grid, (k @ u.values.reshape(-1)).reshape(grid.shape) * vol),
-        lambda v: Field(grid, (kh @ v.values.reshape(-1)).reshape(grid.shape) * vol),
-        label=label,
-    )
+    return replace(scale(grid.cell_volume, matrix_operator(grid, kernel)), label=label)
 
 
 # ---------------------------------------------------------------------------

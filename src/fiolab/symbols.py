@@ -21,7 +21,7 @@ for gradients / Hessians).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,11 @@ __all__ = [
     "check_symbol_class",
     "sphere_points",
 ]
+
+
+FD_STEP = 1e-5  # central-difference step of symbols built from a bare callable
+GAUSS_CHECK_SAMPLES = 64  # sphere directions where gauss_phase checks that grad p is not ~0
+FLAT_CURVATURE = 1e-3  # |Gaussian curvature| below which check_curvature flags "flat"
 
 
 class MapInversionError(RuntimeError):
@@ -95,24 +100,7 @@ class CanonicalMap:
 
 def euclidean_symbol(dim: int) -> HomogeneousSymbol:
     """The Euclidean norm ``p(xi) = |xi|``."""
-
-    def ev(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.sqrt(np.sum(xi * xi, axis=-1))
-
-    def grad(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = ev(xi)[..., np.newaxis]
-        return xi / r
-
-    def hess(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = ev(xi)
-        eye = np.eye(dim)
-        outer = xi[..., :, np.newaxis] * xi[..., np.newaxis, :]
-        return eye / r[..., np.newaxis, np.newaxis] - outer / (r**3)[..., np.newaxis, np.newaxis]
-
-    return HomogeneousSymbol(dim, ev, grad, hess, label="euclidean")
+    return replace(quadratic_form_symbol(np.eye(dim)), label="euclidean")
 
 
 def quadratic_form_symbol(matrix: np.ndarray) -> HomogeneousSymbol:
@@ -158,7 +146,10 @@ def perturbed_symbol(
     d = np.asarray(bump_direction, dtype=float)
     if d.shape != (base.dim,):
         raise ValueError(f"bump direction must have shape ({base.dim},)")
-    d = d / np.linalg.norm(d)
+    length = np.linalg.norm(d)
+    if not (np.isfinite(length) and length > 0):
+        raise ValueError(f"bump direction must be a nonzero finite vector, got {d.tolist()}")
+    d = d / length
     eps = float(bump_amplitude)
 
     def ev(xi):
@@ -193,13 +184,13 @@ def perturbed_symbol(
         uses_fd_derivatives=base.uses_fd_derivatives,
     )
     samples = sphere_points(base.dim, 64)
-    if np.min(sym.evaluate(samples)) <= 0:
+    if not np.min(sym.evaluate(samples)) > 0:  # a NaN fails too
         raise ValueError("perturbation amplitude destroys positivity of the symbol")
     return sym
 
 
 def symbol_from_callable(
-    func: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "custom", fd_step: float = 1e-5
+    func: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "custom"
 ) -> HomogeneousSymbol:
     """Wrap a bare callable; derivatives fall back to central differences."""
 
@@ -208,8 +199,8 @@ def symbol_from_callable(
         out = np.empty(xi.shape)
         for a in range(dim):
             e = np.zeros(dim)
-            e[a] = fd_step
-            out[..., a] = (func(xi + e) - func(xi - e)) / (2.0 * fd_step)
+            e[a] = FD_STEP
+            out[..., a] = (func(xi + e) - func(xi - e)) / (2.0 * FD_STEP)
         return out
 
     def hess(xi):
@@ -217,8 +208,8 @@ def symbol_from_callable(
         out = np.empty(xi.shape + (dim,))
         for a in range(dim):
             e = np.zeros(dim)
-            e[a] = fd_step
-            out[..., a] = (grad(xi + e) - grad(xi - e)) / (2.0 * fd_step)
+            e[a] = FD_STEP
+            out[..., a] = (grad(xi + e) - grad(xi - e)) / (2.0 * FD_STEP)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return HomogeneousSymbol(dim, func, grad, hess, label=label, uses_fd_derivatives=True)
@@ -256,16 +247,7 @@ def symbol_from_config(config: dict, dim: int) -> HomogeneousSymbol:
 
 
 def identity_map(dim: int) -> CanonicalMap:
-    eye = np.eye(dim)
-
-    def fwd(xi):
-        return np.asarray(xi, dtype=float).copy()
-
-    def jac(xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.broadcast_to(eye, xi.shape + (dim,)).copy()
-
-    return CanonicalMap(dim, fwd, jac, inverse=fwd, label="identity")
+    return linear_map(np.eye(dim), label="identity")
 
 
 def scaling_map(c: float, dim: int) -> CanonicalMap:
@@ -293,7 +275,7 @@ def linear_map(matrix: np.ndarray, label: str = "linear") -> CanonicalMap:
     return CanonicalMap(dim, fwd, jac, inverse=inv, label=label)
 
 
-def gauss_phase(p: HomogeneousSymbol, check_samples: int = 64) -> CanonicalMap:
+def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
     """Canonical map ``psi(xi) = p(xi) grad p(xi) / |grad p(xi)|``.
 
     The Jacobian is assembled analytically from the symbol's gradient and
@@ -301,7 +283,7 @@ def gauss_phase(p: HomogeneousSymbol, check_samples: int = 64) -> CanonicalMap:
     directions of the unit sphere.
     """
     dim = p.dim
-    samples = sphere_points(dim, check_samples)
+    samples = sphere_points(dim, GAUSS_CHECK_SAMPLES)
     gnorms = np.linalg.norm(p.gradient(samples), axis=-1)
     if np.min(gnorms) < 1e-8:
         worst = samples[int(np.argmin(gnorms))]
@@ -342,15 +324,13 @@ def gauss_phase(p: HomogeneousSymbol, check_samples: int = 64) -> CanonicalMap:
     )
 
 
-def invert_map(m: CanonicalMap, eta, tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
+def invert_map(m: CanonicalMap, eta) -> np.ndarray:
     """Solve ``psi(xi) = eta`` for a single frequency vector ``eta != 0``.
 
     Homogeneity reduces the problem to the unit sphere:
     ``psi^{-1}(eta) = |eta| psi^{-1}(eta/|eta|)``.
     """
-    eta = np.asarray(eta, dtype=float)
-    result = invert_map_batch(m, eta[np.newaxis, :], tol=tol, max_iter=max_iter)
-    return result[0]
+    return invert_map_batch(m, np.asarray(eta, dtype=float)[np.newaxis, :])[0]
 
 
 def invert_map_batch(
@@ -487,9 +467,7 @@ def _level_set_curvature(p: HomogeneousSymbol, points: np.ndarray) -> np.ndarray
     return curv
 
 
-def check_curvature(
-    p: HomogeneousSymbol, directions: int, flat_tolerance: float = 1e-3
-) -> CurvatureReport:
+def check_curvature(p: HomogeneousSymbol, directions: int) -> CurvatureReport:
     """Minimum |Gaussian curvature| of the unit level set over direction samples.
 
     Each sampled direction ``w`` is projected onto the level set as
@@ -510,7 +488,7 @@ def check_curvature(
         min_abs_curvature=float(curv[k]),
         argmin_direction=tuple(good[k].tolist()),
         samples=pts.shape[0],
-        flat_flag=bool(curv[k] < flat_tolerance),
+        flat_flag=bool(curv[k] < FLAT_CURVATURE),
         fd_derivatives=p.uses_fd_derivatives,
         degenerate_directions=degenerate,
     )
@@ -545,6 +523,11 @@ class SymbolClassSpec:
             raise ValueError("bound_tolerance must be positive")
         if self.class_kind == "SG" and self.weight_orders is None:
             raise ValueError("SG class requires weight_orders (m1, m2)")
+
+    @property
+    def min_points(self) -> int:
+        """Points per sampling axis that central stencils up to ``max_order`` need."""
+        return 2 * self.max_order + 3
 
 
 @dataclass(frozen=True)
@@ -589,9 +572,9 @@ def check_symbol_class(
     multi-indices.
     """
     r = spec.max_order
-    if x_points < 2 * r + 3 or xi_points < 2 * r + 3:
+    if min(x_points, xi_points) < spec.min_points:
         raise ValueError(
-            f"grid too coarse for derivative order {r}: need at least {2 * r + 3} "
+            f"grid too coarse for derivative order {r}: need at least {spec.min_points} "
             f"points per axis, got ({x_points}, {xi_points})"
         )
     x_axis = np.linspace(-x_half_width, x_half_width, x_points)

@@ -176,6 +176,18 @@ REJECTED_CONFIGS = {
         "symbol_class",
     ),
     "cotlar-empty-family": (_with(COTLAR_CFG, "family", size=0), "family.size"),
+    "cotlar-bumps-above-points": (_with(COTLAR_CFG, "family", size=20), "family.size"),
+    "egorov-zero-bump-direction": (
+        {**EGOROV_CFG, "symbol": {**PERTURBED_NO_BASE, "base": {"name": "euclidean"},
+                                  "bump_direction": [0.0]}},
+        "symbol",
+    ),
+    "symbol-check-coarse-x": (
+        _with(SYMBOL_CHECK_CFG, "symbol_class", x_points=5), "symbol_class.x_points"
+    ),
+    "symbol-check-coarse-xi": (
+        _with(SYMBOL_CHECK_CFG, "symbol_class", xi_points=6), "symbol_class.xi_points"
+    ),
     "json-array": ([EGOROV_CFG], "config"),
     "string-seed": ({**EGOROV_CFG, "seed": "abc"}, "seed"),
 }

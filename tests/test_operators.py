@@ -11,7 +11,6 @@ from fiolab.lattice import (
 from fiolab.normest import WeightedNormTask, operator_norm
 from fiolab.operators import (
     Amplitude,
-    PhaseFunction,
     SpectralTailWarning,
     add,
     apply_canonical_transform,
@@ -258,7 +257,7 @@ class TestFio:
         # the forward transform, leaving (2 pi)^n times the quantization
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=0)
-        phase = PhaseFunction(lambda y, xi: -np.sum(y * xi, axis=-1))
+        phase = lambda y, xi: -np.sum(y * xi, axis=-1)
         amp = Amplitude.of_x_xi(
             lambda x, xi: np.exp(-0.1 * np.sum(x * x, axis=-1))
             / (1.0 + np.sum(xi * xi, axis=-1))
@@ -284,7 +283,7 @@ class TestFio:
             mapped = out.reshape(xi.shape)
             return -np.sum(y * mapped, axis=-1)
 
-        out = apply_fio(PhaseFunction(phase_eval), Amplitude.of_y_xi(ones_amp), u)
+        out = apply_fio(phase_eval, Amplitude.of_y_xi(ones_amp), u)
         ref = apply_canonical_transform(psi, u) * (2 * np.pi) ** 2
         assert norm(out - ref) / norm(ref) < 1e-8
 
@@ -292,8 +291,8 @@ class TestFio:
         # T = (2 pi)^n a(X,D) F^{-1} I_phi reproduced by composing the parts
         g = make_grid(1, 6.0, 32)
         u = random_field(g, seed=3)
-        phase = PhaseFunction(
-            lambda y, xi: -np.sum(y * xi, axis=-1)
+        phase = lambda y, xi: (
+            -np.sum(y * xi, axis=-1)
             + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
@@ -301,15 +300,15 @@ class TestFio:
 
         from fiolab.operators import _fio_analysis
 
-        w = _fio_analysis(g, phase.evaluate, None).apply(u)
+        w = _fio_analysis(g, phase, None).apply(u)
         ref = apply_pseudo(Amplitude.of_x_xi(a_func), w) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-8
 
     def test_full_arity_matches_factorized_path(self):
         g = make_grid(1, 5.0, 32)
         u = random_field(g, seed=2)
-        phase = PhaseFunction(
-            lambda y, xi: -np.sum(y * xi, axis=-1)
+        phase = lambda y, xi: (
+            -np.sum(y * xi, axis=-1)
             + 0.3 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
@@ -321,23 +320,10 @@ class TestFio:
         out_full = apply_fio(phase, full, u)
         assert norm(out_full - out_fact) / norm(out_fact) < 1e-12
 
-    def test_product_arities_peel_scalar_factor(self):
-        g = make_grid(1, 5.0, 32)
-        u = random_field(g, seed=8)
-        phase = PhaseFunction(lambda y, xi: -np.sum(y * xi, axis=-1))
-        a1 = lambda z, xi: np.exp(-0.2 * np.sum(z * z, axis=-1)) / (1 + np.sum(xi * xi, axis=-1))
-        a2 = lambda z: 1.0 + 0.5 * np.cos(np.sum(z, axis=-1))
-        out1 = apply_fio(phase, Amplitude.product_x_xi(a1, a2), u)
-        ref1 = apply_fio(phase, Amplitude.of_x_xi(a1), Field(g, u.values * a2(g.spatial_mesh())))
-        assert norm(out1 - ref1) / norm(ref1) < 1e-12
-        out2 = apply_fio(phase, Amplitude.product_y_xi(a1, a2), u)
-        ref2 = Field(g, apply_fio(phase, Amplitude.of_y_xi(a1), u).values * a2(g.spatial_mesh()))
-        assert norm(out2 - ref2) / norm(ref2) < 1e-12
-
     def test_size_guard_refuses_large_full_arity(self):
         g = make_grid(1, 5.0, 256)
         amp = Amplitude.full(lambda x, y, xi: ones_amp(x, y) * np.ones(xi.shape[:-1]))
-        phase = PhaseFunction(lambda y, xi: -np.sum(y * xi, axis=-1))
+        phase = lambda y, xi: -np.sum(y * xi, axis=-1)
         with pytest.raises(ValueError, match="refusing"):
             apply_fio(phase, amp, random_field(g))
 
@@ -348,7 +334,7 @@ class TestFio:
                 np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xi.shape[:-1])
             )
         )
-        phase = PhaseFunction(lambda y, xi: -np.sum(y * xi, axis=-1))
+        phase = lambda y, xi: -np.sum(y * xi, axis=-1)
         with pytest.raises(ValueError, match="dim 1"):
             apply_fio(phase, amp, random_field(g))
 
@@ -376,8 +362,8 @@ def probe_handles(grid):
                 grid, lambda x, y: np.sum(x * y, axis=-1) * 0.7, lambda x, y: ones_amp(x, y)
             )
         )
-        phase = PhaseFunction(
-            lambda y, xi: -np.sum(y * xi, axis=-1)
+        phase = lambda y, xi: (
+            -np.sum(y * xi, axis=-1)
             + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_main = lambda z, xi: 1.0 / (1.0 + np.sum(z * z, axis=-1) + np.sum(xi * xi, axis=-1))
@@ -385,11 +371,13 @@ def probe_handles(grid):
         amplitudes = [
             Amplitude.of_y_xi(lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
             Amplitude.of_x_xi(a_main),
-            Amplitude.product_x_xi(a_main, a_scalar),
-            Amplitude.product_y_xi(a_main, a_scalar),
             Amplitude.full(lambda x, y, xi: a_main(x, xi) * a_scalar(y) * (1.0 + 0.3j)),
         ]
         handles.extend(fio_operator(grid, phase, amp) for amp in amplitudes)
+        # products with a function of x or y alone, by composition
+        scalar = multiplication_operator(grid, a_scalar)
+        handles.append(compose(fio_operator(grid, phase, Amplitude.of_x_xi(a_main)), scalar))
+        handles.append(compose(scalar, fio_operator(grid, phase, Amplitude.of_y_xi(a_main))))
     handles.append(compose(handles[1], handles[2]))
     handles.append(add(handles[0], scale(0.5j, handles[1])))
     return handles

@@ -78,6 +78,15 @@ class TestSymbolFamilies:
         with pytest.raises(ValueError, match="positivity"):
             perturbed_symbol(euclidean_symbol(2), -2.0, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "amplitude, direction",
+        [(0.1, [0.0, 0.0]), (0.1, [np.nan, 1.0]), (0.1, [np.inf, 0.0]), (np.nan, [1.0, 0.0])],
+    )
+    def test_undefined_perturbation_rejected(self, amplitude, direction):
+        # a NaN symbol passes a plain "min <= 0" positivity test
+        with pytest.raises(ValueError, match="bump direction|positivity"):
+            perturbed_symbol(euclidean_symbol(2), amplitude, direction)
+
     def test_config_round_trip(self):
         p = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
         assert p.evaluate(np.array([0.0, 1.0])) == pytest.approx(2.0)
