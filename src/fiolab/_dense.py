@@ -10,27 +10,52 @@ the phase factorizes per axis,
 
     exp(-i eta . x) = prod_a exp(-i eta_a x_{j_a}),
 
-so the whole contraction needs only O(M N) complex exponentials (one
-(M, N) phase table per axis) plus BLAS-speed tensor contractions for the
-O(M N^n) multiply-adds.  Both directions (analysis and its adjoint with
-respect to the dx^n / (dxi/2pi)^n weighted inner products) share the same
-tables.
+so the whole contraction needs only per-axis (M, N) phase tables plus
+BLAS-speed tensor contractions for the O(M N^n) multiply-adds.  Because the
+nodes are equispaced, x_j = x_0 + j dx, each table factorizes once more:
+with s = ceil(sqrt(N)),
 
-Intermediates are processed in target chunks to bound memory.
+    exp(-i eta x_{s a + b}) = exp(-i eta x_{s a}) * exp(-i eta b dx),
+
+so only O(M sqrt(N)) complex exponentials are taken, and a table is an outer
+product of two small factor tables.  Both directions (analysis and its
+adjoint with respect to the dx^n / (dxi/2pi)^n weighted inner products)
+read the same tables.
+
+Targets are processed in chunks that bound both the per-chunk tables and
+the contraction intermediate.  The full tables stay resident while all
+axes together hold fewer than ``_RESIDENT_ENTRIES`` entries; larger ones
+are rebuilt from the factors for each chunk and dropped, so memory is
+O(chunk), not O(M N).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from fiolab.lattice import Grid
 
-# cap on complex entries per chunked intermediate (~64 MB)
+# cap on complex entries per chunked intermediate and per axis table of a chunk (~64 MB)
 _CHUNK_ENTRIES = 1 << 22
+# full phase tables are kept for the life of a table below this many complex entries (128 MB)
+_RESIDENT_ENTRIES = 1 << 23
+
+
+def _expand(hi: np.ndarray, lo: np.ndarray, n: int) -> np.ndarray:
+    """(M, n) phase table ``t[m, s*a + b] = hi[m, a] * lo[m, b]``."""
+    m, k = hi.shape
+    return (hi[:, :, np.newaxis] * lo[:, np.newaxis, :]).reshape(m, k * lo.shape[1])[:, :n]
 
 
 class TrigTable:
-    """Per-axis phase tables for fixed evaluation points on a fixed grid."""
+    """Per-axis phase tables for fixed evaluation points on a fixed grid.
+
+    Only the factor tables are always kept; the full tables are kept when
+    they hold fewer than ``_RESIDENT_ENTRIES`` entries.  Nothing is written
+    after construction, so one table can serve several threads.
+    """
 
     def __init__(self, grid: Grid, targets: np.ndarray):
         targets = np.asarray(targets, dtype=float)
@@ -38,16 +63,35 @@ class TrigTable:
             raise ValueError("targets must have shape (M, dim)")
         self.grid = grid
         self.targets = targets
+        n = grid.points_per_axis
+        s = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         axis = grid.spatial_axis()
-        # phases[a][m, j] = exp(-i targets[m, a] * x_j)
-        self.phases = [
-            np.exp(-1j * targets[:, a : a + 1] * axis[np.newaxis, :]) for a in range(grid.dim)
+        # factors[a] = (hi, lo) with hi[m, k] = exp(-i eta_a x_{s k}) and
+        # lo[m, b] = exp(-i eta_a b dx), for eta_a = targets[m, a]
+        self._factors = [
+            (
+                np.exp(-1j * targets[:, a : a + 1] * axis[np.newaxis, ::s]),
+                np.exp(-1j * targets[:, a : a + 1] * (grid.dx * np.arange(s))[np.newaxis, :]),
+            )
+            for a in range(grid.dim)
         ]
+        self._resident = None
+        if grid.dim * targets.shape[0] * n < _RESIDENT_ENTRIES:
+            self._resident = [_expand(hi, lo, n) for hi, lo in self._factors]
 
     def _chunk(self) -> int:
+        # targets per chunk: bounds the (chunk, N^(n-1)) intermediate and
+        # the (chunk, N) tables of a chunk alike
         n = self.grid.points_per_axis
-        per_target = max(n ** (self.grid.dim - 1), 1)
+        per_target = max(n ** (self.grid.dim - 1), n)
         return max(_CHUNK_ENTRIES // per_target, 256)
+
+    def _phases(self, sl: slice) -> list:
+        """Per-axis tables ``phases[a][m, j] = exp(-i targets[m, a] x_j)`` for chunk ``sl``."""
+        if self._resident is not None:
+            return [table[sl] for table in self._resident]
+        n = self.grid.points_per_axis
+        return [_expand(hi[sl], lo[sl], n) for hi, lo in self._factors]
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the spectrum of ``values`` at the stored targets."""
@@ -58,14 +102,14 @@ class TrigTable:
         step = self._chunk()
         for start in range(0, m_total, step):
             sl = slice(start, min(start + step, m_total))
-            out[sl] = self._analysis_chunk(u, sl)
+            out[sl] = self._analysis_chunk(u, self._phases(sl))
         return out * grid.cell_volume
 
-    def _analysis_chunk(self, u: np.ndarray, sl: slice) -> np.ndarray:
+    def _analysis_chunk(self, u: np.ndarray, phases: list) -> np.ndarray:
         # one matmul on the last axis, then each remaining axis right to left
-        b = u @ self.phases[-1][sl].T  # (N, ..., N, M)
-        for phase in reversed(self.phases[:-1]):
-            b = np.einsum("mj,...jm->...m", phase[sl], b)
+        b = u @ phases[-1].T  # (N, ..., N, M)
+        for phase in reversed(phases[:-1]):
+            b = np.einsum("mj,...jm->...m", phase, b)
         return b
 
     def synthesis(self, weights: np.ndarray) -> np.ndarray:
@@ -81,17 +125,17 @@ class TrigTable:
         step = self._chunk()
         for start in range(0, m_total, step):
             sl = slice(start, min(start + step, m_total))
-            out += self._synthesis_chunk(w[sl], sl)
+            out += self._synthesis_chunk(w[sl], self._phases(sl))
         return out * grid.spectral_weight
 
-    def _synthesis_chunk(self, w: np.ndarray, sl: slice) -> np.ndarray:
+    def _synthesis_chunk(self, w: np.ndarray, phases: list) -> np.ndarray:
         # outer products of the leading axes left to right, then one matmul
         # on the last axis; the conjugates stay inline so no table-sized
         # temporary outlives its product
         g = w
-        for phase in self.phases[:-1]:
-            g = np.conj(phase[sl])[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
-        out = g.reshape(w.size, -1).T @ np.conj(self.phases[-1][sl])
+        for phase in phases[:-1]:
+            g = np.conj(phase)[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
+        out = g.reshape(w.size, -1).T @ np.conj(phases[-1])
         return out.reshape(self.grid.shape)
 
 

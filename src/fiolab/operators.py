@@ -234,7 +234,11 @@ def canonical_transform_operator(
     direction: Literal["forward", "inverse"] = "forward",
     tail_threshold: float = np.inf,
 ) -> OperatorHandle:
-    """Reusable canonical-transform handle with precomputed phase tables.
+    """Reusable canonical-transform handle.
+
+    The mapped frequencies and their factored phase tables are computed
+    once; the full tables are kept, or rebuilt per target chunk on each
+    apply when they are large (see ``fiolab._dense``).
 
     The handle suppresses tail warnings by default (tail_threshold=inf)
     since norm estimation drives it with rough random fields on purpose.
