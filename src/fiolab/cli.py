@@ -45,8 +45,8 @@ defaults of optional fields (``weights.kind`` defaults to the first)::
     }
 
 Each field is read once, by the kind's preparation step, so a config error
-names its field before any computation starts.  Exit codes: 0 success,
-1 config error, 2 numerical failure propagated from a sub-run.
+names its field before any computation starts.  Exit codes: 0 success, 1
+config error, 2 numerical failure or non-finite result (report still written).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 
 import fiolab
 from fiolab.lattice import Field, make_grid
-from fiolab.normest import OperatorFamily, WeightedNormTask, cotlar_bound, operator_norm
+from fiolab.normest import cotlar_bound, operator_norm
 from fiolab.operators import (
     canonical_transform_operator,
     identity_operator,
@@ -150,14 +150,16 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON's NaN and Infinity literals and ints beyond float range fail the bound
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 # (predicate, constraint) checks for _Reader.read
 _POSITIVE_INT = (lambda x: _is_int(x) and x >= 1, "positive integer")
-_NUMBER = (_is_number, "number")
-_POSITIVE = (lambda x: _is_number(x) and x > 0, "positive number")
-_NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative number")
+_SEED = (lambda x: _is_int(x) and x >= 0, "nonnegative integer")
+_NUMBER = (_is_number, "finite number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "positive finite number")
+_NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative finite number")
 _GRID_POINTS = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "even integer >= 4")
 
 
@@ -167,7 +169,7 @@ def _one_of(choices: tuple) -> tuple:
 
 def _vector(n: int) -> tuple:
     return (lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x)),
-            f"list of {n} numbers")
+            f"list of {n} finite numbers")
 
 
 _REQUIRED = object()
@@ -209,7 +211,7 @@ class _Reader:
         """``make(*args)``; a rejection becomes a violation of ``field``."""
         try:
             return make(*args)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             self.error(field, str(exc), args[0])
             return None
 
@@ -297,7 +299,7 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
     window_cfg = r.section(raw, "window")
     horizons = r.read_list(window_cfg, "window.horizon", _POSITIVE) or []
     steps_per_unit = r.read(window_cfg, "window.steps_per_unit", _POSITIVE_INT, 32)
-    windows = [r.build("window.horizon", TimeWindow, t, int(steps_per_unit * t) + 1)
+    windows = [r.build("window.horizon", lambda t: TimeWindow(t, int(steps_per_unit * t) + 1), t)
                for t in horizons]
     weights = r.section(raw, "weights", {})
     delta = float(r.read(weights, "weights.delta", _NONNEGATIVE, 1.0))
@@ -310,7 +312,8 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
 
         def worker(w):
             try:
-                est = smoothing_constant(p, grid, w, delta, kind, seed, tol, max_iters)
+                est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
+                                         max_iters=max_iters)
                 return [w.horizon, w.steps, delta, kind, est.estimate, est.converged], None
             except Exception as exc:  # noqa: BLE001
                 return [w.horizon, 0, delta, kind, None, False], f"smoothing T={w.horizon}: {exc}"
@@ -357,7 +360,7 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
             n = grid.points_per_axis
             try:
                 op = _norm_operator(kind, grid, p)
-                est = operator_norm(WeightedNormTask(op, m_in, m_out, max_iters, tol, seed))
+                est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
                 row = [op.label, m_in, m_out, n, half, est.estimate, est.iterations, est.converged]
                 return row, None
             except Exception as exc:  # noqa: BLE001
@@ -432,6 +435,8 @@ def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
     grid = make_grid(1, half, points)
 
     def body(report: ReportRecord):
+        report.results.update(dict.fromkeys(("bound", "sum_norm", "sound", "all_converged")))
+        report.sweep_header = ["index_difference", "gamma"]
         rng = np.random.default_rng(seed)
         if kind == "disjoint_bumps":
             width = grid.points_per_axis // size
@@ -450,15 +455,13 @@ def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
                 )
                 for i in range(size)
             }
-        family = OperatorFamily(tuple(handles), lambda i: handles[i], grid)
-        rep = cotlar_bound(family, seed=seed)
+        rep = cotlar_bound(handles, seed=seed)
         report.results.update(
             bound=rep.bound,
             sum_norm=rep.sum_norm,
             sound=bool(rep.bound >= rep.sum_norm * (1 - 1e-9)),
             all_converged=rep.all_converged,
         )
-        report.sweep_header = ["index_difference", "gamma"]
         report.sweep_rows = [[str(k), v] for k, v in sorted(rep.gamma.items())]
         if not rep.all_converged:
             report.failed = True
@@ -487,13 +490,22 @@ def _prepare(config: ExperimentConfig):
     if config.kind not in EXPERIMENT_KINDS:
         r.error("kind", f"must be one of {EXPERIMENT_KINDS}", config.kind)
         return r.violations, None
-    seed = config.seed if config.seed is not None else r.read(raw, "seed", (_is_int, "integer"), 0)
+    seed = r.read(raw if config.seed is None else {"seed": config.seed}, "seed", _SEED, 0)
     body = _PREPARE[config.kind](r, raw, seed, config.threads)
 
     def run() -> ReportRecord:
         report = ReportRecord(raw, config.kind, seed, fiolab.__version__)
         report.warnings.extend(x.describe() for x in r.violations if x.severity == "warning")
-        body(report)
+        try:
+            body(report)
+        except Exception as exc:  # noqa: BLE001 - a numerical failure, reported
+            report.failed = True
+            report.warnings.append(f"{config.kind}: {exc}")
+        results, rows = _finite_or_none(report.results), _finite_or_none(report.sweep_rows)
+        if (results, rows) != (report.results, report.sweep_rows):
+            report.results, report.sweep_rows = results, rows
+            report.failed = True
+            report.warnings.append(f"{config.kind}: non-finite numbers reported as null")
         return report
 
     return r.violations, run
@@ -504,12 +516,24 @@ def validate_config(config: ExperimentConfig) -> list:
     return _prepare(config)[0]
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float in its dicts and lists set to ``None``."""
+    if isinstance(value, float) and not _is_number(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:
     """Validate, run, and (optionally) persist one experiment.
 
-    Raises ``ValueError`` if the config has error-level violations; numerical
-    failures inside sweep entries are recorded in the report instead of
-    aborting the sweep.
+    Raises ``ValueError`` if the config has error-level violations.  A
+    numerical failure, in a sweep entry or in a whole run, is recorded in
+    the report instead: ``failed`` is set, the message joins ``warnings``,
+    and a missing or non-finite number is ``None``.
     """
     violations, run = _prepare(config)
     errors = [x for x in violations if x.severity == "error"]

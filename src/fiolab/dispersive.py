@@ -181,6 +181,7 @@ def smoothing_constant(
     window: TimeWindow,
     delta: float,
     kind: DerivativeKind = "inhomogeneous",
+    *,
     seed: int = 0,
     tol: float = 1e-4,
     max_iters: int = 200,

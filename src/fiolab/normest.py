@@ -1,16 +1,17 @@
 """Operator-norm measurement on weighted spaces and two bound engines.
 
-``operator_norm`` runs plain power iteration on the normal operator
-``B* B`` with ``B = <x>^{m_out} T <x>^{-m_in}``; weights are exact diagonal
-multiplications, so the unweighted iteration is reused unchanged.  The
+Every norm, here and in ``dispersive.smoothing_constant``, is one call of
+``power_iteration`` on a normal operator ``B* B``; it checks ``tol`` and
+``max_iters`` for all of them.  ``operator_norm`` takes ``B = <x>^{m_out} T
+<x>^{-m_in}``, with weights as exact diagonal multiplications.  The
 iteration starts from a fixed-seed random field and reports convergence
-honestly: a stalled run returns its last estimate with ``converged=False``
-and never raises.
+honestly: a stalled run returns its last estimate with ``converged=False``.
 
-``schur_bound`` and ``cotlar_bound`` implement the two classical kernel /
-almost-orthogonality bound engines.  Both are guaranteed upper bounds for
-the exact operator norm; the tests quantify that they also dominate the
-power-iteration estimates in randomized trials.
+``schur_bound`` and ``cotlar_bound`` are the classical kernel and
+almost-orthogonality upper bounds for the exact operator norm.  Since
+``|T_j* T_i| = |T_i* T_j|`` and ``|T_j T_i*| = |T_i T_j*|``, ``gamma(-k) =
+gamma(k)``, and ``cotlar_bound`` solves each unordered pair once: K^2 + 1
+solves for a K-member family.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from fiolab.lattice import Field, Grid, inner_product
 from fiolab.operators import OperatorHandle, add, compose, weight_operator
 
 __all__ = [
-    "WeightedNormTask",
     "NormEstimate",
-    "OperatorFamily",
     "CotlarReport",
     "operator_norm",
     "power_iteration",
@@ -34,24 +33,6 @@ __all__ = [
     "cotlar_bound",
     "decompose_unity",
 ]
-
-
-@dataclass(frozen=True)
-class WeightedNormTask:
-    """Norm-measurement request for ``T : L2_{m_in} -> L2_{m_out}``."""
-
-    op: OperatorHandle
-    m_in: float = 0.0
-    m_out: float = 0.0
-    max_iters: int = 100
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,6 +70,10 @@ def power_iteration(
     each step is ``sqrt(<v, B*Bv> / <v, v>)``; convergence means two
     successive estimates differ by less than ``tol`` relatively.
     """
+    if not tol > 0:  # a NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     v = start
     v_norm = np.sqrt(inner_product(v, v).real)
     if v_norm == 0:
@@ -110,19 +95,15 @@ def power_iteration(
     return NormEstimate(estimate, max_iters, False)
 
 
-def operator_norm(task: WeightedNormTask) -> NormEstimate:
-    """Weighted operator norm by power iteration on the normal operator.
+def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, tol: float = 1e-6,
+                  max_iters: int = 100, seed: int = 0) -> NormEstimate:
+    """Norm of ``op : L2_{m_in} -> L2_{m_out}``, deterministic for a fixed seed.
 
-    Deterministic for a fixed seed.  Non-convergence is reported through
-    the ``converged`` flag, never as an exception.
+    Non-convergence is reported through the ``converged`` flag, never as an
+    exception.
     """
-    grid = task.op.grid
-    if task.m_in == 0.0 and task.m_out == 0.0:
-        b = task.op
-    else:
-        b = compose(weight_operator(grid, task.m_out), task.op, weight_operator(grid, -task.m_in))
-    start = _random_field(grid, task.seed)
-    return power_iteration(_normal_apply(b), start, task.tol, task.max_iters)
+    b = compose(weight_operator(op.grid, m_out), op, weight_operator(op.grid, -m_in))
+    return power_iteration(_normal_apply(b), _random_field(op.grid, seed), tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +135,6 @@ def schur_bound(kernel: np.ndarray, row_volume: float = 1.0, col_volume: float =
 
 
 @dataclass(frozen=True)
-class OperatorFamily:
-    """Finite family of operators indexed by integer tuples on one grid."""
-
-    indices: tuple
-    member: Callable[[tuple], OperatorHandle]
-    grid: Grid
-
-    def __post_init__(self):
-        indices = tuple(tuple(int(c) for c in np.atleast_1d(i)) for i in self.indices)
-        object.__setattr__(self, "indices", indices)
-        if len(indices) == 0:
-            raise ValueError("operator family must be non-empty")
-        ranks = {len(i) for i in indices}
-        if len(ranks) != 1:
-            raise ValueError("family indices must share one rank")
-
-
-@dataclass(frozen=True)
 class CotlarReport:
     bound: float
     gamma: Mapping[tuple, float]
@@ -179,42 +142,47 @@ class CotlarReport:
     all_converged: bool
 
 
-def cotlar_bound(
-    family: OperatorFamily,
-    tol: float = 1e-8,
-    max_iters: int = 400,
-    seed: int = 0,
-) -> CotlarReport:
+def cotlar_bound(family: Mapping, *, tol: float = 1e-8, max_iters: int = 400,
+                 seed: int = 0) -> CotlarReport:
     """Almost-orthogonality bound ``sum_k gamma(k)`` for ``sum_j T_j``.
 
-    ``gamma(k)`` is the square root of the largest pairwise product norm
-    ``max(|T_i* T_j|, |T_i T_j*|)`` over realized index differences
-    ``i - j = k`` (the finite-family truncation of the classical lemma).
-    The true norm of the summed operator is measured alongside for
-    comparison.  Any non-converged pairwise iteration lowers confidence in
-    the bound, reported through ``all_converged``.
+    ``family`` maps each index (an int or a tuple of ints, one rank for all)
+    to its operator handle.  ``gamma(k)`` is the square root of the largest
+    pairwise product norm ``max(|T_i* T_j|, |T_i T_j*|)`` over realized index
+    differences ``i - j = k`` (the finite-family truncation of the classical
+    lemma).  Swapping ``i`` and ``j`` swaps the products for their adjoints,
+    so each unordered pair is solved once and written to ``gamma(i - j)``
+    and ``gamma(j - i)``; on the diagonal both products have norm
+    ``|T_i|^2``, and one solve serves.  The norm of the summed operator is
+    measured for comparison; ``all_converged`` covers every solve.
     """
-    handles = {idx: family.member(idx) for idx in family.indices}
-    grid = family.grid
-    start = _random_field(grid, seed)
-    all_converged = True
+    handles = {tuple(int(c) for c in np.atleast_1d(i)): h for i, h in family.items()}
+    if not handles:
+        raise ValueError("operator family must be non-empty")
+    if len({len(i) for i in handles}) != 1:
+        raise ValueError("family indices must share one rank")
+    members = list(handles.items())
+    start = _random_field(members[0][1].grid, seed)
+    estimates = []
     gamma: dict[tuple, float] = {}
-    for i in family.indices:
-        for j in family.indices:
-            diff = tuple(a - b for a, b in zip(i, j))
-            ti, tj = handles[i], handles[j]
-            est1 = power_iteration(_normal_apply(compose(_adjoint(ti), tj)), start, tol, max_iters)
-            est2 = power_iteration(_normal_apply(compose(ti, _adjoint(tj))), start, tol, max_iters)
-            all_converged = all_converged and est1.converged and est2.converged
-            candidate = float(np.sqrt(max(est1.estimate, est2.estimate)))
-            gamma[diff] = max(gamma.get(diff, 0.0), candidate)
+    for a, (i, ti) in enumerate(members):
+        for j, tj in members[a:]:
+            products = [compose(_adjoint(ti), tj)]
+            if j != i:
+                products.append(compose(ti, _adjoint(tj)))
+            pair = [power_iteration(_normal_apply(b), start, tol, max_iters) for b in products]
+            estimates += pair
+            candidate = float(np.sqrt(max(est.estimate for est in pair)))
+            diff = tuple(x - y for x, y in zip(i, j))
+            for k in (diff, tuple(-c for c in diff)):
+                gamma[k] = max(gamma.get(k, 0.0), candidate)
 
-    bound = float(sum(gamma.values()))
-    summed = add(*(handles[idx] for idx in family.indices))
-    sum_est = power_iteration(_normal_apply(summed), start, tol, max_iters)
-    all_converged = all_converged and sum_est.converged
+    sum_est = power_iteration(_normal_apply(add(*handles.values())), start, tol, max_iters)
     return CotlarReport(
-        bound=bound, gamma=gamma, sum_norm=sum_est.estimate, all_converged=all_converged
+        bound=float(sum(gamma.values())),
+        gamma=gamma,
+        sum_norm=sum_est.estimate,
+        all_converged=all(est.converged for est in estimates + [sum_est]),
     )
 
 

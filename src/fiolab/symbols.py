@@ -108,6 +108,8 @@ def quadratic_form_symbol(matrix: np.ndarray) -> HomogeneousSymbol:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("quadratic form matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("quadratic form matrix must be finite")
     if not np.allclose(a, a.T):
         raise ValueError("quadratic form matrix must be symmetric")
     eigvals = np.linalg.eigvalsh(a)
@@ -186,6 +188,8 @@ def perturbed_symbol(
     samples = sphere_points(base.dim, 64)
     if not np.min(sym.evaluate(samples)) > 0:  # a NaN fails too
         raise ValueError("perturbation amplitude destroys positivity of the symbol")
+    if not np.isfinite(eps):  # +inf keeps the samples positive
+        raise ValueError(f"bump amplitude must be finite, got {eps}")
     return sym
 
 

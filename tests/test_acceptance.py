@@ -21,13 +21,7 @@ from fiolab.dispersive import (
     smoothing_functional,
 )
 from fiolab.lattice import Field, make_grid, norm
-from fiolab.normest import (
-    OperatorFamily,
-    WeightedNormTask,
-    cotlar_bound,
-    operator_norm,
-    schur_bound,
-)
+from fiolab.normest import cotlar_bound, operator_norm, schur_bound
 from fiolab.operators import (
     apply_canonical_transform,
     apply_multiplier,
@@ -134,8 +128,8 @@ def test_criterion_04_weighted_uniform_boundedness():
         for n_pts in (32, 64, 128):
             grid = make_grid(2, 10.0, n_pts)
             handle = canonical_transform_operator(psi, grid, "forward")
-            task = WeightedNormTask(handle, m, m, max_iters=150, tol=1e-5, seed=0)
-            estimates.append(operator_norm(task).estimate)
+            est = operator_norm(handle, m, m, max_iters=150, tol=1e-5, seed=0)
+            estimates.append(est.estimate)
         slopes[m] = float(np.polyfit(np.log([32, 64, 128]), np.log(estimates), 1)[0])
     ok = all(slope < 0.05 for slope in slopes.values())
     detail = ", ".join(f"slope(m={m})={s:+.4f}" for m, s in slopes.items()) + " (<0.05 each)"
@@ -234,8 +228,7 @@ def test_criterion_07_bound_engine_soundness():
                 )
                 for i in range(3)
             }
-            family = OperatorFamily(tuple(members), lambda i: members[i], grid)
-            report = cotlar_bound(family, tol=1e-9, max_iters=2000, seed=trial)
+            report = cotlar_bound(members, tol=1e-9, max_iters=2000, seed=trial)
             cotlar_total += 1
             if report.bound >= report.sum_norm * (1.0 - 1e-8):
                 cotlar_ok += 1
@@ -243,8 +236,7 @@ def test_criterion_07_bound_engine_soundness():
     # tightness for singleton and disjoint-support families
     grid = make_grid(1, 8.0, 16)
     single = rng.random((16, 16)) + 1j * rng.random((16, 16))
-    fam_single = OperatorFamily(((0,),), lambda i: matrix_operator(grid, single), grid)
-    rep_single = cotlar_bound(fam_single, tol=1e-12, max_iters=4000)
+    rep_single = cotlar_bound({(0,): matrix_operator(grid, single)}, tol=1e-12, max_iters=4000)
     tight_single = abs(rep_single.bound / rep_single.sum_norm - 1.0) <= 1e-6
 
     vals1 = np.zeros(16)
@@ -255,8 +247,7 @@ def test_criterion_07_bound_engine_soundness():
         (0,): multiplication_operator(grid, vals1),
         (1,): multiplication_operator(grid, vals2),
     }
-    fam_disjoint = OperatorFamily(((0,), (1,)), lambda i: bumps[i], grid)
-    rep_disjoint = cotlar_bound(fam_disjoint, tol=1e-12, max_iters=4000)
+    rep_disjoint = cotlar_bound(bumps, tol=1e-12, max_iters=4000)
     tight_disjoint = abs(rep_disjoint.bound / rep_disjoint.sum_norm - 1.0) <= 1e-6
 
     ok = (

@@ -18,6 +18,14 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
+def read_strict_json(path):
+    """Parse a report, failing on the non-standard constants NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds the non-standard constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 EGOROV_CFG = {
     "kind": "egorov",
     "symbol": {"name": "euclidean"},
@@ -135,6 +143,7 @@ class TestValidateConfig:
         assert sum("hypotheses" in w for w in report.warnings) == expected
 
 
+NAN, INF = float("nan"), float("inf")
 PERTURBED_NO_BASE = {"name": "perturbed", "bump_amplitude": 0.1, "bump_direction": [1.0]}
 
 
@@ -190,6 +199,32 @@ REJECTED_CONFIGS = {
     ),
     "json-array": ([EGOROV_CFG], "config"),
     "string-seed": ({**EGOROV_CFG, "seed": "abc"}, "seed"),
+    "negative-seed": ({**EGOROV_CFG, "seed": -1}, "seed"),
+    # JSON's NaN / Infinity literals, which write_config emits as such
+    "egorov-infinite-half-width": (_with(EGOROV_CFG, "grid", half_width=INF), "grid.half_width"),
+    "egorov-infinite-sigma": (_with(EGOROV_CFG, "data", sigma=INF), "data.sigma"),
+    "egorov-nan-carrier": (_with(EGOROV_CFG, "data", carrier=[NAN]), "data.carrier"),
+    "egorov-infinite-diag": (
+        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "diag": [INF]}}, "symbol"
+    ),
+    "egorov-infinite-matrix": (
+        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "matrix": [[INF]]}}, "symbol"
+    ),
+    "egorov-infinite-bump-amplitude": (
+        {**EGOROV_CFG, "symbol": {**PERTURBED_NO_BASE, "base": {"name": "euclidean"},
+                                  "bump_amplitude": INF}},
+        "symbol",
+    ),
+    "smoothing-infinite-delta": (_with(SMOOTHING_CFG, "weights", delta=INF), "weights.delta"),
+    "smoothing-infinite-horizon": (_with(SMOOTHING_CFG, "window", horizon=INF), "window.horizon"),
+    "smoothing-overflowing-horizon": (
+        _with(SMOOTHING_CFG, "window", horizon=1e308), "window.horizon"
+    ),
+    "norm-nan-m-in": ({**NORM_CFG, "weights": {"m_in": NAN}}, "weights.m_in"),
+    "norm-infinite-tol": ({**NORM_CFG, "tol": INF}, "tol"),
+    "cotlar-infinite-half-width": (
+        _with(COTLAR_CFG, "family", half_width=INF), "family.half_width"
+    ),
 }
 
 
@@ -355,14 +390,49 @@ class TestMainExitCodes:
         path = write_config(tmp_path, {**SMOOTHING_CFG, "window": window})
         out = tmp_path / "out"
         assert main(["smoothing", "--config", str(path), "--out", str(out)]) == 2
-
-        def reject(name):
-            raise ValueError(f"report.json holds the non-standard constant {name}")
-
-        data = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        data = read_strict_json(out / "report.json")
         assert data["failed"]
         assert data["sweep"]["rows"][2][4] is None  # the failed horizon's constant
         assert data["results"]["max_pairwise_deviation"] is None  # zero lowest constant
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        path = write_config(tmp_path, NORM_CFG)
+        assert main(["norm", "--config", str(path), "--seed", "-1"]) == 1
+        assert "[error] seed:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "data, missing",
+        [
+            # a grid spacing of 2e308 / 16 overflows while the family is built
+            (_with(COTLAR_CFG, "family", half_width=1e308), "bound"),
+            # the x sampling overflows into non-finite spacing and points
+            (_with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=1e308), "x_spacing"),
+        ],
+        ids=["cotlar", "symbol-check"],
+    )
+    def test_whole_run_failure_is_exit_two(self, tmp_path, capsys, data, missing):
+        path = write_config(tmp_path, data)
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main([data["kind"], "--config", str(path), "--out", str(out)]) == 2
+        assert "config invalid" not in capsys.readouterr().err
+        report = read_strict_json(out / "report.json")
+        assert report["failed"] and report["warnings"]
+        assert report["results"][missing] is None
+
+    def test_cotlar_bound_failure_is_reported(self, tmp_path, monkeypatch):
+        def failing_bound(family, **kwargs):
+            raise FloatingPointError("forced failure")
+
+        monkeypatch.setattr("fiolab.cli.cotlar_bound", failing_bound)
+        out = tmp_path / "out"
+        assert main(["cotlar", "--config", str(write_config(tmp_path, COTLAR_CFG)),
+                     "--out", str(out)]) == 2
+        report = read_strict_json(out / "report.json")
+        assert report["failed"]
+        assert report["warnings"] == ["cotlar: forced failure"]
+        assert report["results"] == dict.fromkeys(["bound", "sum_norm", "sound", "all_converged"])
 
     def test_missing_config_file(self):
         assert main(["egorov", "--config", "/nonexistent/config.json"]) == 1

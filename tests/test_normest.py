@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import fiolab.dispersive
+import fiolab.normest
+from fiolab.dispersive import TimeWindow, smoothing_constant
 from fiolab.lattice import bracket, make_grid
 from fiolab.normest import (
-    OperatorFamily,
-    WeightedNormTask,
+    NormEstimate,
     cotlar_bound,
     decompose_unity,
     operator_norm,
@@ -28,14 +30,14 @@ from fiolab.symbols import gauss_phase, quadratic_form_symbol
 class TestOperatorNorm:
     def test_identity(self):
         g = make_grid(1, 5.0, 16)
-        est = operator_norm(WeightedNormTask(identity_operator(g), tol=1e-10))
+        est = operator_norm(identity_operator(g), tol=1e-10)
         assert est.converged
         assert est.estimate == pytest.approx(1.0, abs=1e-10)
 
     def test_weights_cancel_for_reciprocal_bracket(self):
         g = make_grid(1, 5.0, 16)
         h = multiplication_operator(g, lambda x: 1.0 / bracket(x))
-        est = operator_norm(WeightedNormTask(h, m_in=0.0, m_out=1.0, tol=1e-10))
+        est = operator_norm(h, m_in=0.0, m_out=1.0, tol=1e-10)
         assert est.estimate == pytest.approx(1.0, abs=1e-8)
 
     def test_diagonal_multiplier_attains_grid_maximum(self):
@@ -43,24 +45,22 @@ class TestOperatorNorm:
         g = make_grid(1, 5.0, 16)
         sym = lambda xi: 1.0 / (1.0 + np.sum((xi - 1.0) ** 2, axis=-1))
         h = multiplier_operator(g, sym)
-        est = operator_norm(WeightedNormTask(h, max_iters=600, tol=1e-12))
+        est = operator_norm(h, max_iters=600, tol=1e-12)
         expected = float(np.max(np.abs(evaluate_multiplier(sym, g))))
         assert est.estimate == pytest.approx(expected, abs=1e-6)
 
     def test_unimodular_scaling_invariance(self):
         g = make_grid(1, 5.0, 16)
         h = multiplication_operator(g, lambda x: np.exp(-np.sum(x * x, axis=-1)))
-        base = operator_norm(WeightedNormTask(h, tol=1e-10, seed=3)).estimate
+        base = operator_norm(h, tol=1e-10, seed=3).estimate
         for phase in (1j, np.exp(0.7j), -1.0):
-            scaled = operator_norm(
-                WeightedNormTask(scale(phase, h), tol=1e-10, seed=3)
-            ).estimate
+            scaled = operator_norm(scale(phase, h), tol=1e-10, seed=3).estimate
             assert abs(scaled - base) <= 1e-10
 
     def test_nonconvergence_reports_instead_of_raising(self):
         g = make_grid(1, 5.0, 16)
         h = multiplication_operator(g, lambda x: np.sum(x * x, axis=-1))
-        est = operator_norm(WeightedNormTask(h, max_iters=1, tol=1e-14))
+        est = operator_norm(h, max_iters=1, tol=1e-14)
         assert not est.converged
         assert est.iterations == 1
         assert np.isfinite(est.estimate)
@@ -68,16 +68,18 @@ class TestOperatorNorm:
     def test_determinism_for_fixed_seed(self):
         g = make_grid(1, 5.0, 16)
         h = multiplication_operator(g, lambda x: np.exp(-np.sum(np.abs(x), axis=-1)))
-        a = operator_norm(WeightedNormTask(h, tol=1e-9, seed=11))
-        b = operator_norm(WeightedNormTask(h, tol=1e-9, seed=11))
+        a = operator_norm(h, tol=1e-9, seed=11)
+        b = operator_norm(h, tol=1e-9, seed=11)
         assert a == b
 
     def test_task_validation(self):
         g = make_grid(1, 5.0, 16)
-        with pytest.raises(ValueError):
-            WeightedNormTask(identity_operator(g), tol=-1.0)
-        with pytest.raises(ValueError):
-            WeightedNormTask(identity_operator(g), max_iters=0)
+        with pytest.raises(ValueError, match="tol"):
+            operator_norm(identity_operator(g), tol=-1.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            operator_norm(identity_operator(g), max_iters=0)
+        with pytest.raises(TypeError):  # max_iters and tol cannot be swapped by position
+            operator_norm(identity_operator(g), 0.0, 0.0, 200, 1e-6)
 
 
 class TestSchurBound:
@@ -101,7 +103,7 @@ class TestSchurBound:
         for trial in range(20):
             kernel = rng.random((8, 8)) + 1j * rng.random((8, 8))
             h = kernel_operator(g, kernel)
-            est = operator_norm(WeightedNormTask(h, max_iters=500, tol=1e-11, seed=trial))
+            est = operator_norm(h, max_iters=500, tol=1e-11, seed=trial)
             assert schur_bound(kernel, g.dx, g.dx) >= est.estimate - 1e-9
 
     def test_rejects_bad_kernels(self):
@@ -116,8 +118,7 @@ class TestCotlarBound:
         g = make_grid(1, 8.0, 16)
         rng = np.random.default_rng(1)
         m = rng.random((16, 16)) + 1j * rng.random((16, 16))
-        fam = OperatorFamily(((0,),), lambda i: matrix_operator(g, m), g)
-        rep = cotlar_bound(fam, tol=1e-12, max_iters=2000)
+        rep = cotlar_bound({(0,): matrix_operator(g, m)}, tol=1e-12, max_iters=2000)
         true_norm = np.linalg.svd(m, compute_uv=False)[0]
         assert rep.bound == pytest.approx(true_norm, rel=1e-6)
         assert rep.sum_norm == pytest.approx(true_norm, rel=1e-6)
@@ -132,8 +133,7 @@ class TestCotlarBound:
             (0,): multiplication_operator(g, vals1),
             (1,): multiplication_operator(g, vals2),
         }
-        fam = OperatorFamily(((0,), (1,)), lambda i: handles[i], g)
-        rep = cotlar_bound(fam, tol=1e-12, max_iters=2000)
+        rep = cotlar_bound(handles, tol=1e-12, max_iters=2000)
         assert rep.bound == pytest.approx(2.0, rel=1e-6)
         assert rep.sum_norm == pytest.approx(2.0, rel=1e-6)
         assert rep.gamma[(1,)] == pytest.approx(0.0, abs=1e-8)
@@ -141,13 +141,14 @@ class TestCotlarBound:
 
     def test_gamma_is_the_lemma_pairwise_norm(self):
         # gamma(k) = max over i - j = k of sqrt(max(|A_i^H A_j|, |A_i A_j^H|)),
-        # which is symmetric in k because |A_i^H A_j| = |A_j^H A_i|
+        # which is symmetric in k because |A_i^H A_j| = |A_j^H A_i|; the bound
+        # solves each unordered pair once, so the symmetry check below holds
+        # by construction and guards that both keys are written
         g = make_grid(1, 4.0, 8)
         rng = np.random.default_rng(5)
         mats = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(3)]
         handles = {(i,): matrix_operator(g, m) for i, m in enumerate(mats)}
-        fam = OperatorFamily(tuple(handles), lambda i: handles[i], g)
-        rep = cotlar_bound(fam, tol=1e-12, max_iters=5000)
+        rep = cotlar_bound(handles, tol=1e-12, max_iters=5000)
         expected = {}
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
@@ -171,14 +172,74 @@ class TestCotlarBound:
                     + c2 / (1.0 + np.sum(xi * xi, axis=-1))
                 )
                 handles[(i,)] = pseudo_operator(g, amp)
-            fam = OperatorFamily(tuple(handles), lambda i: handles[i], g)
-            rep = cotlar_bound(fam, tol=1e-10, max_iters=1000, seed=trial)
+            rep = cotlar_bound(handles, tol=1e-10, max_iters=1000, seed=trial)
             assert rep.bound >= rep.sum_norm * (1.0 - 1e-8)
 
     def test_empty_family_rejected(self):
         g = make_grid(1, 4.0, 8)
-        with pytest.raises(ValueError):
-            OperatorFamily((), lambda i: identity_operator(g), g)
+        with pytest.raises(ValueError, match="non-empty"):
+            cotlar_bound({})
+        with pytest.raises(ValueError, match="one rank"):
+            cotlar_bound({0: identity_operator(g), (1, 2): identity_operator(g)})
+
+    def test_int_indices_become_tuples(self):
+        g = make_grid(1, 4.0, 8)
+        family = {0: identity_operator(g), 1: scale(2.0, identity_operator(g))}
+        rep = cotlar_bound(family, tol=1e-12)
+        assert set(rep.gamma) == {(-1,), (0,), (1,)}
+        assert rep.gamma[(0,)] == pytest.approx(2.0, rel=1e-12)
+        assert rep.gamma[(1,)] == rep.gamma[(-1,)] == pytest.approx(2.0**0.5, rel=1e-12)
+
+
+SOLVER_GRID = make_grid(1, 4.0, 8)
+
+# each norm entry point on a small identity-like problem, with solver options
+NORM_ENTRIES = {
+    "operator_norm": lambda **kw: operator_norm(identity_operator(SOLVER_GRID), **kw),
+    "smoothing_constant": lambda **kw: smoothing_constant(
+        quadratic_form_symbol(np.eye(1)), SOLVER_GRID, TimeWindow(0.5, 5), 1.0, **kw
+    ),
+    "cotlar_bound": lambda **kw: cotlar_bound({0: identity_operator(SOLVER_GRID)}, **kw),
+}
+
+
+class TestSolverCalls:
+    """Every norm goes through ``power_iteration`` as a module global, the way
+    a reference solver is swapped in, and the solver checks its inputs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (fiolab.normest, fiolab.dispersive):
+            def stub(normal_apply, start, tol, max_iters, name=module.__name__):
+                calls.append(name)
+                return NormEstimate(1.0, 1, True)
+
+            monkeypatch.setattr(module, "power_iteration", stub)
+        return calls
+
+    @pytest.mark.parametrize("size, solves", [(1, 2), (3, 10)])
+    def test_cotlar_solves_each_pair_once(self, calls, size, solves):
+        family = {i: scale(i + 1.0, identity_operator(SOLVER_GRID)) for i in range(size)}
+        rep = cotlar_bound(family)
+        assert calls == ["fiolab.normest"] * solves  # K^2 + 1
+        assert set(rep.gamma) == {(k,) for k in range(1 - size, size)}
+
+    def test_each_norm_is_one_call_through_its_module(self, calls):
+        NORM_ENTRIES["operator_norm"]()
+        assert calls == ["fiolab.normest"]
+        NORM_ENTRIES["smoothing_constant"]()
+        assert calls == ["fiolab.normest", "fiolab.dispersive"]
+
+    @pytest.mark.parametrize("entry", sorted(NORM_ENTRIES))
+    @pytest.mark.parametrize(
+        "bad",
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"max_iters": 0}],
+        ids=["tol=0", "tol=-1", "tol=nan", "max_iters=0"],
+    )
+    def test_solver_inputs_checked_at_every_entry(self, entry, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            NORM_ENTRIES[entry](**bad)
 
 
 class TestDecomposeUnity:
@@ -215,8 +276,7 @@ class TestDecomposeUnity:
         g = make_grid(1, 4.0, 32)
         parts = decompose_unity(lambda t: np.maximum(1.0 - np.abs(t), 0.0), g)
         handles = {k: multiplication_operator(g, f.values) for k, f in parts.items()}
-        fam = OperatorFamily(tuple(handles), lambda i: handles[i], g)
-        rep = cotlar_bound(fam, tol=1e-10, max_iters=500)
+        rep = cotlar_bound(handles, tol=1e-10, max_iters=500)
         # the translates sum to the identity, whose norm is exactly 1
         assert rep.sum_norm == pytest.approx(1.0, rel=1e-8)
         assert rep.bound >= 1.0 - 1e-9
@@ -234,7 +294,7 @@ class TestWeightedBoundednessRegression:
         for n_pts in (32, 64, 128):
             g = make_grid(2, 10.0, n_pts)
             h = canonical_transform_operator(psi, g, "forward")
-            est = operator_norm(WeightedNormTask(h, 0.0, 0.0, max_iters=200, tol=1e-6, seed=0))
+            est = operator_norm(h, 0.0, 0.0, max_iters=200, tol=1e-6, seed=0)
             estimates.append(est.estimate)
         slope = np.polyfit(np.log([32, 64, 128]), np.log(estimates), 1)[0]
         assert slope < 0.05

@@ -8,7 +8,7 @@ from fiolab.lattice import (
     make_grid,
     norm,
 )
-from fiolab.normest import WeightedNormTask, operator_norm
+from fiolab.normest import operator_norm
 from fiolab.operators import (
     Amplitude,
     SpectralTailWarning,
@@ -161,7 +161,7 @@ class TestCanonicalTransform:
         # see the dilation law acceptance test for the localized measurement
         g = make_grid(1, 10.0, 128)
         h = canonical_transform_operator(scaling_map(2.0, 1), g)
-        est = operator_norm(WeightedNormTask(h, max_iters=200, tol=1e-10, seed=0))
+        est = operator_norm(h, max_iters=200, tol=1e-10, seed=0)
         assert est.estimate == pytest.approx(1.0, abs=1e-9)
 
 
@@ -202,9 +202,7 @@ class TestPseudo:
         estimates = []
         for n_pts in (32, 64, 128):
             g = make_grid(1, 8.0, n_pts)
-            est = operator_norm(
-                WeightedNormTask(pseudo_operator(g, sym), max_iters=300, tol=1e-8, seed=0)
-            )
+            est = operator_norm(pseudo_operator(g, sym), max_iters=300, tol=1e-8, seed=0)
             assert est.converged
             estimates.append(est.estimate)
         slope = np.polyfit(np.log([32, 64, 128]), np.log(estimates), 1)[0]

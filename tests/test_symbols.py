@@ -87,6 +87,18 @@ class TestSymbolFamilies:
         with pytest.raises(ValueError, match="bump direction|positivity"):
             perturbed_symbol(euclidean_symbol(2), amplitude, direction)
 
+    def test_infinite_amplitude_rejected(self):
+        # +inf keeps every sampled value positive
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            perturbed_symbol(euclidean_symbol(2), np.inf, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_quadratic_form_rejected(self, bad):
+        # a NaN diagonal used to be reported as "must be symmetric"
+        for matrix in (np.diag([bad, 1.0]), [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                quadratic_form_symbol(matrix)
+
     def test_config_round_trip(self):
         p = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
         assert p.evaluate(np.array([0.0, 1.0])) == pytest.approx(2.0)
