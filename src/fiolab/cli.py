@@ -44,9 +44,22 @@ defaults of optional fields (``weights.kind`` defaults to the first)::
       "data":   {"sigma": 1.2, "carrier": <[k_1, ..., k_dim]> (optional)}
     }
 
-Each field is read once, by the kind's preparation step, so a config error
-names its field before any computation starts.  Exit codes: 0 success, 1
-config error, 2 numerical failure or non-finite result (report still written).
+Every number in the config, read by its kind or not, must be finite: the
+report echoes the config as strict JSON.  Each field is read once, by the
+kind's preparation step, so a config error names its field before any
+computation starts.
+
+``tol`` bounds the relative residual ``|B*B y - theta y| / (theta |y|)`` of
+the Ritz pair the norm solver returns for the measured operator ``B``.  Norm
+rows are ``[label, m_in, m_out, N, L, estimate, iterations, rel_residual,
+converged]`` and smoothing rows ``[T, N_t, delta, kind, constant,
+rel_residual, converged]``; ``rel_residual`` is that residual (``null`` for a
+failed row), so ``converged`` can be checked from the report: it holds when
+``rel_residual <= tol`` and the estimate has settled, or when the Krylov space
+became invariant.
+
+Exit codes: 0 success, 1 config error, 2 numerical failure or non-finite
+result (report still written).
 """
 
 from __future__ import annotations
@@ -77,6 +90,7 @@ from fiolab.symbols import (
     SymbolClassSpec,
     check_symbol_class,
     gauss_phase,
+    sample_axis,
     symbol_from_config,
 )
 from fiolab.dispersive import DerivativeKind, TimeWindow, egorov_residual, smoothing_constant
@@ -225,7 +239,8 @@ def _read_grids(r: _Reader, raw: dict):
     points = r.read_list(g, "grid.points", _GRID_POINTS)
     if None in (dim, half, points):
         return [], half
-    return [make_grid(dim, half, n) for n in points], half
+    grids = r.build("grid.half_width", lambda h: [make_grid(dim, h, n) for n in points], half)
+    return grids or [], half
 
 
 def _read_symbol(r: _Reader, raw: dict, grids: list):
@@ -308,18 +323,21 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 100)
 
     def body(report: ReportRecord):
-        report.sweep_header = ["T", "N_t", "delta", "kind", "constant", "converged"]
+        report.sweep_header = ["T", "N_t", "delta", "kind", "constant", "rel_residual",
+                               "converged"]
 
         def worker(w):
             try:
                 est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
                                          max_iters=max_iters)
-                return [w.horizon, w.steps, delta, kind, est.estimate, est.converged], None
+                row = [w.horizon, w.steps, delta, kind, est.estimate, est.residual, est.converged]
+                return row, None
             except Exception as exc:  # noqa: BLE001
-                return [w.horizon, 0, delta, kind, None, False], f"smoothing T={w.horizon}: {exc}"
+                row = [w.horizon, 0, delta, kind, None, None, False]
+                return row, f"smoothing T={w.horizon}: {exc}"
 
         _collect_rows(report, windows, worker, threads)
-        constants = [row[4] for row in report.sweep_rows if row[5]]
+        constants = [row[4] for row in report.sweep_rows if row[-1]]
         report.results["constants"] = constants
         if len(constants) > 1:
             lo, hi = min(constants), max(constants)
@@ -354,23 +372,24 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
 
     def body(report: ReportRecord):
         report.sweep_header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations",
-                               "converged"]
+                               "rel_residual", "converged"]
 
         def worker(grid):
             n = grid.points_per_axis
             try:
                 op = _norm_operator(kind, grid, p)
                 est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
-                row = [op.label, m_in, m_out, n, half, est.estimate, est.iterations, est.converged]
+                row = [op.label, m_in, m_out, n, half, est.estimate, est.iterations,
+                       est.residual, est.converged]
                 return row, None
             except Exception as exc:  # noqa: BLE001
-                return ["failed", m_in, m_out, n, half, None, 0, False], f"norm N={n}: {exc}"
+                return ["failed", m_in, m_out, n, half, None, 0, None, False], f"norm N={n}: {exc}"
 
         _collect_rows(report, grids, worker, threads)
-        estimates = [row[5] for row in report.sweep_rows if row[7]]
+        estimates = [row[5] for row in report.sweep_rows if row[-1]]
         report.results["estimates"] = estimates
         if len(estimates) > 1 and all(e > 0 for e in estimates):
-            ns = [row[3] for row in report.sweep_rows if row[7]]
+            ns = [row[3] for row in report.sweep_rows if row[-1]]
             slope = float(np.polyfit(np.log(ns), np.log(estimates), 1)[0])
             report.results["log_slope"] = slope
 
@@ -403,12 +422,18 @@ def _prepare_symbol_check(r: _Reader, raw: dict, seed: int, threads: int):
         x_points=r.read(sc, "symbol_class.x_points", _POSITIVE_INT, 201),
         xi_points=r.read(sc, "symbol_class.xi_points", _POSITIVE_INT, 33),
     )
+    for axis in ("x", "xi"):
+        r.build(f"symbol_class.{axis}_half_width", sample_axis, sampling[f"{axis}_half_width"],
+                sampling[f"{axis}_points"])
     for key in ("x_points", "xi_points"):
         if spec and sampling[key] < spec.min_points:
             r.error(f"symbol_class.{key}", f"at least {spec.min_points} points for derivative "
                     f"order {max_order}", sampling[key])
 
     def body(report: ReportRecord):
+        report.results.update(dict.fromkeys((
+            "amplitude", "passes", "worst_constant", "worst_orders", "worst_point", "max_order",
+            "x_spacing", "xi_spacing")))
         rep = check_symbol_class(_AMPLITUDES[amp_name], spec, **sampling)
         report.results.update(
             amplitude=amp_name,
@@ -432,7 +457,7 @@ def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
     points = r.read(fam, "family.points", _GRID_POINTS, 16)
     if kind == "disjoint_bumps" and size > points:
         r.error("family.size", f"at most family.points = {points} disjoint bumps", size)
-    grid = make_grid(1, half, points)
+    grid = r.build("family.half_width", lambda h: make_grid(1, h, points), half)
 
     def body(report: ReportRecord):
         report.results.update(dict.fromkeys(("bound", "sum_norm", "sound", "all_converged")))
@@ -492,6 +517,10 @@ def _prepare(config: ExperimentConfig):
         return r.violations, None
     seed = r.read(raw if config.seed is None else {"seed": config.seed}, "seed", _SEED, 0)
     body = _PREPARE[config.kind](r, raw, seed, config.threads)
+    named = {x.field for x in r.violations}
+    for path, value in _non_finite_numbers(raw):
+        if not any(path == f or path.startswith((f + ".", f + "[")) for f in named):
+            r.error(path, "finite number (the report echoes the config as strict JSON)", value)
 
     def run() -> ReportRecord:
         report = ReportRecord(raw, config.kind, seed, fiolab.__version__)
@@ -509,6 +538,18 @@ def _prepare(config: ExperimentConfig):
         return report
 
     return r.violations, run
+
+
+def _non_finite_numbers(value, path: str = ""):
+    """``(dotted path, value)`` of each NaN or infinite float in parsed JSON."""
+    if isinstance(value, float) and not _is_number(value):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_numbers(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite_numbers(item, f"{path}[{i}]")
 
 
 def validate_config(config: ExperimentConfig) -> list:

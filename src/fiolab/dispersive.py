@@ -12,9 +12,11 @@ The smoothing functional measures
 with trapezoidal time weights ``w_j`` over ``[0, T]``; ``D^{1/2}`` is the
 spectral multiplier ``<xi>^{1/2}`` (inhomogeneous kind) or ``|xi|^{1/2}``
 (homogeneous kind), applied before the spatial weight.  The best constant
-of the map ``f -> weighted space-time trace`` is measured by power
-iteration on the composed normal operator, streaming over time nodes in
-frequency space (the propagator is diagonal there).
+of the map ``f -> weighted space-time trace`` is measured by the Lanczos
+solver ``normest.power_iteration`` (looked up here as a module global under
+that name, which ``perfbench/`` wraps and swaps) on the composed normal
+operator, streaming over time nodes in frequency space (the propagator is
+diagonal there).
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def smoothing_constant(
 ) -> NormEstimate:
     """Best constant of ``f -> <x>^{-delta} D^{1/2} (evolution of f)``.
 
-    Power iteration on the composed normal operator
+    Lanczos (``power_iteration``; ``tol`` bounds the relative residual of
+    the returned Ritz pair) on the composed normal operator
 
         D^{1/2} sum_j w_j exp(-i t_j p^2) <x>^{-2 delta} exp(i t_j p^2) D^{1/2}
 

@@ -110,7 +110,9 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
     """Validate and build a :class:`Grid`.
 
     ``points_per_axis`` must be even and at least 4 so the symmetric
-    frequency range is well defined.
+    frequency range is well defined.  The spacings ``dx = 2L / N`` and ``dxi
+    = pi / L`` and the quadrature weights ``dx^n`` and ``(dxi / 2 pi)^n``
+    must be finite and positive.
     """
     if dim < 1:
         raise ValueError(f"grid dimension must be >= 1, got {dim}")
@@ -121,7 +123,16 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
         raise ValueError(f"points per axis must be an integer >= 4, got {points_per_axis}")
     if n_points % 2 != 0:
         raise ValueError(f"points per axis must be even, got {n_points}")
-    return Grid(dim=int(dim), half_width=float(half_width), points_per_axis=n_points)
+    grid = Grid(dim=int(dim), half_width=float(half_width), points_per_axis=n_points)
+    for name in ("dx", "dxi", "cell_volume", "spectral_weight"):
+        try:
+            value = getattr(grid, name)
+        except OverflowError:  # a float power beyond range raises
+            value = np.inf
+        if not 0 < value < np.inf:
+            raise ValueError(f"grid {name} must be finite and positive, got {value} for "
+                             f"half-width {half_width}, {n_points} points and dimension {dim}")
+    return grid
 
 
 @functools.lru_cache(maxsize=128)

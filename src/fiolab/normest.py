@@ -2,10 +2,15 @@
 
 Every norm, here and in ``dispersive.smoothing_constant``, is one call of
 ``power_iteration`` on a normal operator ``B* B``; it checks ``tol`` and
-``max_iters`` for all of them.  ``operator_norm`` takes ``B = <x>^{m_out} T
-<x>^{-m_in}``, with weights as exact diagonal multiplications.  The
-iteration starts from a fixed-seed random field and reports convergence
-honestly: a stalled run returns its last estimate with ``converged=False``.
+``max_iters`` for all of them.  Despite its name, that solver is Lanczos
+(Golub-Kahan bidiagonalization of ``B``): the name stays because
+``perfbench/spans.py`` wraps the function, and ``perfbench/make_references.py``
+swaps in its reference solver, under that name in ``normest`` and
+``dispersive``.  ``tol`` bounds the relative residual of the returned Ritz
+pair.  ``operator_norm`` takes ``B = <x>^{m_out} T <x>^{-m_in}``, with
+weights as exact diagonal multiplications.  The solver starts from a
+fixed-seed random field and reports convergence honestly: a run that
+exhausts ``max_iters`` returns its last estimate with ``converged=False``.
 
 ``schur_bound`` and ``cotlar_bound`` are the classical kernel and
 almost-orthogonality upper bounds for the exact operator norm.  Since
@@ -16,12 +21,13 @@ solves for a K-member family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from fiolab.lattice import Field, Grid, inner_product
+from fiolab.lattice import Field, Grid
 from fiolab.operators import OperatorHandle, add, compose, weight_operator
 
 __all__ = [
@@ -38,8 +44,15 @@ __all__ = [
 @dataclass(frozen=True)
 class NormEstimate:
     estimate: float
-    iterations: int
+    iterations: int  # normal-operator applies
     converged: bool
+    residual: float | None = None  # relative residual of the Ritz pair; None if not measured
+
+
+# steps that the residual test and the top Ritz value must hold for before
+# the solver stops: a cluster's top member can enter the Krylov space late,
+# after a lower member's residual has already dipped below tol
+_HOLD_STEPS = 2
 
 
 def _random_field(grid: Grid, seed: int) -> Field:
@@ -64,35 +77,65 @@ def power_iteration(
     tol: float,
     max_iters: int,
 ) -> NormEstimate:
-    """Largest singular value of ``B`` from its normal operator ``B* B``.
+    """Largest singular value of ``B`` by Lanczos on its normal operator ``B* B``.
 
-    ``normal_apply`` must implement ``v -> B* B v``.  The estimate after
-    each step is ``sqrt(<v, B*Bv> / <v, v>)``; convergence means two
-    successive estimates differ by less than ``tol`` relatively.
+    ``normal_apply`` must implement ``v -> B* B v``.  Step k applies it once
+    and extends the three-term recurrence
+
+        beta_k v_{k+1} = B*B v_k - alpha_k v_k - beta_{k-1} v_{k-1}
+
+    with one re-orthogonalization against ``v_k``.  No basis is stored, so
+    the solver holds three fields whatever the step count; the top Ritz
+    value stays accurate without one while ``tol`` is well above
+    ``sqrt(eps)`` (Paige 1976).  With ``theta`` the top eigenvalue of the
+    k x k tridiagonal ``T_k`` and ``s`` its unit eigenvector, the estimate
+    is ``sqrt(theta)`` and the Ritz pair's relative residual
+    ``|B*B y - theta y| / (theta |y|)`` is ``beta_k |s_k| / theta``, read
+    off ``T_k`` without an apply.  The solver stops, converged, once that
+    residual has been at most ``tol`` for ``_HOLD_STEPS`` steps after the
+    first, with ``theta`` moving by less than ``tol * theta`` over them, or
+    on breakdown, ``beta_k <= eps * theta``, where the Krylov space is
+    invariant.  It never stops because two estimates agree.  ``iterations``
+    counts the applies.
     """
     if not tol > 0:  # a NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    v = start
-    v_norm = np.sqrt(inner_product(v, v).real)
-    if v_norm == 0:
-        raise ValueError("power iteration start vector is zero")
-    v = v * (1.0 / v_norm)
-    previous = None
-    estimate = 0.0
-    for it in range(1, max_iters + 1):
-        w = normal_apply(v)
-        rayleigh = inner_product(w, v).real
-        estimate = float(np.sqrt(max(rayleigh, 0.0)))
-        w_norm = np.sqrt(inner_product(w, w).real)
-        if w_norm == 0.0:
-            return NormEstimate(0.0, it, True)
-        v = w * (1.0 / w_norm)
-        if previous is not None and abs(estimate - previous) <= tol * max(estimate, 1e-300):
-            return NormEstimate(estimate, it, True)
-        previous = estimate
-    return NormEstimate(estimate, max_iters, False)
+    grid = start.grid
+    start_norm = np.linalg.norm(start.values)
+    if start_norm == 0:
+        raise ValueError("solver start vector is zero")
+    # the grid's cell volume scales both sides of every pairing, so plain
+    # sums over samples serve as the inner product
+    v = start.values / start_norm
+    v_prev = np.zeros_like(v)
+    alphas, betas, thetas = [], [], []
+    beta, held = 0.0, 0
+    for k in range(1, max_iters + 1):
+        w = normal_apply(Field(grid, v)).values - beta * v_prev
+        alpha = np.vdot(v, w).real
+        w -= alpha * v
+        correction = np.vdot(v, w)
+        w -= correction * v
+        alphas.append(alpha + correction.real)
+        beta = float(np.linalg.norm(w))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(t)
+        theta = max(float(ritz[-1]), 0.0)
+        thetas.append(theta)
+        if theta > 0:
+            residual = beta * abs(float(vecs[-1, -1])) / theta
+        else:
+            residual = 0.0 if beta == 0 else math.inf
+        if beta <= np.finfo(float).eps * theta:
+            return NormEstimate(float(np.sqrt(theta)), k, True, residual)
+        held = held + 1 if residual <= tol else 0
+        if held > _HOLD_STEPS and abs(theta - thetas[-1 - _HOLD_STEPS]) < tol * theta:
+            return NormEstimate(float(np.sqrt(theta)), k, True, residual)
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return NormEstimate(float(np.sqrt(theta)), max_iters, False, residual)
 
 
 def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, tol: float = 1e-6,

@@ -48,6 +48,7 @@ __all__ = [
     "check_jacobian_bound",
     "check_curvature",
     "check_symbol_class",
+    "sample_axis",
     "sphere_points",
 ]
 
@@ -555,6 +556,13 @@ def _multi_indices(dim: int, total: int):
             yield (head,) + rest
 
 
+def sample_axis(half_width: float, points: int) -> np.ndarray:
+    """``points`` equispaced samples of ``[-half_width, half_width]``."""
+    if not np.isfinite(2.0 * half_width):
+        raise ValueError(f"sampling width 2 * {half_width} is not finite")
+    return np.linspace(-half_width, half_width, points)
+
+
 def check_symbol_class(
     a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     spec: SymbolClassSpec,
@@ -581,8 +589,8 @@ def check_symbol_class(
             f"grid too coarse for derivative order {r}: need at least {spec.min_points} "
             f"points per axis, got ({x_points}, {xi_points})"
         )
-    x_axis = np.linspace(-x_half_width, x_half_width, x_points)
-    xi_axis = np.linspace(-xi_half_width, xi_half_width, xi_points)
+    x_axis = sample_axis(x_half_width, x_points)
+    xi_axis = sample_axis(xi_half_width, xi_points)
     hx = x_axis[1] - x_axis[0]
     hxi = xi_axis[1] - xi_axis[0]
 
@@ -597,6 +605,9 @@ def check_symbol_class(
           np.broadcast_to(xi_full, shape_x + shape_xi + (dim,))),
         dtype=np.complex128,
     )
+    if not np.all(np.isfinite(values)):
+        # a NaN sample fails every comparison below and would pass silently
+        raise ValueError("amplitude is not finite at every sample point")
 
     bx = np.sqrt(1.0 + np.sum(x_mesh**2, axis=-1))
     bxi = np.sqrt(1.0 + np.sum(xi_mesh**2, axis=-1))

@@ -225,6 +225,22 @@ REJECTED_CONFIGS = {
     "cotlar-infinite-half-width": (
         _with(COTLAR_CFG, "family", half_width=INF), "family.half_width"
     ),
+    # finite half widths whose spacing 2L / N or cell volume (2L / N)^n overflows
+    "egorov-overflowing-half-width": (
+        _with(EGOROV_CFG, "grid", half_width=1e308), "grid.half_width"
+    ),
+    "smoothing-overflowing-cell-volume": (
+        _with(SMOOTHING_CFG, "grid", half_width=1e200), "grid.half_width"
+    ),
+    "cotlar-overflowing-half-width": (
+        _with(COTLAR_CFG, "family", half_width=1e308), "family.half_width"
+    ),
+    "symbol-check-overflowing-x-half-width": (
+        _with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=1e308), "symbol_class.x_half_width"
+    ),
+    # non-finite numbers in fields the kind never reads still reach the report
+    "egorov-nan-unread-tol": ({**EGOROV_CFG, "tol": NAN}, "tol"),
+    "norm-infinite-unread-entry": ({**NORM_CFG, "notes": {"scale": [1.0, -INF]}}, "notes.scale[1]"),
 }
 
 
@@ -263,6 +279,19 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert report.results["estimates"][0] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["norm", "smoothing"])
+    def test_rows_carry_rel_residual(self, kind):
+        # a converged row's residual is within the config's tol
+        if kind == "norm":
+            cfg = {**_with(NORM_CFG, "operator", kind="bracket_multiplier"), "tol": 1e-7,
+                   "weights": {"m_in": 0.5, "m_out": -0.5}}
+        else:
+            cfg = {**SMOOTHING_CFG, "tol": 1e-5}
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert report.sweep_header[-2:] == ["rel_residual", "converged"]
+        for row in report.sweep_rows:
+            assert row[-1] and 0 <= row[-2] <= cfg["tol"]
 
     def test_invalid_config_raises(self):
         cfg = ExperimentConfig.from_dict(
@@ -404,12 +433,11 @@ class TestMainExitCodes:
     @pytest.mark.parametrize(
         "data, missing",
         [
-            # a grid spacing of 2e308 / 16 overflows while the family is built
-            (_with(COTLAR_CFG, "family", half_width=1e308), "bound"),
-            # the x sampling overflows into non-finite spacing and points
-            (_with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=1e308), "x_spacing"),
+            # x^2 overflows at every x sample, so sin(x^2) is NaN there
+            ({**_with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=1e200),
+              "amplitude": {"name": "oscillating_square"}}, "worst_constant"),
         ],
-        ids=["cotlar", "symbol-check"],
+        ids=["symbol-check"],
     )
     def test_whole_run_failure_is_exit_two(self, tmp_path, capsys, data, missing):
         path = write_config(tmp_path, data)

@@ -42,6 +42,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "dim, half_width, name",
+        [(1, 1e308, "dx"), (1, 1e-309, "dxi"), (3, 1e200, "cell_volume"),
+         (3, 1e-105, "spectral_weight")],
+    )
+    def test_rejects_non_finite_spacing_or_weight(self, dim, half_width, name):
+        with pytest.raises(ValueError, match=f"grid {name} must be finite and positive"):
+            make_grid(dim, half_width, 16)
+
     def test_frequency_range_symmetric(self):
         g = make_grid(1, 5.0, 16)
         axis = g.frequency_axis()

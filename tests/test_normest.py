@@ -4,12 +4,13 @@ import pytest
 import fiolab.dispersive
 import fiolab.normest
 from fiolab.dispersive import TimeWindow, smoothing_constant
-from fiolab.lattice import bracket, make_grid
+from fiolab.lattice import Field, bracket, make_grid
 from fiolab.normest import (
     NormEstimate,
     cotlar_bound,
     decompose_unity,
     operator_norm,
+    power_iteration,
     schur_bound,
 )
 from fiolab.operators import (
@@ -80,6 +81,75 @@ class TestOperatorNorm:
             operator_norm(identity_operator(g), max_iters=0)
         with pytest.raises(TypeError):  # max_iters and tol cannot be swapped by position
             operator_norm(identity_operator(g), 0.0, 0.0, 200, 1e-6)
+
+
+def _diagonal_solve(diag, start, tol, max_iters):
+    """Solve with the normal operator ``diag(diag)``; also return the apply count."""
+    g = make_grid(1, 4.0, len(diag))
+    applies = 0
+
+    def normal_apply(v):
+        nonlocal applies
+        applies += 1
+        return Field(g, diag * v.values)
+
+    est = power_iteration(normal_apply, Field(g, start), tol, max_iters)
+    return est, applies
+
+
+# top pair 1 and 1 - 1e-4 above a block at 0.25, probed from a start vector
+# that carries 1e-6 of the top eigenvector: a lower member's residual meets
+# tol at step 2, before the top eigenvalue shows in the Krylov space, which
+# holds all three eigenvalues exactly from step 3, inside the hold
+CLUSTER = np.array([1.0, 1.0 - 1e-4] + [0.25] * 14)
+CLUSTER_START = np.array([1e-6] + [1.0] * 15)
+
+
+class TestSolver:
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_dense_oracle(self, n):
+        g = make_grid(1, 4.0, n)
+        rng = np.random.default_rng(n)
+        tol = 1e-6
+        for trial in range(20):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            est = operator_norm(matrix_operator(g, m), tol=tol, seed=trial)
+            top = np.linalg.svd(m, compute_uv=False)[0]
+            assert est.converged and est.residual <= tol
+            assert abs(est.estimate - top) <= tol * top
+            assert est.estimate <= top * (1.0 + 1e-12)  # a Ritz value is a lower bound
+
+    def test_cluster_top_found_or_not_converged(self):
+        tol = 1e-8
+        est, _ = _diagonal_solve(CLUSTER, CLUSTER_START, tol, 100)
+        assert not est.converged or abs(est.estimate - 1.0) <= tol
+
+    def test_cluster_needs_the_hold(self, monkeypatch):
+        # without the hold the residual test alone stops on the lower member
+        monkeypatch.setattr(fiolab.normest, "_HOLD_STEPS", 0)
+        est, _ = _diagonal_solve(CLUSTER, CLUSTER_START, 1e-8, 100)
+        assert est.converged and est.estimate < 1.0 - 1e-5
+
+    def test_identity_breaks_down_after_one_apply(self):
+        est = operator_norm(identity_operator(make_grid(1, 5.0, 16)), tol=1e-10)
+        assert (est.estimate, est.iterations, est.converged) == (1.0, 1, True)
+
+    @pytest.mark.parametrize("max_iters", [3, 100])
+    def test_iterations_count_applies(self, max_iters):
+        est, applies = _diagonal_solve(np.linspace(0.1, 1.0, 16), np.ones(16), 1e-10, max_iters)
+        assert est.iterations == applies
+        assert est.converged == (max_iters == 100)
+
+    def test_ellipse_transform_applies(self):
+        # the criterion-4 transform at m = 0: power iteration took 62 applies
+        psi = gauss_phase(quadratic_form_symbol(np.diag([1.0, 4.0])))
+        h = canonical_transform_operator(psi, make_grid(2, 10.0, 32), "forward")
+        est = operator_norm(h, tol=1e-5, max_iters=150)
+        assert est.converged and est.iterations <= 45
+
+    def test_estimate_without_residual_constructs_positionally(self):
+        # reference solvers and test stubs build (estimate, iterations, converged)
+        assert NormEstimate(0.0, 0, False).residual is None
 
 
 class TestSchurBound:

@@ -339,6 +339,25 @@ class TestSymbolClass:
                 x_points=7, xi_points=7,
             )
 
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    def test_non_finite_amplitude_rejected(self):
+        # sin(x^2) is NaN where x^2 overflows; a NaN fails every bound
+        # comparison, so unchecked it would pass the class test
+        spec = SymbolClassSpec("S00", 1, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            check_symbol_class(
+                lambda x, xi: np.sin(np.sum(x * x, axis=-1)), spec, dim=1,
+                x_half_width=1e200, xi_half_width=5, x_points=9, xi_points=9,
+            )
+
+    def test_overflowing_sampling_width_rejected(self):
+        spec = SymbolClassSpec("S00", 1, 1.0)
+        with pytest.raises(ValueError, match="sampling width"):
+            check_symbol_class(
+                self.GOOD, spec, dim=1, x_half_width=1e308, xi_half_width=5,
+                x_points=9, xi_points=9,
+            )
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SymbolClassSpec("S00", 0, 1.0)
