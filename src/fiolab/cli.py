@@ -85,6 +85,7 @@ from fiolab.operators import (
     matrix_operator,
     multiplication_operator,
     multiplier_operator,
+    weight_operator,
 )
 from fiolab.symbols import (
     SymbolClassSpec,
@@ -174,6 +175,9 @@ _SEED = (lambda x: _is_int(x) and x >= 0, "nonnegative integer")
 _NUMBER = (_is_number, "finite number")
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "positive finite number")
 _NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative finite number")
+# a packet width sigma enters as sigma^2, which must not underflow to 0
+_WIDTH = (lambda x: _is_number(x) and x > 0 and x * x > 0,
+          "positive finite number whose square is nonzero")
 _GRID_POINTS = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "even integer >= 4")
 
 
@@ -282,7 +286,7 @@ def _prepare_egorov(r: _Reader, raw: dict, seed: int, threads: int):
     grids, half = _read_grids(r, raw)
     p = _read_symbol(r, raw, grids)
     data = r.section(raw, "data", {})
-    sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
+    sigma = float(r.read(data, "data.sigma", _WIDTH, 1.2))
     carrier = r.read(data, "data.carrier", _vector(grids[0].dim), None) if grids else None
 
     def body(report: ReportRecord):
@@ -367,6 +371,9 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
     weights = r.section(raw, "weights", {})
     m_in = float(r.read(weights, "weights.m_in", _NUMBER, 0.0))
     m_out = float(r.read(weights, "weights.m_out", _NUMBER, 0.0))
+    # the weights <x>^{m_out} and <x>^{-m_in} must be finite on every grid
+    r.build("weights.m_out", lambda m: [weight_operator(g, m) for g in grids], m_out)
+    r.build("weights.m_in", lambda m: [weight_operator(g, -m) for g in grids], m_in)
     tol = float(r.read(raw, "tol", _POSITIVE, 1e-6))
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 200)
 

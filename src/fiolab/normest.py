@@ -22,13 +22,13 @@ solves for a K-member family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from fiolab.lattice import Field, Grid
-from fiolab.operators import OperatorHandle, add, compose, weight_operator
+from fiolab.operators import OperatorHandle, add, adjoint, compose, weight_operator
 
 __all__ = [
     "NormEstimate",
@@ -61,14 +61,9 @@ def _random_field(grid: Grid, seed: int) -> Field:
     return Field(grid, vals)
 
 
-def _adjoint(h: OperatorHandle) -> OperatorHandle:
-    """The handle of ``h*``: apply and adjoint swapped."""
-    return replace(h, apply=h.apply_adjoint, apply_adjoint=h.apply, label=f"({h.label})*")
-
-
 def _normal_apply(b: OperatorHandle) -> Callable[[Field], Field]:
     """``v -> B* B v``, the operator whose top eigenvalue is ``|B|^2``."""
-    return compose(_adjoint(b), b).apply
+    return compose(adjoint(b), b).apply
 
 
 def power_iteration(
@@ -210,9 +205,9 @@ def cotlar_bound(family: Mapping, *, tol: float = 1e-8, max_iters: int = 400,
     gamma: dict[tuple, float] = {}
     for a, (i, ti) in enumerate(members):
         for j, tj in members[a:]:
-            products = [compose(_adjoint(ti), tj)]
+            products = [compose(adjoint(ti), tj)]
             if j != i:
-                products.append(compose(ti, _adjoint(tj)))
+                products.append(compose(ti, adjoint(tj)))
             pair = [power_iteration(_normal_apply(b), start, tol, max_iters) for b in products]
             estimates += pair
             candidate = float(np.sqrt(max(est.estimate for est in pair)))

@@ -2,11 +2,14 @@
 operators, oscillatory integral operators, phase-and-amplitude integral
 operators, and canonical transforms.
 
-Every operator is exposed through :class:`OperatorHandle`, a linear map with
-an ``apply`` and an ``apply_adjoint`` closure.  Adjoints are the exact
-conjugate-transpose of the discrete quadrature with respect to the
-``dx^n``-weighted inner product, never an analytic formula, so the pairing
-identity ``<T u, v> = <u, T* v>`` holds to rounding error by construction.
+Every operator is an :class:`OperatorHandle`, a linear map with an ``apply``
+and an ``apply_adjoint`` closure, built once per grid by its builder and
+applied any number of times: ``multiplier_operator(u.grid, a).apply(u)``
+applies a multiplier once.  Adjoints are the exact conjugate-transpose of
+the discrete quadrature with respect to the ``dx^n``-weighted inner product,
+never an analytic formula, so the pairing identity ``<T u, v> = <u, T* v>``
+holds to rounding error by construction.  :func:`adjoint`, :func:`compose`,
+:func:`scale` and :func:`add` build new handles from old ones.
 
 Canonical transforms evaluate the input spectrum at the mapped frequency
 points by exact trigonometric sums (band-limited interpolation).  Two
@@ -19,12 +22,12 @@ frequency-domain conventions apply throughout:
   vanishes beyond the box rather than wrapping around).
 
 Accuracy of a canonical transform is therefore limited by the field's
-spectral tail, which is measured and recorded in the result metadata.
+spectral tail.  Each apply records it, and the number of mapped points
+that left the box, in the result's ``Field.meta``; neither is ever warned.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
@@ -35,6 +38,7 @@ from fiolab.lattice import (
     Field,
     Grid,
     SpectralField,
+    bracket,
     forward_transform,
     inverse_transform,
     nyquist_mask,
@@ -46,12 +50,6 @@ from fiolab.symbols import CanonicalMap, invert_map_batch
 __all__ = [
     "OperatorHandle",
     "Amplitude",
-    "SpectralTailWarning",
-    "apply_multiplier",
-    "apply_canonical_transform",
-    "apply_pseudo",
-    "apply_oscillatory",
-    "apply_fio",
     "identity_operator",
     "multiplier_operator",
     "multiplication_operator",
@@ -62,6 +60,7 @@ __all__ = [
     "fio_operator",
     "matrix_operator",
     "kernel_operator",
+    "adjoint",
     "compose",
     "scale",
     "add",
@@ -69,10 +68,6 @@ __all__ = [
 ]
 
 FULL_ARITY_MAX_POINTS = 128
-
-
-class SpectralTailWarning(UserWarning):
-    """Input field carries non-negligible energy in the outer frequency shell."""
 
 
 @dataclass(frozen=True)
@@ -144,48 +139,42 @@ def evaluate_multiplier(a, grid: Grid, value_at_zero=None) -> np.ndarray:
     return vals
 
 
-def apply_multiplier(a, u: Field, value_at_zero=None) -> Field:
-    """Apply the Fourier multiplier ``u -> F^{-1}[a(xi) F u]``."""
-    return multiplier_operator(u.grid, a, value_at_zero).apply(u)
-
-
 def multiplier_operator(
     grid: Grid, a, value_at_zero=None, label: str = "multiplier"
 ) -> OperatorHandle:
     vals = evaluate_multiplier(a, grid, value_at_zero)
 
-    def _apply(u: Field) -> Field:
-        spec = forward_transform(u).values * vals
-        return inverse_transform(SpectralField(grid, spec))
+    def times(mult: np.ndarray) -> Callable[[Field], Field]:
+        return lambda u: inverse_transform(SpectralField(grid, forward_transform(u).values * mult))
 
-    def _adjoint(u: Field) -> Field:
-        spec = forward_transform(u).values * np.conj(vals)
-        return inverse_transform(SpectralField(grid, spec))
-
-    return OperatorHandle(grid, _apply, _adjoint, label=label)
+    return OperatorHandle(grid, times(vals), times(np.conj(vals)), label=label)
 
 
 def multiplication_operator(grid: Grid, w, label: str = "multiplication") -> OperatorHandle:
-    """Pointwise multiplication by a spatial weight (callable or array)."""
+    """Pointwise multiplication by a spatial weight (callable or array).
+
+    A non-finite value is an error naming the offending point.
+    """
     if callable(w):
         vals = np.asarray(w(grid.spatial_mesh()), dtype=np.complex128)
     else:
         vals = np.asarray(w, dtype=np.complex128).reshape(grid.shape)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        point = grid.spatial_mesh()[tuple(np.argwhere(bad)[0])]
+        raise ValueError(f"{label} is not finite at x = {point.tolist()}")
 
-    def _apply(u: Field) -> Field:
-        return Field(grid, u.values * vals)
+    def times(mult: np.ndarray) -> Callable[[Field], Field]:
+        return lambda u: Field(grid, u.values * mult)
 
-    def _adjoint(u: Field) -> Field:
-        return Field(grid, u.values * np.conj(vals))
-
-    return OperatorHandle(grid, _apply, _adjoint, label=label)
+    return OperatorHandle(grid, times(vals), times(np.conj(vals)), label=label)
 
 
 def weight_operator(grid: Grid, m: float) -> OperatorHandle:
-    """Multiplication by the bracket weight ``<x>^m``."""
-    from fiolab.lattice import bracket
-
-    vals = bracket(grid.spatial_mesh()) ** m
+    """Multiplication by the bracket weight ``<x>^m``; an ``m`` for which it
+    overflows somewhere in the box is an error naming that point."""
+    with np.errstate(over="ignore"):
+        vals = bracket(grid.spatial_mesh()) ** m
     return multiplication_operator(grid, vals, label=f"<x>^{m}")
 
 
@@ -212,36 +201,20 @@ def _canonical_targets(m: CanonicalMap, grid: Grid, direction: str) -> np.ndarra
     return targets
 
 
-def apply_canonical_transform(
-    m: CanonicalMap,
-    u: Field,
-    direction: Literal["forward", "inverse"] = "forward",
-    tail_threshold: float = 1e-6,
-) -> Field:
-    """Canonical transform ``u -> F^{-1}[(F u)(psi(xi))]`` (or with psi^{-1}).
-
-    The spectrum of ``u`` is evaluated at the mapped frequency points by
-    exact trigonometric sums, at O(N^{2n}) cost.  The result metadata
-    records the input spectral tail and the number of mapped points that
-    left the frequency box.
-    """
-    return canonical_transform_operator(m, u.grid, direction, tail_threshold).apply(u)
-
-
 def canonical_transform_operator(
     m: CanonicalMap,
     grid: Grid,
     direction: Literal["forward", "inverse"] = "forward",
-    tail_threshold: float = np.inf,
 ) -> OperatorHandle:
-    """Reusable canonical-transform handle.
+    """Canonical transform ``u -> F^{-1}[(F u)(psi(xi))]`` (or with ``psi^{-1}``).
 
-    The mapped frequencies and their factored phase tables are computed
-    once; the full tables are kept, or rebuilt per target chunk on each
-    apply when they are large (see ``fiolab._dense``).
-
-    The handle suppresses tail warnings by default (tail_threshold=inf)
-    since norm estimation drives it with rough random fields on purpose.
+    The spectrum of ``u`` is evaluated at the mapped frequency points by
+    exact trigonometric sums, at O(N^{2n}) cost per apply.  The mapped
+    frequencies and their factored phase tables are computed once; the full
+    tables are kept, or rebuilt per target chunk on each apply when they are
+    large (see ``fiolab._dense``).  Each apply records the input's spectral
+    tail (``spectral_tail``) and the number of mapped points that left the
+    frequency box (``out_of_box_modes``) in the result's ``Field.meta``.
     """
     targets = _canonical_targets(m, grid, direction)
     xi_max = grid.dxi * grid.points_per_axis / 2.0
@@ -253,22 +226,11 @@ def canonical_transform_operator(
     def _apply(u: Field) -> Field:
         spec_raw = forward_transform(u).values
         tail = spectral_tail_fraction(SpectralField(grid, spec_raw))
-        if tail > tail_threshold:
-            warnings.warn(
-                f"spectral tail fraction {tail:.3e} exceeds {tail_threshold:.1e}; "
-                "canonical transform accuracy is limited by the tail",
-                SpectralTailWarning,
-                stacklevel=3,
-            )
         filtered = inverse_transform(SpectralField(grid, zero_nyquist(spec_raw, grid)))
         out_spec = np.zeros(grid.size, dtype=np.complex128)
         out_spec[in_box] = table.analysis(filtered.values)
         out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
-        meta = {
-            "spectral_tail": tail,
-            "tail_warning": tail > tail_threshold,
-            "out_of_box_modes": out_of_box_count,
-        }
+        meta = {"spectral_tail": tail, "out_of_box_modes": out_of_box_count}
         return Field(grid, out.values, meta)
 
     def _adjoint(v: Field) -> Field:
@@ -312,13 +274,11 @@ def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: f
     return apply, adjoint
 
 
-def apply_pseudo(a: Amplitude, u: Field) -> Field:
-    """Pseudo-differential action ``(2pi)^{-n} sum_k e^{i x xi_k} a(x, xi_k) uhat_k dxi^n``."""
-    return pseudo_operator(u.grid, a).apply(u)
-
-
 def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> OperatorHandle:
-    """Quantization ``a(X, D)``: the dense kernel with phase ``x . xi`` from frequency to space."""
+    """Quantization ``a(X, D)``: the dense kernel with phase ``x . xi`` from frequency to space,
+
+        (a(X, D) u)(x) = (2pi)^{-n} sum_k e^{i x . xi_k} a(x, xi_k) uhat_k dxi^n.
+    """
     if a.arity != "x_xi":
         raise ValueError(f"pseudo_operator needs an a(x,xi) amplitude, got arity {a.arity!r}")
     apply, adjoint = _dense_kernel(
@@ -337,17 +297,13 @@ def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> Opera
     )
 
 
-def apply_oscillatory(phase, amplitude, u: Field) -> Field:
+def oscillatory_operator(grid: Grid, phase, amplitude, label: str = "oscillatory") -> OperatorHandle:
     """Oscillatory quadrature ``sum_l exp(i phi(x_j, y_l)) a(x_j, y_l) u_l dy^n``.
 
     ``phase`` and ``amplitude`` are callables on stacked vectors (broadcast
     against each other); output lives on the same spatial grid.  Dense
     quadrature, intended for modest grids.
     """
-    return oscillatory_operator(u.grid, phase, amplitude).apply(u)
-
-
-def oscillatory_operator(grid: Grid, phase, amplitude, label: str = "oscillatory") -> OperatorHandle:
     pts = grid.spatial_vectors()
     apply, adjoint = _dense_kernel(phase, amplitude, pts, pts, grid.cell_volume, grid.cell_volume)
     return OperatorHandle(
@@ -386,16 +342,9 @@ def _fio_analysis(grid: Grid, phase, amp) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
-def apply_fio(phase, amplitude: Amplitude, u: Field) -> Field:
-    """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a u(y) dy dxi``.
-
-    See :func:`fio_operator` for how each amplitude arity is applied.
-    """
-    return fio_operator(u.grid, phase, amplitude).apply(u)
-
-
 def fio_operator(grid: Grid, phase, amplitude: Amplitude) -> OperatorHandle:
-    """Handle form of :func:`apply_fio` with the exact discrete adjoint.
+    """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a u(y) dy dxi``,
+    with the exact discrete adjoint.
 
     ``phase(y, xi)`` takes stacked vectors of shape (..., n), broadcast
     against each other, and returns real values.  Built by composition
@@ -470,6 +419,11 @@ def kernel_operator(grid: Grid, kernel: np.ndarray, label: str = "kernel") -> Op
 # ---------------------------------------------------------------------------
 
 
+def adjoint(h: OperatorHandle) -> OperatorHandle:
+    """The handle of ``h*``: apply and adjoint swapped."""
+    return replace(h, apply=h.apply_adjoint, apply_adjoint=h.apply, label=f"({h.label})*")
+
+
 def compose(*handles: OperatorHandle) -> OperatorHandle:
     """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first)."""
     if not handles:
@@ -504,15 +458,9 @@ def add(*handles: OperatorHandle) -> OperatorHandle:
     grid = handles[0].grid
 
     def _apply(u: Field) -> Field:
-        acc = handles[0].apply(u)
-        for h in handles[1:]:
-            acc = acc + h.apply(u)
-        return acc
+        return sum((h.apply(u) for h in handles[1:]), handles[0].apply(u))
 
     def _adjoint(v: Field) -> Field:
-        acc = handles[0].apply_adjoint(v)
-        for h in handles[1:]:
-            acc = acc + h.apply_adjoint(v)
-        return acc
+        return sum((h.apply_adjoint(v) for h in handles[1:]), handles[0].apply_adjoint(v))
 
     return OperatorHandle(grid, _apply, _adjoint, label=" + ".join(h.label for h in handles))

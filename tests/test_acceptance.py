@@ -23,11 +23,10 @@ from fiolab.dispersive import (
 from fiolab.lattice import Field, make_grid, norm
 from fiolab.normest import cotlar_bound, operator_norm, schur_bound
 from fiolab.operators import (
-    apply_canonical_transform,
-    apply_multiplier,
     canonical_transform_operator,
     matrix_operator,
     multiplication_operator,
+    multiplier_operator,
     weight_operator,
 )
 from fiolab.symbols import (
@@ -81,8 +80,8 @@ def test_criterion_02_conjugation_identity():
         u = gaussian_field(grid, sigma=PACKET_SIGMA, carrier=PACKET_CARRIER)
         t_fwd = canonical_transform_operator(psi, grid, "forward")
         t_inv = canonical_transform_operator(psi, grid, "inverse")
-        conjugated = t_fwd.apply(apply_multiplier(sym, t_inv.apply(u)))
-        reference = apply_multiplier(pulled, u, value_at_zero=1.0)
+        conjugated = t_fwd.apply(multiplier_operator(grid, sym).apply(t_inv.apply(u)))
+        reference = multiplier_operator(grid, pulled, value_at_zero=1.0).apply(u)
         errors[n_pts] = norm(conjugated - reference) / norm(u)
     ok = errors[64] < 1e-3 and errors[128] < errors[64]
     assert verdict(
@@ -101,7 +100,7 @@ def test_criterion_03_dilation_norm_law():
     # that value to exactly 1).
     grid = make_grid(1, 10.0, 128)
     probe = gaussian_field(grid, sigma=0.8)
-    image = apply_canonical_transform(scaling_map(2.0, 1), probe)
+    image = canonical_transform_operator(scaling_map(2.0, 1), grid).apply(probe)
     measured = norm(image) / norm(probe)
     expected = 2.0**-0.5
     ok = abs(measured - expected) <= 0.01 * expected
@@ -321,7 +320,9 @@ def test_criterion_09_transform_path_equivalence():
     total = 0.0
     for w_j, v_j in zip(window.weights(), classical.slices):
         traced = weight_back.apply(
-            apply_half_derivative_ratio(p, t_fwd.apply(apply_multiplier(half_bracket, v_j)))
+            apply_half_derivative_ratio(
+                p, t_fwd.apply(multiplier_operator(grid, half_bracket).apply(v_j))
+            )
         )
         total += w_j * norm(traced) ** 2
     via_transform = float(np.sqrt(total))

@@ -155,6 +155,8 @@ def _with(base, section, **fields):
 REJECTED_CONFIGS = {
     "egorov-carrier-length": (_with(EGOROV_CFG, "data", carrier=[1.0, 2.0]), "data.carrier"),
     "egorov-sigma-zero": (_with(EGOROV_CFG, "data", sigma=0), "data.sigma"),
+    # sigma^2 underflows to 0, so the packet centre would be 0/0
+    "egorov-underflowing-sigma": (_with(EGOROV_CFG, "data", sigma=1e-200), "data.sigma"),
     "egorov-no-points": (_with(EGOROV_CFG, "grid", points=[]), "grid.points"),
     "egorov-perturbed-no-base": ({**EGOROV_CFG, "symbol": PERTURBED_NO_BASE}, "symbol"),
     "smoothing-perturbed-no-base": (
@@ -221,6 +223,13 @@ REJECTED_CONFIGS = {
         _with(SMOOTHING_CFG, "window", horizon=1e308), "window.horizon"
     ),
     "norm-nan-m-in": ({**NORM_CFG, "weights": {"m_in": NAN}}, "weights.m_in"),
+    # finite exponents whose weight <x>^m_out or <x>^-m_in overflows at the box corner
+    "norm-overflowing-m-out": (
+        {**_with(NORM_CFG, "grid", half_width=10.0), "weights": {"m_out": 800}}, "weights.m_out"
+    ),
+    "norm-overflowing-m-in": (
+        {**_with(NORM_CFG, "grid", half_width=10.0), "weights": {"m_in": -800}}, "weights.m_in"
+    ),
     "norm-infinite-tol": ({**NORM_CFG, "tol": INF}, "tol"),
     "cotlar-infinite-half-width": (
         _with(COTLAR_CFG, "family", half_width=INF), "family.half_width"

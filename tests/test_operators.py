@@ -11,13 +11,7 @@ from fiolab.lattice import (
 from fiolab.normest import operator_norm
 from fiolab.operators import (
     Amplitude,
-    SpectralTailWarning,
     add,
-    apply_canonical_transform,
-    apply_fio,
-    apply_multiplier,
-    apply_oscillatory,
-    apply_pseudo,
     canonical_transform_operator,
     compose,
     fio_operator,
@@ -43,14 +37,14 @@ class TestMultiplier:
     def test_unit_multiplier_is_identity(self):
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=0)
-        out = apply_multiplier(lambda xi: np.ones(xi.shape[:-1]), u)
+        out = multiplier_operator(g, lambda xi: np.ones(xi.shape[:-1])).apply(u)
         assert np.max(np.abs(out.values - u.values)) < 1e-13 * np.max(np.abs(u.values))
 
     def test_laplacian_eigenmode(self):
         g = make_grid(1, 8.0, 64)
         k = 3 * g.dxi
         mode = Field(g, np.exp(1j * k * g.spatial_mesh()[..., 0]))
-        out = apply_multiplier(lambda xi: np.sum(xi * xi, axis=-1), mode)
+        out = multiplier_operator(g, lambda xi: np.sum(xi * xi, axis=-1)).apply(mode)
         np.testing.assert_allclose(out.values, k**2 * mode.values, atol=1e-12 * k**2)
 
     def test_half_bracket_on_gaussian_matches_quadrature(self):
@@ -59,7 +53,7 @@ class TestMultiplier:
         expected = 1.1527419707379634
         g = make_grid(1, 12.0, 512)
         u = gaussian_field(g, sigma=1.0)
-        out = apply_multiplier(lambda xi: (1 + np.sum(xi * xi, axis=-1)) ** 0.25, u)
+        out = multiplier_operator(g, lambda xi: (1 + np.sum(xi * xi, axis=-1)) ** 0.25).apply(u)
         center = g.points_per_axis // 2
         assert out.values[center].real == pytest.approx(expected, rel=1e-6)
         assert abs(out.values[center].imag) < 1e-10
@@ -67,23 +61,22 @@ class TestMultiplier:
     def test_non_finite_multiplier_names_frequency(self):
         g = make_grid(1, 4.0, 8)
         with pytest.raises(ValueError, match="not finite at frequency"):
-            apply_multiplier(lambda xi: 1.0 / np.sum(xi * xi, axis=-1), random_field(g))
+            multiplier_operator(g, lambda xi: 1.0 / np.sum(xi * xi, axis=-1)).apply(random_field(g))
 
     def test_explicit_zero_frequency_value(self):
         g = make_grid(1, 4.0, 8)
         u = random_field(g, seed=2)
-        out = apply_multiplier(
-            lambda xi: np.sqrt(np.sum(xi * xi, axis=-1)), u, value_at_zero=0.0
-        )
+        out = multiplier_operator(
+            g, lambda xi: np.sqrt(np.sum(xi * xi, axis=-1)), value_at_zero=0.0
+        ).apply(u)
         assert np.all(np.isfinite(out.values))
 
 
 class TestCanonicalTransform:
-    @pytest.mark.filterwarnings("ignore::fiolab.operators.SpectralTailWarning")
     def test_identity_map_is_identity(self):
         g = make_grid(2, 6.0, 32)
         u = random_field(g, seed=4, nyquist_free=True)
-        out = apply_canonical_transform(identity_map(2), u)
+        out = canonical_transform_operator(identity_map(2), g).apply(u)
         assert norm(out - u) / norm(u) < 1e-12
 
     def test_dilation_identity_on_bump(self):
@@ -91,37 +84,43 @@ class TestCanonicalTransform:
         g = make_grid(1, 12.0, 128)
         x = g.spatial_mesh()[..., 0]
         u = Field(g, np.exp(-(x**2) / (2 * 0.8**2)))
-        out = apply_canonical_transform(scaling_map(2.0, 1), u)
+        out = canonical_transform_operator(scaling_map(2.0, 1), g).apply(u)
         expected = 0.5 * np.exp(-((x / 2.0) ** 2) / (2 * 0.8**2))
         assert np.max(np.abs(out.values - expected)) < 1e-8
 
-    @pytest.mark.filterwarnings("ignore::fiolab.operators.SpectralTailWarning")
     def test_grid_preserving_rotation(self):
         # oracle: substitution eta = R xi gives T u = u o R, exact for the
         # quarter-turn that permutes grid frequencies
         g = make_grid(2, 6.0, 32)
         u = random_field(g, seed=5, nyquist_free=True)
         rot = linear_map(np.array([[0.0, -1.0], [1.0, 0.0]]), label="rot90")
-        out = apply_canonical_transform(rot, u)
+        out = canonical_transform_operator(rot, g).apply(u)
         n_pts = g.points_per_axis
         idx = np.arange(n_pts)
         neg = (n_pts - idx) % n_pts  # index of -x on the periodic grid
         composed = u.values[neg[np.newaxis, :], idx[:, np.newaxis]]
         assert np.max(np.abs(out.values - composed)) < 1e-10 * np.max(np.abs(u.values))
 
-    def test_tail_warning_recorded(self):
+    def test_rough_field_tail_recorded(self):
         g = make_grid(1, 6.0, 16)
         u = random_field(g, seed=6)  # rough field, strong tail
-        with pytest.warns(SpectralTailWarning):
-            out = apply_canonical_transform(scaling_map(1.5, 1), u)
-        assert out.meta["tail_warning"]
-        assert out.meta["spectral_tail"] > 1e-6
+        out = canonical_transform_operator(scaling_map(1.5, 1), g).apply(u)
+        assert out.meta["spectral_tail"] == pytest.approx(0.0688192, rel=1e-5)
 
-    def test_smooth_field_no_warning(self):
+    def test_smooth_field_tail_recorded(self):
+        # a unit Gaussian's outer shell holds rounding noise only (4.2e-33)
         g = make_grid(1, 10.0, 64)
         u = gaussian_field(g, sigma=1.0)
-        out = apply_canonical_transform(scaling_map(1.5, 1), u)
-        assert not out.meta["tail_warning"]
+        out = canonical_transform_operator(scaling_map(1.5, 1), g).apply(u)
+        assert out.meta["spectral_tail"] < 1e-30
+
+    @pytest.mark.parametrize("dim, expected", [(1, 9), (2, 16**2 - 7**2)])
+    def test_dilation_out_of_box_modes(self, dim, expected):
+        # psi(xi) = 2 xi keeps index k in the box only for |2k| < N/2: 7 of
+        # the 16 indices per axis; the rest are counted, however smooth u is
+        g = make_grid(dim, 6.0, 16)
+        out = canonical_transform_operator(scaling_map(2.0, dim), g).apply(gaussian_field(g, 1.0))
+        assert out.meta["out_of_box_modes"] == expected
 
     def test_inverse_then_forward_refines_to_identity(self):
         psi = gauss_phase(ELLIPSE)
@@ -151,7 +150,7 @@ class TestCanonicalTransform:
         # c^{-n/2}; localized band-limited probes reproduce that exactly
         g = make_grid(1, 10.0, 128)
         u = gaussian_field(g, sigma=0.8)
-        out = apply_canonical_transform(scaling_map(2.0, 1), u)
+        out = canonical_transform_operator(scaling_map(2.0, 1), g).apply(u)
         assert norm(out) / norm(u) == pytest.approx(2.0**-0.5, rel=1e-6)
 
     def test_dilation_power_iteration_finds_comb_sector(self):
@@ -170,17 +169,17 @@ class TestPseudo:
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=0)
         sym = lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1))
-        out = apply_pseudo(Amplitude.of_x_xi(lambda x, xi: sym(xi)), u)
-        ref = apply_multiplier(sym, u)
+        out = pseudo_operator(g, Amplitude.of_x_xi(lambda x, xi: sym(xi))).apply(u)
+        ref = multiplier_operator(g, sym).apply(u)
         assert norm(out - ref) / norm(ref) < 1e-12
 
     def test_space_only_symbol_equals_pointwise_product(self):
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=1)
         b = lambda x: np.sin(np.sum(x, axis=-1))
-        out = apply_pseudo(
-            Amplitude.of_x_xi(lambda x, xi: b(x) * np.ones(xi.shape[:-1])), u
-        )
+        out = pseudo_operator(
+            g, Amplitude.of_x_xi(lambda x, xi: b(x) * np.ones(xi.shape[:-1]))
+        ).apply(u)
         expected = b(g.spatial_mesh()) * u.values
         assert np.max(np.abs(out.values - expected)) < 1e-12 * np.max(np.abs(u.values))
 
@@ -189,8 +188,8 @@ class TestPseudo:
         u = random_field(g, seed=2)
         b = lambda x: np.cos(np.sum(x, axis=-1))
         c = lambda xi: np.exp(-np.sum(xi * xi, axis=-1))
-        out = apply_pseudo(Amplitude.of_x_xi(lambda x, xi: b(x) * c(xi)), u)
-        ref = b(g.spatial_mesh()) * apply_multiplier(c, u).values
+        out = pseudo_operator(g, Amplitude.of_x_xi(lambda x, xi: b(x) * c(xi))).apply(u)
+        ref = b(g.spatial_mesh()) * multiplier_operator(g, c).apply(u).values
         assert np.max(np.abs(out.values - ref)) < 1e-12 * np.max(np.abs(u.values))
 
     def test_norm_uniform_across_refinement(self):
@@ -211,17 +210,19 @@ class TestPseudo:
     def test_wrong_arity_rejected(self):
         g = make_grid(1, 4.0, 8)
         with pytest.raises(ValueError, match="arity"):
-            apply_pseudo(Amplitude.of_y_xi(lambda y, xi: ones_amp(y, xi)), random_field(g))
+            pseudo_operator(g, Amplitude.of_y_xi(lambda y, xi: ones_amp(y, xi))).apply(
+                random_field(g)
+            )
 
 
 class TestOscillatory:
     def test_zero_amplitude_gives_zero(self):
         g = make_grid(1, 4.0, 16)
-        out = apply_oscillatory(
+        out = oscillatory_operator(
+            g,
             lambda x, y: np.sum(x * y, axis=-1),
             lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-            random_field(g),
-        )
+        ).apply(random_field(g))
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_fourier_phase_matches_transform_on_aligned_grid(self):
@@ -231,7 +232,7 @@ class TestOscillatory:
         g = make_grid(1, np.sqrt(np.pi * n_pts / 2), n_pts)
         assert g.dx == pytest.approx(g.dxi)
         u = Field(g, np.exp(-g.spatial_mesh()[..., 0] ** 2))
-        out = apply_oscillatory(lambda x, y: -np.sum(x * y, axis=-1), ones_amp, u)
+        out = oscillatory_operator(g, lambda x, y: -np.sum(x * y, axis=-1), ones_amp).apply(u)
         spec = forward_transform(u).values
         assert np.max(np.abs(out.values - spec)) < 1e-10
 
@@ -260,8 +261,8 @@ class TestFio:
             lambda x, xi: np.exp(-0.1 * np.sum(x * x, axis=-1))
             / (1.0 + np.sum(xi * xi, axis=-1))
         )
-        out = apply_fio(phase, amp, u)
-        ref = apply_pseudo(amp, u) * (2 * np.pi)
+        out = fio_operator(g, phase, amp).apply(u)
+        ref = pseudo_operator(g, amp).apply(u) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-10
 
     def test_canonical_phase_reduces_to_transform(self):
@@ -281,8 +282,8 @@ class TestFio:
             mapped = out.reshape(xi.shape)
             return -np.sum(y * mapped, axis=-1)
 
-        out = apply_fio(phase_eval, Amplitude.of_y_xi(ones_amp), u)
-        ref = apply_canonical_transform(psi, u) * (2 * np.pi) ** 2
+        out = fio_operator(g, phase_eval, Amplitude.of_y_xi(ones_amp)).apply(u)
+        ref = canonical_transform_operator(psi, g).apply(u) * (2 * np.pi) ** 2
         assert norm(out - ref) / norm(ref) < 1e-8
 
     def test_factorization_identity(self):
@@ -294,12 +295,12 @@ class TestFio:
             + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        out = apply_fio(phase, Amplitude.of_x_xi(a_func), u)
+        out = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
 
         from fiolab.operators import _fio_analysis
 
         w = _fio_analysis(g, phase, None).apply(u)
-        ref = apply_pseudo(Amplitude.of_x_xi(a_func), w) * (2 * np.pi)
+        ref = pseudo_operator(g, Amplitude.of_x_xi(a_func)).apply(w) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-8
 
     def test_full_arity_matches_factorized_path(self):
@@ -310,12 +311,12 @@ class TestFio:
             + 0.3 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        out_fact = apply_fio(phase, Amplitude.of_x_xi(a_func), u)
+        out_fact = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
         full = Amplitude.full(
             lambda x, y, xi: a_func(x, xi)
             * np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xi.shape[:-1]))
         )
-        out_full = apply_fio(phase, full, u)
+        out_full = fio_operator(g, phase, full).apply(u)
         assert norm(out_full - out_fact) / norm(out_fact) < 1e-12
 
     def test_size_guard_refuses_large_full_arity(self):
@@ -323,7 +324,7 @@ class TestFio:
         amp = Amplitude.full(lambda x, y, xi: ones_amp(x, y) * np.ones(xi.shape[:-1]))
         phase = lambda y, xi: -np.sum(y * xi, axis=-1)
         with pytest.raises(ValueError, match="refusing"):
-            apply_fio(phase, amp, random_field(g))
+            fio_operator(g, phase, amp).apply(random_field(g))
 
     def test_full_arity_needs_dim_one(self):
         g = make_grid(2, 3.0, 8)
@@ -334,7 +335,7 @@ class TestFio:
         )
         phase = lambda y, xi: -np.sum(y * xi, axis=-1)
         with pytest.raises(ValueError, match="dim 1"):
-            apply_fio(phase, amp, random_field(g))
+            fio_operator(g, phase, amp).apply(random_field(g))
 
 
 def probe_handles(grid):
@@ -420,12 +421,12 @@ class TestConjugationIdentity:
             u = gaussian_field(g, sigma=1.2, carrier=[5.0, 0.0])
             t_fwd = canonical_transform_operator(psi, g, "forward")
             t_inv = canonical_transform_operator(psi, g, "inverse")
-            conjugated = t_fwd.apply(apply_multiplier(sym, t_inv.apply(u)))
-            pulled_back = apply_multiplier(
+            conjugated = t_fwd.apply(multiplier_operator(g, sym).apply(t_inv.apply(u)))
+            pulled_back = multiplier_operator(
+                g,
                 lambda xi: (1.0 + ELLIPSE.evaluate(xi) ** 2) ** 0.25,
-                u,
                 value_at_zero=1.0,
-            )
+            ).apply(u)
             errors[n_pts] = norm(conjugated - pulled_back) / norm(u)
         assert errors[64] < 1e-3
         assert errors[128] < errors[64]
