@@ -54,7 +54,7 @@ class TrigTable:
 
     Only the factor tables are always kept; the full tables are kept when
     they hold fewer than ``_RESIDENT_ENTRIES`` entries.  Nothing is written
-    after construction, so one table can serve several threads.
+    after construction.
     """
 
     def __init__(self, grid: Grid, targets: np.ndarray):

@@ -69,7 +69,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args
@@ -124,13 +123,12 @@ class ExperimentConfig:
     kind: str
     raw: object  # the parsed JSON; anything but a mapping is a config error
     seed: int | None = None  # overrides the config's "seed" when set
-    threads: int = 1
 
     @staticmethod
-    def from_dict(data, kind: str | None = None, seed: int | None = None, threads: int = 1):
+    def from_dict(data, kind: str | None = None, seed: int | None = None):
         raw = dict(data) if isinstance(data, dict) else data
         actual_kind = kind or (raw.get("kind", "") if isinstance(raw, dict) else "")
-        return ExperimentConfig(actual_kind, raw, seed, max(int(threads), 1))
+        return ExperimentConfig(actual_kind, raw, seed)
 
 
 @dataclass
@@ -175,9 +173,6 @@ _SEED = (lambda x: _is_int(x) and x >= 0, "nonnegative integer")
 _NUMBER = (_is_number, "finite number")
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "positive finite number")
 _NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative finite number")
-# a packet width sigma enters as sigma^2, which must not underflow to 0
-_WIDTH = (lambda x: _is_number(x) and x > 0 and x * x > 0,
-          "positive finite number whose square is nonzero")
 _GRID_POINTS = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "even integer >= 4")
 
 
@@ -251,15 +246,11 @@ def _read_symbol(r: _Reader, raw: dict, grids: list):
     return r.build("symbol", symbol_from_config, raw.get("symbol"), grids[0].dim) if grids else None
 
 
-def _collect_rows(report: ReportRecord, entries: list, worker, threads: int):
-    """Append ``worker``'s ``(row, warning)`` for each entry, in entry order
-    also on a thread pool; a false last column (ok/converged) fails the run."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, entries))
-    else:
-        results = [worker(e) for e in entries]
-    for row, warning in results:
+def _collect_rows(report: ReportRecord, entries: list, worker):
+    """Append ``worker``'s ``(row, warning)`` for each entry, in entry order;
+    a false last column (ok/converged) fails the run."""
+    for entry in entries:
+        row, warning = worker(entry)
         report.sweep_rows.append(row)
         if warning:
             report.warnings.append(warning)
@@ -272,21 +263,33 @@ def _collect_rows(report: ReportRecord, entries: list, worker, threads: int):
 # ---------------------------------------------------------------------------
 
 
+def _packet_exponent(grid, sigma: float) -> np.ndarray:
+    """``|x|^2 / (2 sigma^2)`` on the grid; raises where it is not finite
+    (``sigma^2`` underflowing or overflowing, or ``sigma`` far below the spacing)."""
+    mesh = grid.spatial_mesh()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exponent = np.sum(mesh * mesh, axis=-1) / (2.0 * sigma**2)
+    if not np.all(np.isfinite(exponent)):
+        raise ValueError(f"packet exponent |x|^2 / (2 sigma^2) is not finite on the "
+                         f"{grid.points_per_axis}-point grid")
+    return exponent
+
+
 def _packet_field(grid, sigma: float, carrier) -> Field:
     """Gaussian wave packet used as default probe data."""
-    mesh = grid.spatial_mesh()
-    envelope = np.exp(-np.sum(mesh * mesh, axis=-1) / (2.0 * sigma**2))
+    envelope = np.exp(-_packet_exponent(grid, sigma))
     if carrier is None:
         return Field(grid, envelope)
     k0 = np.asarray(carrier, dtype=float)
-    return Field(grid, envelope * np.exp(1j * np.einsum("...i,i->...", mesh, k0)))
+    return Field(grid, envelope * np.exp(1j * np.einsum("...i,i->...", grid.spatial_mesh(), k0)))
 
 
-def _prepare_egorov(r: _Reader, raw: dict, seed: int, threads: int):
+def _prepare_egorov(r: _Reader, raw: dict, seed: int):
     grids, half = _read_grids(r, raw)
     p = _read_symbol(r, raw, grids)
     data = r.section(raw, "data", {})
-    sigma = float(r.read(data, "data.sigma", _WIDTH, 1.2))
+    sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
+    r.build("data.sigma", lambda s: [_packet_exponent(g, s) for g in grids], sigma)
     carrier = r.read(data, "data.carrier", _vector(grids[0].dim), None) if grids else None
 
     def body(report: ReportRecord):
@@ -300,13 +303,13 @@ def _prepare_egorov(r: _Reader, raw: dict, seed: int, threads: int):
             except Exception as exc:  # noqa: BLE001 - propagated into the report
                 return [n, half, None, False], f"egorov N={n}: {exc}"
 
-        _collect_rows(report, grids, worker, threads)
+        _collect_rows(report, grids, worker)
         report.results["residuals"] = {str(row[0]): row[2] for row in report.sweep_rows if row[3]}
 
     return body
 
 
-def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
+def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
     grids, _ = _read_grids(r, raw)
     if len(grids) > 1:
         r.error("grid.points", "one size: smoothing sweeps window.horizon", raw["grid"]["points"])
@@ -340,7 +343,7 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int, threads: int):
                 row = [w.horizon, 0, delta, kind, None, None, False]
                 return row, f"smoothing T={w.horizon}: {exc}"
 
-        _collect_rows(report, windows, worker, threads)
+        _collect_rows(report, windows, worker)
         constants = [row[4] for row in report.sweep_rows if row[-1]]
         report.results["constants"] = constants
         if len(constants) > 1:
@@ -364,7 +367,7 @@ def _norm_operator(kind: str, grid, p):
     return canonical_transform_operator(gauss_phase(p), grid, direction)
 
 
-def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
+def _prepare_norm(r: _Reader, raw: dict, seed: int):
     grids, half = _read_grids(r, raw)
     kind = r.read(r.section(raw, "operator"), "operator.kind", _one_of(_NORM_OPERATORS))
     p = _read_symbol(r, raw, grids) if kind in ("canonical", "canonical_inverse") else None
@@ -392,7 +395,7 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int, threads: int):
             except Exception as exc:  # noqa: BLE001
                 return ["failed", m_in, m_out, n, half, None, 0, None, False], f"norm N={n}: {exc}"
 
-        _collect_rows(report, grids, worker, threads)
+        _collect_rows(report, grids, worker)
         estimates = [row[5] for row in report.sweep_rows if row[-1]]
         report.results["estimates"] = estimates
         if len(estimates) > 1 and all(e > 0 for e in estimates):
@@ -411,7 +414,7 @@ _AMPLITUDES = {
 }
 
 
-def _prepare_symbol_check(r: _Reader, raw: dict, seed: int, threads: int):
+def _prepare_symbol_check(r: _Reader, raw: dict, seed: int):
     amp_name = r.read(r.section(raw, "amplitude"), "amplitude.name", _one_of(tuple(_AMPLITUDES)))
     sc = r.section(raw, "symbol_class")
     class_kind = r.read(sc, "symbol_class.kind", _one_of(("S00", "SG")))
@@ -456,7 +459,7 @@ def _prepare_symbol_check(r: _Reader, raw: dict, seed: int, threads: int):
     return body
 
 
-def _prepare_cotlar(r: _Reader, raw: dict, seed: int, threads: int):
+def _prepare_cotlar(r: _Reader, raw: dict, seed: int):
     fam = r.section(raw, "family")
     kind = r.read(fam, "family.kind", _one_of(("disjoint_bumps", "random_matrices")))
     size = r.read(fam, "family.size", _POSITIVE_INT, 3)
@@ -523,7 +526,7 @@ def _prepare(config: ExperimentConfig):
         r.error("kind", f"must be one of {EXPERIMENT_KINDS}", config.kind)
         return r.violations, None
     seed = r.read(raw if config.seed is None else {"seed": config.seed}, "seed", _SEED, 0)
-    body = _PREPARE[config.kind](r, raw, seed, config.threads)
+    body = _PREPARE[config.kind](r, raw, seed)
     named = {x.field for x in r.violations}
     for path, value in _non_finite_numbers(raw):
         if not any(path == f or path.startswith((f + ".", f + "[")) for f in named):
@@ -617,10 +620,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="directory for report.json / sweep.csv")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker threads for sweep entries; results stay keyed by index",
-        )
     return parser
 
 
@@ -632,7 +631,7 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     kind = None if args.command == "validate" else args.command
-    config = ExperimentConfig.from_dict(data, kind=kind, seed=args.seed, threads=args.threads)
+    config = ExperimentConfig.from_dict(data, kind=kind, seed=args.seed)
 
     if args.command == "validate":
         violations = validate_config(config)

@@ -37,6 +37,7 @@ from fiolab.lattice import (  # noqa: F401
 )
 from fiolab.normest import NormEstimate, _random_field, power_iteration
 from fiolab.operators import (
+    OperatorHandle,
     canonical_transform_operator,
     evaluate_multiplier,
     multiplier_operator,
@@ -50,7 +51,7 @@ __all__ = [
     "smoothing_functional",
     "smoothing_constant",
     "egorov_residual",
-    "apply_half_derivative_ratio",
+    "half_derivative_ratio_operator",
     "symbol_on_grid",
     "DerivativeKind",
 ]
@@ -216,17 +217,16 @@ def smoothing_constant(
     return power_iteration(normal_apply, _random_field(grid, seed), tol, max_iters)
 
 
-def apply_half_derivative_ratio(p: HomogeneousSymbol, u: Field) -> Field:
-    """Multiplier ``<xi>^{1/2} (1 + p(xi)^2)^{-1/4}`` applied spectrally.
+def half_derivative_ratio_operator(grid: Grid, p: HomogeneousSymbol) -> OperatorHandle:
+    """Multiplier ``<xi>^{1/2} (1 + p(xi)^2)^{-1/4}`` on ``grid``, as a handle.
 
     Relates the inhomogeneous half derivative to its evolution-adapted
     counterpart; reduces to the identity for the Euclidean symbol.
     """
-    grid = u.grid
     p2 = symbol_on_grid(p, grid) ** 2
     mesh = grid.frequency_mesh()
     mult = (1.0 + np.sum(mesh * mesh, axis=-1)) ** 0.25 * (1.0 + p2) ** -0.25
-    return multiplier_operator(grid, mult).apply(u)
+    return multiplier_operator(grid, mult, label="half-derivative ratio")
 
 
 def egorov_residual(p: HomogeneousSymbol, u: Field) -> float:

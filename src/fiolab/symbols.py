@@ -43,7 +43,6 @@ __all__ = [
     "scaling_map",
     "linear_map",
     "gauss_phase",
-    "invert_map",
     "invert_map_batch",
     "check_jacobian_bound",
     "check_curvature",
@@ -78,8 +77,9 @@ class HomogeneousSymbol:
 class CanonicalMap:
     """Homogeneous frequency diffeomorphism with Jacobian access.
 
-    ``inverse`` may be None, in which case :func:`invert_map` runs a Newton
-    iteration seeded by ``newton_seed`` (defaults to the direction itself).
+    :func:`invert_map_batch` inverts it by a Newton iteration seeded by
+    ``newton_seed`` (defaults to the direction itself); a seed that is already
+    the exact inverse ends the iteration before its first step.
     The map value at the origin is defined as 0 by the continuity limit.
     ``uses_fd_derivatives`` marks a Jacobian assembled from finite-difference
     symbol derivatives.
@@ -88,7 +88,6 @@ class CanonicalMap:
     dim: int
     forward: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray] | None = None
     newton_seed: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "map"
     uses_fd_derivatives: bool = False
@@ -271,13 +270,14 @@ def linear_map(matrix: np.ndarray, label: str = "linear") -> CanonicalMap:
         return np.einsum("ij,...j->...i", a, np.asarray(xi, dtype=float))
 
     def inv(xi):
+        # as Newton's seed the exact inverse ends the iteration before its first step
         return np.einsum("ij,...j->...i", a_inv, np.asarray(xi, dtype=float))
 
     def jac(xi):
         xi = np.asarray(xi, dtype=float)
         return np.broadcast_to(a, xi.shape[:-1] + (dim, dim)).copy()
 
-    return CanonicalMap(dim, fwd, jac, inverse=inv, label=label)
+    return CanonicalMap(dim, fwd, jac, newton_seed=inv, label=label)
 
 
 def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
@@ -324,18 +324,9 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
         return direction / p.evaluate(direction)[..., np.newaxis]
 
     return CanonicalMap(
-        dim, fwd, jac, inverse=None, newton_seed=seed, label=f"gauss({p.label})",
+        dim, fwd, jac, newton_seed=seed, label=f"gauss({p.label})",
         uses_fd_derivatives=p.uses_fd_derivatives,
     )
-
-
-def invert_map(m: CanonicalMap, eta) -> np.ndarray:
-    """Solve ``psi(xi) = eta`` for a single frequency vector ``eta != 0``.
-
-    Homogeneity reduces the problem to the unit sphere:
-    ``psi^{-1}(eta) = |eta| psi^{-1}(eta/|eta|)``.
-    """
-    return invert_map_batch(m, np.asarray(eta, dtype=float)[np.newaxis, :])[0]
 
 
 def invert_map_batch(
@@ -343,7 +334,9 @@ def invert_map_batch(
 ) -> np.ndarray:
     """Vectorized inverse of a canonical map at stacked points (M, n).
 
-    Zero rows map to zero (continuity convention).  Raises
+    Homogeneity reduces the problem to the unit sphere:
+    ``psi^{-1}(eta) = |eta| psi^{-1}(eta/|eta|)``.  Zero rows map to zero
+    (continuity convention).  Raises
     :class:`MapInversionError` naming the worst direction on failure.
     """
     eta = np.asarray(eta, dtype=float)
@@ -353,10 +346,6 @@ def invert_map_batch(
     if not np.any(active):
         return out
     direction = eta[active] / mags[active][..., np.newaxis]
-
-    if m.inverse is not None:
-        out[active] = m.inverse(direction) * mags[active][..., np.newaxis]
-        return out
 
     if m.newton_seed is not None:
         xi = m.newton_seed(direction)

@@ -14,8 +14,8 @@ import pytest
 from fiolab.cli import main
 from fiolab.dispersive import (
     TimeWindow,
-    apply_half_derivative_ratio,
     egorov_residual,
+    half_derivative_ratio_operator,
     propagate,
     smoothing_constant,
     smoothing_functional,
@@ -317,12 +317,11 @@ def test_criterion_09_transform_path_equivalence():
     classical = propagate(euclidean_symbol(2), transformed_data, window)
     half_bracket = lambda xi: (1.0 + np.sum(xi * xi, axis=-1)) ** 0.25
     weight_back = weight_operator(grid, -1.0)
+    ratio = half_derivative_ratio_operator(grid, p)
     total = 0.0
     for w_j, v_j in zip(window.weights(), classical.slices):
         traced = weight_back.apply(
-            apply_half_derivative_ratio(
-                p, t_fwd.apply(multiplier_operator(grid, half_bracket).apply(v_j))
-            )
+            ratio.apply(t_fwd.apply(multiplier_operator(grid, half_bracket).apply(v_j)))
         )
         total += w_j * norm(traced) ** 2
     via_transform = float(np.sqrt(total))

@@ -157,6 +157,10 @@ REJECTED_CONFIGS = {
     "egorov-sigma-zero": (_with(EGOROV_CFG, "data", sigma=0), "data.sigma"),
     # sigma^2 underflows to 0, so the packet centre would be 0/0
     "egorov-underflowing-sigma": (_with(EGOROV_CFG, "data", sigma=1e-200), "data.sigma"),
+    # sigma^2 is subnormal, so |x|^2 / (2 sigma^2) overflows off the centre
+    "egorov-overflowing-sigma": (_with(EGOROV_CFG, "data", sigma=1e-160), "data.sigma"),
+    # sigma^2 overflows the float range
+    "egorov-overflowing-sigma-square": (_with(EGOROV_CFG, "data", sigma=1e300), "data.sigma"),
     "egorov-no-points": (_with(EGOROV_CFG, "grid", points=[]), "grid.points"),
     "egorov-perturbed-no-base": ({**EGOROV_CFG, "symbol": PERTURBED_NO_BASE}, "symbol"),
     "smoothing-perturbed-no-base": (
@@ -378,17 +382,6 @@ class TestDeterminism:
         assert main(["egorov", "--config", str(path), "--out", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-
-    def test_parallel_sweep_matches_serial(self, tmp_path):
-        cfg = {**EGOROV_CFG, "grid": {"dim": 1, "half_width": 10.0, "points": [16, 32, 64]}}
-        path = write_config(tmp_path, cfg)
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["egorov", "--config", str(path), "--out", str(serial)]) == 0
-        assert main(
-            ["egorov", "--config", str(path), "--threads", "3", "--out", str(parallel)]
-        ) == 0
-        assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
-        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
 class TestMainExitCodes:
