@@ -37,7 +37,8 @@ import numpy as np
 
 from fiolab.lattice import Grid
 
-# cap on complex entries per chunked intermediate and per axis table of a chunk (~64 MB)
+# cap on complex entries per chunked intermediate and per axis table of a chunk (~64 MB);
+# operators' dense kernels size their blocks by it too
 _CHUNK_ENTRIES = 1 << 22
 # full phase tables are kept for the life of a table below this many complex entries (128 MB)
 _RESIDENT_ENTRIES = 1 << 23
@@ -137,30 +138,3 @@ class TrigTable:
             g = np.conj(phase)[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
         out = g.reshape(w.size, -1).T @ np.conj(phases[-1])
         return out.reshape(self.grid.shape)
-
-
-def kernel_apply(kernel, values, in_volume: float, out_count: int, adjoint: bool = False):
-    """Apply a dense kernel quadrature ``out_m = sum_q K(m, q) v_q * vol``.
-
-    ``kernel(sl)`` must return the kernel block ``K[sl, :]`` for a slice of
-    output rows.  With ``adjoint=True`` the conjugate transpose is applied:
-    ``out_q = sum_m conj(K(m, q)) v_m * vol`` (kernel blocks are still
-    requested by first-index slices).
-    """
-    v = np.asarray(values, dtype=np.complex128).reshape(-1)
-    if adjoint:
-        q_count = out_count
-        out = np.zeros(q_count, dtype=np.complex128)
-        step = max(_CHUNK_ENTRIES // max(q_count, 1), 64)
-        for start in range(0, v.size, step):
-            sl = slice(start, min(start + step, v.size))
-            block = kernel(sl)
-            out += np.conj(block).T @ v[sl]
-        return out * in_volume
-    out = np.empty(out_count, dtype=np.complex128)
-    step = max(_CHUNK_ENTRIES // max(v.size, 1), 64)
-    for start in range(0, out_count, step):
-        sl = slice(start, min(start + step, out_count))
-        block = kernel(sl)
-        out[sl] = block @ v
-    return out * in_volume

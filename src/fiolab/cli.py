@@ -56,7 +56,9 @@ converged]`` and smoothing rows ``[T, N_t, delta, kind, constant,
 rel_residual, converged]``; ``rel_residual`` is that residual (``null`` for a
 failed row), so ``converged`` can be checked from the report: it holds when
 ``rel_residual <= tol`` and the estimate has settled, or when the Krylov space
-became invariant.
+became invariant.  Egorov rows are ``[N, L, residual, ok]``.  A failed row
+keeps its inputs; every measured column is null and ``ok``/``converged`` is
+false (a norm row's ``label`` is null when its operator could not be built).
 
 Exit codes: 0 success, 1 config error, 2 numerical failure or non-finite
 result (report still written).
@@ -246,16 +248,27 @@ def _read_symbol(r: _Reader, raw: dict, grids: list):
     return r.build("symbol", symbol_from_config, raw.get("symbol"), grids[0].dim) if grids else None
 
 
-def _collect_rows(report: ReportRecord, entries: list, worker):
-    """Append ``worker``'s ``(row, warning)`` for each entry, in entry order;
-    a false last column (ok/converged) fails the run."""
+def _sweep(report: ReportRecord, header: list, key: str, entries: list, worker) -> list:
+    """Append a row per entry, in order, that ``worker(entry, row)`` fills by
+    ``header``'s names, inputs first.  If it raises, the row keeps what was
+    filled, the rest is null, the last column (ok/converged) false, and a
+    warning names the ``key`` column.  A false last column fails the run.
+    Returns the rows whose last column is true, as dicts."""
+    report.sweep_header = header
+    done = []
     for entry in entries:
-        row, warning = worker(entry)
-        report.sweep_rows.append(row)
-        if warning:
-            report.warnings.append(warning)
-        if not row[-1]:
+        row = {}
+        try:
+            worker(entry, row)
+        except Exception as exc:  # noqa: BLE001 - propagated into the report
+            report.warnings.append(f"{report.kind} {key}={row[key]}: {exc}")
+            row = {**dict.fromkeys(header), **row, header[-1]: False}
+        report.sweep_rows.append([row[name] for name in header])
+        if row[header[-1]]:
+            done.append(row)
+        else:
             report.failed = True
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +306,13 @@ def _prepare_egorov(r: _Reader, raw: dict, seed: int):
     carrier = r.read(data, "data.carrier", _vector(grids[0].dim), None) if grids else None
 
     def body(report: ReportRecord):
-        report.sweep_header = ["N", "L", "residual", "ok"]
+        def worker(grid, row):
+            row.update(N=grid.points_per_axis, L=half)
+            row["residual"] = egorov_residual(p, _packet_field(grid, sigma, carrier))
+            row["ok"] = True
 
-        def worker(grid):
-            n = grid.points_per_axis
-            try:
-                u = _packet_field(grid, sigma, carrier)
-                return [n, half, egorov_residual(p, u), True], None
-            except Exception as exc:  # noqa: BLE001 - propagated into the report
-                return [n, half, None, False], f"egorov N={n}: {exc}"
-
-        _collect_rows(report, grids, worker)
-        report.results["residuals"] = {str(row[0]): row[2] for row in report.sweep_rows if row[3]}
+        done = _sweep(report, ["N", "L", "residual", "ok"], "N", grids, worker)
+        report.results["residuals"] = {str(row["N"]): row["residual"] for row in done}
 
     return body
 
@@ -330,21 +338,14 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 100)
 
     def body(report: ReportRecord):
-        report.sweep_header = ["T", "N_t", "delta", "kind", "constant", "rel_residual",
-                               "converged"]
+        def worker(w, row):
+            row.update(T=w.horizon, N_t=w.steps, delta=delta, kind=kind)
+            est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
+                                     max_iters=max_iters)
+            row.update(constant=est.estimate, rel_residual=est.residual, converged=est.converged)
 
-        def worker(w):
-            try:
-                est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
-                                         max_iters=max_iters)
-                row = [w.horizon, w.steps, delta, kind, est.estimate, est.residual, est.converged]
-                return row, None
-            except Exception as exc:  # noqa: BLE001
-                row = [w.horizon, 0, delta, kind, None, None, False]
-                return row, f"smoothing T={w.horizon}: {exc}"
-
-        _collect_rows(report, windows, worker)
-        constants = [row[4] for row in report.sweep_rows if row[-1]]
+        header = ["T", "N_t", "delta", "kind", "constant", "rel_residual", "converged"]
+        constants = [row["constant"] for row in _sweep(report, header, "T", windows, worker)]
         report.results["constants"] = constants
         if len(constants) > 1:
             lo, hi = min(constants), max(constants)
@@ -381,25 +382,21 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int):
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 200)
 
     def body(report: ReportRecord):
-        report.sweep_header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations",
-                               "rel_residual", "converged"]
+        def worker(grid, row):
+            row.update(m_in=m_in, m_out=m_out, N=grid.points_per_axis, L=half)
+            op = _norm_operator(kind, grid, p)
+            row["label"] = op.label
+            est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
+            row.update(estimate=est.estimate, iterations=est.iterations,
+                       rel_residual=est.residual, converged=est.converged)
 
-        def worker(grid):
-            n = grid.points_per_axis
-            try:
-                op = _norm_operator(kind, grid, p)
-                est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
-                row = [op.label, m_in, m_out, n, half, est.estimate, est.iterations,
-                       est.residual, est.converged]
-                return row, None
-            except Exception as exc:  # noqa: BLE001
-                return ["failed", m_in, m_out, n, half, None, 0, None, False], f"norm N={n}: {exc}"
-
-        _collect_rows(report, grids, worker)
-        estimates = [row[5] for row in report.sweep_rows if row[-1]]
+        header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations", "rel_residual",
+                  "converged"]
+        done = _sweep(report, header, "N", grids, worker)
+        estimates = [row["estimate"] for row in done]
         report.results["estimates"] = estimates
         if len(estimates) > 1 and all(e > 0 for e in estimates):
-            ns = [row[3] for row in report.sweep_rows if row[-1]]
+            ns = [row["N"] for row in done]
             slope = float(np.polyfit(np.log(ns), np.log(estimates), 1)[0])
             report.results["log_slope"] = slope
 
@@ -524,6 +521,9 @@ def _prepare(config: ExperimentConfig):
         return r.violations, None
     if config.kind not in EXPERIMENT_KINDS:
         r.error("kind", f"must be one of {EXPERIMENT_KINDS}", config.kind)
+        return r.violations, None
+    if raw.get("kind", config.kind) != config.kind:
+        r.error("kind", f"the config is not for the {config.kind!r} command", raw["kind"])
         return r.violations, None
     seed = r.read(raw if config.seed is None else {"seed": config.seed}, "seed", _SEED, 0)
     body = _PREPARE[config.kind](r, raw, seed)

@@ -84,26 +84,39 @@ class Grid:
         """Frequency quadrature weight ``(dxi / 2 pi)^n``."""
         return (self.dxi / (2.0 * np.pi)) ** self.dim
 
+    @functools.lru_cache(maxsize=128)
     def spatial_axis(self) -> np.ndarray:
-        return _spatial_axis(self)
+        axis = -self.half_width + self.dx * np.arange(self.points_per_axis)
+        axis.flags.writeable = False
+        return axis
 
+    @functools.lru_cache(maxsize=128)
     def frequency_axis(self) -> np.ndarray:
-        return _frequency_axis(self)
+        n = self.points_per_axis
+        axis = self.dxi * (np.arange(n) - n // 2)
+        axis.flags.writeable = False
+        return axis
 
+    @functools.lru_cache(maxsize=64)
     def spatial_mesh(self) -> np.ndarray:
         """Node coordinates, shape ``grid.shape + (n,)``."""
-        return _spatial_mesh(self)
+        mesh = np.stack(np.meshgrid(*([self.spatial_axis()] * self.dim), indexing="ij"), axis=-1)
+        mesh.flags.writeable = False
+        return mesh
 
+    @functools.lru_cache(maxsize=64)
     def frequency_mesh(self) -> np.ndarray:
         """Frequency coordinates in math order, shape ``grid.shape + (n,)``."""
-        return _frequency_mesh(self)
+        mesh = np.stack(np.meshgrid(*([self.frequency_axis()] * self.dim), indexing="ij"), axis=-1)
+        mesh.flags.writeable = False
+        return mesh
 
     def spatial_vectors(self) -> np.ndarray:
         """Flattened node coordinates, shape ``(N^n, n)`` in C order."""
-        return _spatial_mesh(self).reshape(-1, self.dim)
+        return self.spatial_mesh().reshape(-1, self.dim)
 
     def frequency_vectors(self) -> np.ndarray:
-        return _frequency_mesh(self).reshape(-1, self.dim)
+        return self.frequency_mesh().reshape(-1, self.dim)
 
 
 def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
@@ -133,35 +146,6 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
             raise ValueError(f"grid {name} must be finite and positive, got {value} for "
                              f"half-width {half_width}, {n_points} points and dimension {dim}")
     return grid
-
-
-@functools.lru_cache(maxsize=128)
-def _spatial_axis(grid: Grid) -> np.ndarray:
-    axis = -grid.half_width + grid.dx * np.arange(grid.points_per_axis)
-    axis.flags.writeable = False
-    return axis
-
-
-@functools.lru_cache(maxsize=128)
-def _frequency_axis(grid: Grid) -> np.ndarray:
-    n = grid.points_per_axis
-    axis = grid.dxi * (np.arange(n) - n // 2)
-    axis.flags.writeable = False
-    return axis
-
-
-@functools.lru_cache(maxsize=64)
-def _spatial_mesh(grid: Grid) -> np.ndarray:
-    mesh = np.stack(np.meshgrid(*([_spatial_axis(grid)] * grid.dim), indexing="ij"), axis=-1)
-    mesh.flags.writeable = False
-    return mesh
-
-
-@functools.lru_cache(maxsize=64)
-def _frequency_mesh(grid: Grid) -> np.ndarray:
-    mesh = np.stack(np.meshgrid(*([_frequency_axis(grid)] * grid.dim), indexing="ij"), axis=-1)
-    mesh.flags.writeable = False
-    return mesh
 
 
 def _frozen_complex(values: np.ndarray, shape: tuple) -> np.ndarray:

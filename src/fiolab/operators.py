@@ -33,7 +33,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from fiolab._dense import TrigTable, kernel_apply
+from fiolab._dense import _CHUNK_ENTRIES, TrigTable
 from fiolab.lattice import (
     Field,
     Grid,
@@ -257,6 +257,10 @@ def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: f
     ``out_measure``-weighted pairings; both act on flat arrays.
     """
 
+    # output rows per kernel block, so that a block holds about _CHUNK_ENTRIES entries
+    step = max(_CHUNK_ENTRIES // in_pts.shape[0], 64)
+    blocks = [slice(start, start + step) for start in range(0, out_pts.shape[0], step)]
+
     def block(sl):
         o_blk = out_pts[sl][:, np.newaxis, :]
         i_blk = in_pts[np.newaxis, :, :]
@@ -266,10 +270,15 @@ def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: f
         return ker
 
     def apply(values: np.ndarray) -> np.ndarray:
-        return kernel_apply(block, values, in_measure, out_pts.shape[0])
+        v = np.asarray(values, dtype=np.complex128).reshape(-1)
+        return np.concatenate([block(sl) @ v for sl in blocks]) * in_measure
 
     def adjoint(values: np.ndarray) -> np.ndarray:
-        return kernel_apply(block, values, out_measure, in_pts.shape[0], adjoint=True)
+        v = np.asarray(values, dtype=np.complex128).reshape(-1)
+        out = np.zeros(in_pts.shape[0], dtype=np.complex128)
+        for sl in blocks:
+            out += np.conj(block(sl)).T @ v[sl]
+        return out * out_measure
 
     return apply, adjoint
 

@@ -440,25 +440,19 @@ class CurvatureReport:
 
 
 def _level_set_curvature(p: HomogeneousSymbol, points: np.ndarray) -> np.ndarray:
-    """Gaussian curvature of ``{p = p(point)}`` at stacked points (M, n)."""
-    dim = p.dim
-    if dim == 1:
-        # the level set is a point; the empty shape operator has det 1
-        return np.ones(points.shape[0])
+    """Gaussian curvature of ``{p = p(point)}`` at stacked points (M, n).
+
+    The closed form ``K = -det([[hess p, grad p], [grad p^T, 0]]) / |grad p|^(n+1)``
+    is the determinant of the shape operator (tangential part of
+    ``hess p / |grad p|``); in dim 1 it gives 1, the empty determinant.
+    """
     g = p.gradient(points)
-    h = p.hessian(points)
-    gn = np.linalg.norm(g, axis=-1)
-    nu = g / gn[..., np.newaxis]
-    curv = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        # complete nu[i] to an orthonormal basis; columns 1: span the tangent space
-        basis = np.linalg.qr(
-            np.concatenate([nu[i][:, np.newaxis], np.eye(dim)], axis=1)
-        )[0]
-        tangent = basis[:, 1:dim]
-        shape_op = tangent.T @ h[i] @ tangent / gn[i]
-        curv[i] = np.linalg.det(shape_op)
-    return curv
+    m, n = g.shape
+    bordered = np.zeros((m, n + 1, n + 1))
+    bordered[:, :n, :n] = p.hessian(points)
+    bordered[:, :n, n] = g
+    bordered[:, n, :n] = g
+    return -np.linalg.det(bordered) / np.linalg.norm(g, axis=-1) ** (n + 1)
 
 
 def check_curvature(p: HomogeneousSymbol, directions: int) -> CurvatureReport:

@@ -257,6 +257,32 @@ REJECTED_CONFIGS = {
 }
 
 
+# sweeps whose one entry fails: (config, the cli name that raises, the input
+# columns the failed row keeps, the warning)
+FAILED_ROWS = {
+    "egorov": (EGOROV_CFG, "egorov_residual", {"N": 64, "L": 10.0}, "egorov N=64: forced failure"),
+    "smoothing": (
+        SMOOTHING_CFG,
+        "smoothing_constant",
+        {"T": 0.5, "N_t": 5, "delta": 1.0, "kind": "inhomogeneous"},
+        "smoothing T=0.5: forced failure",
+    ),
+    "norm": (
+        NORM_CFG,
+        "operator_norm",
+        {"label": "identity", "m_in": 0.0, "m_out": 0.0, "N": 16, "L": 5.0},
+        "norm N=16: forced failure",
+    ),
+    # the operator is never built, so the row has no label
+    "norm-no-operator": (
+        {**_with(NORM_CFG, "operator", kind="canonical"), "symbol": {"name": "euclidean"}},
+        "canonical_transform_operator",
+        {"m_in": 0.0, "m_out": 0.0, "N": 16, "L": 5.0},
+        "norm N=16: forced failure",
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
 def test_config_errors_caught_before_computation(tmp_path, capsys, case):
     data, field = REJECTED_CONFIGS[case]
@@ -329,6 +355,26 @@ class TestRunExperiment:
         assert all(row[-1] is False for row in report.sweep_rows)
         assert all(row[2] is None for row in report.sweep_rows)  # null residual, not NaN
         assert report.warnings
+
+    @pytest.mark.parametrize("case", sorted(FAILED_ROWS))
+    def test_failed_row_keeps_inputs(self, monkeypatch, case):
+        # the failure is forced in the cli name each row calls; a failed row
+        # keeps the columns filled before the failure and nulls the rest
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced failure")
+
+        cfg, name, inputs, warning = FAILED_ROWS[case]
+        monkeypatch.setattr(f"fiolab.cli.{name}", fail)
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert report.failed
+        (row,) = report.sweep_rows
+        header = report.sweep_header
+        assert len(row) == len(header)
+        by_name = dict(zip(header, row))
+        assert {name: by_name[name] for name in inputs} == inputs
+        assert all(by_name[name] is None for name in header[:-1] if name not in inputs)
+        assert by_name[header[-1]] is False
+        assert report.warnings == [warning]
 
     def test_symbol_check_experiment(self):
         cfg = ExperimentConfig.from_dict(
@@ -425,6 +471,19 @@ class TestMainExitCodes:
         assert data["failed"]
         assert data["sweep"]["rows"][2][4] is None  # the failed horizon's constant
         assert data["results"]["max_pairwise_deviation"] is None  # zero lowest constant
+
+    def test_config_kind_must_match_command(self, tmp_path, capsys):
+        # a valid norm config that also holds every field egorov reads
+        path = write_config(tmp_path, {**NORM_CFG, "symbol": {"name": "euclidean"}})
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["egorov", "--config", str(path), "--out", str(out)]) == 1
+        assert "[error] kind:" in capsys.readouterr().err
+        assert not out.exists()
+        # a config without a kind runs under its subcommand
+        path = write_config(tmp_path, {k: v for k, v in NORM_CFG.items() if k != "kind"})
+        assert main(["norm", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["kind"] == "norm"
 
     def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
         path = write_config(tmp_path, NORM_CFG)

@@ -231,12 +231,46 @@ class TestCurvature:
             assert not rep.flat_flag
 
     def test_ellipse_vertex_curvature(self):
-        # oracle: parametrize the level set (cos t, sin t / 2); the planar
-        # curvature |x'y'' - y'x''| / (x'^2 + y'^2)^(3/2) at t=0 equals 4
         from fiolab.symbols import _level_set_curvature
 
-        val = _level_set_curvature(ELLIPSE, np.array([[1.0, 0.0]]))[0]
-        assert val == pytest.approx(4.0, rel=1e-12)
+        cases = [
+            # oracle: parametrize the level set (cos t, sin t / 2); the planar
+            # curvature |x'y'' - y'x''| / (x'^2 + y'^2)^(3/2) at t=0 equals 4
+            ([1.0, 4.0], [1.0, 0.0], 4.0),
+            # ellipsoid with semi-axes (a, b, c) = (1, 1, 1/2): the Gaussian
+            # curvature at the vertex (a, 0, 0) is a^2 / (b^2 c^2)
+            ([1.0, 1.0, 4.0], [1.0, 0.0, 0.0], 4.0),
+            ([1.0, 1.0, 4.0], [0.0, 1.0, 0.0], 4.0),
+            ([1.0, 1.0, 4.0], [0.0, 0.0, 0.5], 0.25),
+        ]
+        for diag, vertex, expected in cases:
+            p = quadratic_form_symbol(np.diag(diag))
+            val = _level_set_curvature(p, np.array([vertex]))[0]
+            assert val == pytest.approx(expected, rel=1e-12), (diag, vertex)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            euclidean_symbol(4),
+            quadratic_form_symbol(np.diag([1.0, 1.0, 4.0])),
+            perturbed_symbol(quadratic_form_symbol(np.diag([1.0, 1.0, 4.0])), 0.2, [0.3, 1.0, 0.2]),
+        ],
+        ids=lambda p: f"{p.label}-{p.dim}d",
+    )
+    def test_closed_form_matches_shape_operator(self, p):
+        # reference: det of hess p / |grad p| restricted to a QR-completed
+        # orthonormal tangent basis, one point at a time
+        from fiolab.symbols import _level_set_curvature
+
+        pts = sphere_points(p.dim, 200)
+        pts = pts / p.evaluate(pts)[:, np.newaxis]
+        g, h = p.gradient(pts), p.hessian(pts)
+        expected = []
+        for gi, hi in zip(g, h):
+            basis = np.linalg.qr(np.column_stack([gi, np.eye(p.dim)]))[0]
+            tangent = basis[:, 1:p.dim]
+            expected.append(np.linalg.det(tangent.T @ hi @ tangent / np.linalg.norm(gi)))
+        np.testing.assert_allclose(_level_set_curvature(p, pts), expected, rtol=0, atol=1e-12)
 
     def test_ellipse_minimum_is_positive(self):
         rep = check_curvature(ELLIPSE, 720)
