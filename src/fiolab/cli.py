@@ -13,8 +13,9 @@ subcommands::
 Each run writes ``report.json`` (strict JSON, deterministic for a fixed
 config/seed/version; a failed sub-run's missing number is ``null``) and,
 when the experiment sweeps a parameter, ``sweep.csv`` with one row per
-sub-run.  Wall-clock time is printed to stdout but deliberately kept out
-of the report files so that repeated runs are byte-identical.
+sub-run; a run without rows removes an older ``sweep.csv`` from ``--out``.
+Wall-clock time is printed to stdout but deliberately kept out of the
+report files so that repeated runs are byte-identical.
 
 Config schema (JSON object).  Fields not used by a kind are ignored;
 ``<...>`` marks a value to supply, and the other values shown are the
@@ -603,11 +604,15 @@ def write_report(report: ReportRecord, out_dir: Path):
     # strict JSON: failed sub-runs carry null, never a bare NaN
     payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / "report.json").write_text(payload)
+    sweep = out_dir / "sweep.csv"
     if report.sweep_rows:
-        with (out_dir / "sweep.csv").open("w", newline="") as fh:
+        with sweep.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(report.sweep_header)
             writer.writerows(report.sweep_rows)
+    else:
+        # a reused directory must not pair this report with an older run's rows
+        sweep.unlink(missing_ok=True)
 
 
 def _parser() -> argparse.ArgumentParser:

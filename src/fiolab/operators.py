@@ -224,9 +224,9 @@ def canonical_transform_operator(
     out_of_box_count = int(np.sum(~in_box))
 
     def _apply(u: Field) -> Field:
-        spec_raw = forward_transform(u).values
-        tail = spectral_tail_fraction(SpectralField(grid, spec_raw))
-        filtered = inverse_transform(SpectralField(grid, zero_nyquist(spec_raw, grid)))
+        spec = forward_transform(u)
+        tail = spectral_tail_fraction(spec)
+        filtered = inverse_transform(SpectralField(grid, zero_nyquist(spec.values, grid)))
         out_spec = np.zeros(grid.size, dtype=np.complex128)
         out_spec[in_box] = table.analysis(filtered.values)
         out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
@@ -234,7 +234,8 @@ def canonical_transform_operator(
         return Field(grid, out.values, meta)
 
     def _adjoint(v: Field) -> Field:
-        spec = zero_nyquist(forward_transform(v).values, grid).reshape(-1)
+        # in_box holds no Nyquist entry, so none of them is read
+        spec = forward_transform(v).values.reshape(-1)
         scattered = table.synthesis(spec[in_box])
         out_spec = zero_nyquist(forward_transform(Field(grid, scattered)).values, grid)
         return inverse_transform(SpectralField(grid, out_spec))

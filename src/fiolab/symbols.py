@@ -78,8 +78,8 @@ class CanonicalMap:
     """Homogeneous frequency diffeomorphism with Jacobian access.
 
     :func:`invert_map_batch` inverts it by a Newton iteration seeded by
-    ``newton_seed`` (defaults to the direction itself); a seed that is already
-    the exact inverse ends the iteration before its first step.
+    ``newton_seed``, which returns a new array; a seed that is already the
+    exact inverse ends the iteration before its first step.
     The map value at the origin is defined as 0 by the continuity limit.
     ``uses_fd_derivatives`` marks a Jacobian assembled from finite-difference
     symbol derivatives.
@@ -88,7 +88,7 @@ class CanonicalMap:
     dim: int
     forward: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    newton_seed: Callable[[np.ndarray], np.ndarray] | None = None
+    newton_seed: Callable[[np.ndarray], np.ndarray]
     label: str = "map"
     uses_fd_derivatives: bool = False
 
@@ -347,10 +347,7 @@ def invert_map_batch(
         return out
     direction = eta[active] / mags[active][..., np.newaxis]
 
-    if m.newton_seed is not None:
-        xi = m.newton_seed(direction)
-    else:
-        xi = direction.copy()
+    xi = m.newton_seed(direction)
     residual = m.forward(xi) - direction
     for _ in range(max_iter):
         err = np.linalg.norm(residual, axis=-1)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -444,6 +446,38 @@ class TestDeterminism:
         assert main(["egorov", "--config", str(path), "--out", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("x_half_width, code", [(10.0, 0), (1e200, 2)],
+                             ids=["whole-run", "whole-run-failure"])
+    def test_run_without_rows_removes_stale_sweep(self, tmp_path, x_half_width, code):
+        # symbol-check has no rows, whether it succeeds or fails as a whole run
+        out = str(tmp_path / "out")
+        assert main(["egorov", "--config", str(write_config(tmp_path, EGOROV_CFG)),
+                     "--out", out]) == 0
+        data = {**_with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=x_half_width),
+                "amplitude": {"name": "oscillating_square"}}
+        path = write_config(tmp_path, data)
+        assert main(["symbol-check", "--config", str(path), "--out", out]) == code
+        assert read_strict_json(tmp_path / "out" / "report.json")["kind"] == "symbol-check"
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# config path -> the command the README runs it with
+README_RUNS = {path: kind for kind, path in re.findall(
+    r"fiolab ([\w-]+) +--config (configs/[\w.-]+\.json)", (ROOT / "README.md").read_text())}
+CHECKED_IN = {str(p.relative_to(ROOT)) for p in (ROOT / "configs").glob("*.json")}
+
+
+@pytest.mark.parametrize("path", sorted(CHECKED_IN | set(README_RUNS)))
+def test_checked_in_config_validates(path):
+    # each checked-in config is run by the README under its own kind and validates
+    data = json.loads((ROOT / path).read_text())
+    assert data["kind"] in fiolab.cli.EXPERIMENT_KINDS
+    assert README_RUNS.get(path) == data["kind"]
+    violations = validate_config(ExperimentConfig.from_dict(data))
+    assert [x.describe() for x in violations if x.severity == "error"] == []
 
 
 class TestMainExitCodes:
