@@ -10,10 +10,9 @@ the phase factorizes per axis,
 
     exp(-i eta . x) = prod_a exp(-i eta_a x_{j_a}),
 
-so the whole contraction needs only per-axis (M, N) phase tables plus
-BLAS-speed tensor contractions for the O(M N^n) multiply-adds.  Because the
-nodes are equispaced, x_j = x_0 + j dx, each table factorizes once more:
-with s = ceil(sqrt(N)),
+so the whole contraction needs only per-axis (M, N) phase tables.  Because
+the nodes are equispaced, x_j = x_0 + j dx, each table factorizes once
+more: with s = ceil(sqrt(N)),
 
     exp(-i eta x_{s a + b}) = exp(-i eta x_{s a}) * exp(-i eta b dx),
 
@@ -22,11 +21,26 @@ product of two small factor tables.  Both directions (analysis and its
 adjoint with respect to the dx^n / (dxi/2pi)^n weighted inner products)
 read the same tables.
 
-Targets are processed in chunks that bound both the per-chunk tables and
-the contraction intermediate.  The full tables stay resident while all
-axes together hold fewer than ``_RESIDENT_ENTRIES`` entries; larger ones
-are rebuilt from the factors for each chunk and dropped, so memory is
-O(chunk), not O(M N).
+Every intermediate is target-major: its rows are targets, and each row is
+contiguous.  Analysis contracts the last axis first, by one BLAS-speed
+matmul of the last axis's table against the field seen as (N^(n-1), N),
+which gives (chunk, N^(n-1)); each remaining axis, right to left, is then a
+per-target contraction of a contiguous (N^k, N) block with that target's
+table row.  Synthesis builds the target-major outer products of the leading
+axes and ends in one matmul over the targets.  It never conjugates a table:
+
+    sum_m w_m conj(P(m, j)) = conj(sum_m conj(w_m) P(m, j)),
+
+so it runs on conj(w) and the stored tables and conjugates the grid-sized
+sum once.
+
+Targets are processed in chunks of at most ``_CHUNK_ENTRIES`` = 2^18
+complex entries (4 MB) per axis table and per (chunk, N^(n-1))
+intermediate, a size that keeps BLAS's own buffers small;
+``operators._dense_kernel`` sizes its kernel blocks by the same budget.
+The full tables stay resident while all axes together hold fewer than
+``_RESIDENT_ENTRIES`` entries; larger ones are rebuilt from the factors for
+each chunk and dropped, so memory is O(chunk), not O(M N).
 """
 
 from __future__ import annotations
@@ -37,9 +51,9 @@ import numpy as np
 
 from fiolab.lattice import Grid
 
-# cap on complex entries per chunked intermediate and per axis table of a chunk (~64 MB);
+# cap on complex entries per chunked intermediate and per axis table of a chunk (4 MB);
 # operators' dense kernels size their blocks by it too
-_CHUNK_ENTRIES = 1 << 22
+_CHUNK_ENTRIES = 1 << 18
 # full phase tables are kept for the life of a table below this many complex entries (128 MB)
 _RESIDENT_ENTRIES = 1 << 23
 
@@ -82,7 +96,7 @@ class TrigTable:
 
     def _chunk(self) -> int:
         # targets per chunk: bounds the (chunk, N^(n-1)) intermediate and
-        # the (chunk, N) tables of a chunk alike
+        # each (chunk, N) table of a chunk by _CHUNK_ENTRIES alike
         n = self.grid.points_per_axis
         per_target = max(n ** (self.grid.dim - 1), n)
         return max(_CHUNK_ENTRIES // per_target, 256)
@@ -107,11 +121,16 @@ class TrigTable:
         return out * grid.cell_volume
 
     def _analysis_chunk(self, u: np.ndarray, phases: list) -> np.ndarray:
-        # one matmul on the last axis, then each remaining axis right to left
-        b = u @ phases[-1].T  # (N, ..., N, M)
+        # A method of its own, so that a chunk's tables are freed on return,
+        # before the caller builds the next chunk's.  One matmul on the last
+        # axis gives the target-major (chunk, N^(n-1)); each remaining axis,
+        # right to left, contracts a target's contiguous (N^k, N) block with
+        # its table row.
+        n = self.grid.points_per_axis
+        b = phases[-1] @ u.reshape(-1, n).T
         for phase in reversed(phases[:-1]):
-            b = np.einsum("mj,...jm->...m", phase, b)
-        return b
+            b = np.einsum("mkj,mj->mk", b.reshape(b.shape[0], -1, n), phase)
+        return b[:, 0]
 
     def synthesis(self, weights: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`analysis`: scatter weighted exponentials back.
@@ -121,20 +140,22 @@ class TrigTable:
         """
         grid = self.grid
         w = np.asarray(weights, dtype=np.complex128)
+        # the conjugate of the sum, accumulated from conj(w) and the stored tables
         out = np.zeros(grid.shape, dtype=np.complex128)
         m_total = self.targets.shape[0]
         step = self._chunk()
         for start in range(0, m_total, step):
             sl = slice(start, min(start + step, m_total))
             out += self._synthesis_chunk(w[sl], self._phases(sl))
-        return out * grid.spectral_weight
+        return np.conj(out) * grid.spectral_weight
 
     def _synthesis_chunk(self, w: np.ndarray, phases: list) -> np.ndarray:
-        # outer products of the leading axes left to right, then one matmul
-        # on the last axis; the conjugates stay inline so no table-sized
-        # temporary outlives its product
-        g = w
+        # A method of its own, so that a chunk's tables are freed on return,
+        # before the caller builds the next chunk's.  Returns the conjugate
+        # of the chunk's share, sum_m conj(w_m) prod_a phases[a][m, j_a]:
+        # target-major outer products of the leading axes left to right,
+        # then one matmul over the targets on the last axis.
+        g = np.conj(w)
         for phase in phases[:-1]:
-            g = np.conj(phase)[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
-        out = g.reshape(w.size, -1).T @ np.conj(phases[-1])
-        return out.reshape(self.grid.shape)
+            g = phase[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
+        return (g.reshape(w.size, -1).T @ phases[-1]).reshape(self.grid.shape)

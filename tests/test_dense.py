@@ -94,9 +94,8 @@ def _traced_peak(grid, targets, u, w) -> int:
         tracemalloc.stop()
 
 
-def test_streamed_tables_bound_peak_memory(monkeypatch):
-    # 16 chunks of 256 targets: a streamed table holds one chunk's tables
-    # at a time, a resident one all 2 x 4096 x 64 entries (8 MB)
+def _sixteen_chunks(monkeypatch):
+    # 4096 targets on a 2-D N = 64 grid, in 16 chunks of 256 targets
     monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 1 << 14)
     grid = make_grid(2, 5.0, 64)
     rng = np.random.default_rng(3)
@@ -104,10 +103,39 @@ def test_streamed_tables_bound_peak_memory(monkeypatch):
     targets = rng.uniform(-xi_max, xi_max, (4096, 2))
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     w = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    assert TrigTable(grid, targets)._chunk() * 4 <= 4096
+    assert TrigTable(grid, targets)._chunk() * 16 == 4096
+    return grid, targets, u, w
 
+
+def test_streamed_tables_bound_peak_memory(monkeypatch):
+    # a streamed table holds one chunk's tables at a time, a resident one
+    # all 2 x 4096 x 64 entries (8 MB)
+    grid, targets, u, w = _sixteen_chunks(monkeypatch)
     resident = _traced_peak(grid, targets, u, w)
     monkeypatch.setattr(fiolab._dense, "_RESIDENT_ENTRIES", 0)
     assert TrigTable(grid, targets)._resident is None
     streamed = _traced_peak(grid, targets, u, w)
     assert streamed < resident / 2, (streamed, resident)
+
+
+def test_streamed_chunk_tables_freed_before_next_chunk(monkeypatch):
+    # each direction may hold one chunk's tables and one (chunk, N^(n-1))
+    # intermediate at a time, plus a few grid- or target-sized arrays; a
+    # chunk whose tables survive into the next adds another 512 KB, and a
+    # conjugated copy of a table 256 KB
+    grid, targets, u, w = _sixteen_chunks(monkeypatch)
+    table = _table(grid, targets, True, monkeypatch)
+    n = grid.points_per_axis
+    chunk = table._chunk()
+    entry = np.dtype(np.complex128).itemsize
+    tables = grid.dim * chunk * n * entry
+    intermediate = chunk * n ** (grid.dim - 1) * entry
+    margin = 4 * max(len(targets), grid.size) * entry
+    for direction, arg in ((table.analysis, u), (table.synthesis, w)):
+        tracemalloc.start()
+        try:
+            direction(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables + intermediate + margin, (direction.__name__, peak)
