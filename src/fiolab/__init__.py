@@ -1,6 +1,7 @@
-"""Numerical toolkit for oscillatory integral operators, canonical
-transforms with homogeneous phases, operator-norm estimation on weighted
-spaces, and dispersive smoothing functionals, all on periodic-box grids."""
+"""Numerical toolkit for pseudo-differential and Fourier integral operators,
+canonical transforms with homogeneous phases, operator-norm estimation on
+weighted spaces, and dispersive smoothing functionals, all on periodic-box
+grids."""
 
 from fiolab.lattice import (
     Field,

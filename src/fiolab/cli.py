@@ -25,6 +25,7 @@ defaults of optional fields (``weights.kind`` defaults to the first)::
       "kind":   "egorov" | "smoothing" | "norm" | "symbol-check" | "cotlar",
       "seed":   0,
       "symbol": {"name": "euclidean"} | {"name": "quadratic_form", "diag": <[...]>} |
+                {"name": "quadratic_form", "matrix": <[[...], ...]>} |
                 {"name": "perturbed", "base": <{...}>,
                  "bump_amplitude": <number>, "bump_direction": <[...]>},
       "grid":   {"dim": <int>, "half_width": <number>, "points": <N> | <[N, ...]>},

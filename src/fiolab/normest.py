@@ -37,7 +37,6 @@ __all__ = [
     "power_iteration",
     "schur_bound",
     "cotlar_bound",
-    "decompose_unity",
 ]
 
 
@@ -234,59 +233,3 @@ def cotlar_bound(family: Mapping, *, tol: float = 1e-8, max_iters: int = 400,
         sum_norm=sum_est.estimate,
         all_converged=all(est.converged for est in estimates + [sum_est]),
     )
-
-
-# ---------------------------------------------------------------------------
-# partition of unity
-# ---------------------------------------------------------------------------
-
-
-def decompose_unity(profile: Callable[[np.ndarray], np.ndarray], grid: Grid) -> dict:
-    """Translate a compactly supported bump over the integer lattice.
-
-    ``profile`` is a one-dimensional nonnegative profile supported in a
-    bounded interval; the n-dimensional bump is its tensor product.  The
-    translates ``g_k(x) = g(x - k)`` for integer lattice points ``k`` in the
-    box are periodized by wrap-around, and their sum must reproduce 1 at
-    every grid point to 1e-12, otherwise the decomposition is rejected with
-    the worst point named.
-
-    Returns a dict mapping lattice index tuples to weight :class:`Field`.
-    """
-    half = int(np.floor(grid.half_width))
-    if half < 1:
-        raise ValueError("grid half-width must cover at least one lattice cell")
-    centers = np.arange(-half, half)
-    axis = grid.spatial_axis()
-    span = 2.0 * grid.half_width
-
-    # periodized 1-d translates: g(x - k) summed over box images
-    profiles_1d = {}
-    for c in centers:
-        total = np.zeros_like(axis)
-        for shift in (-span, 0.0, span):
-            total = total + np.asarray(profile(axis - c + shift), dtype=float)
-        profiles_1d[int(c)] = total
-
-    fields = {}
-    for idx in np.ndindex(*(len(centers),) * grid.dim):
-        key = tuple(int(centers[i]) for i in idx)
-        vals = np.ones(grid.shape)
-        for axis_i, c in enumerate(key):
-            shape = [1] * grid.dim
-            shape[axis_i] = grid.points_per_axis
-            vals = vals * profiles_1d[c].reshape(shape)
-        fields[key] = Field(grid, vals)
-
-    total = np.zeros(grid.shape)
-    for f in fields.values():
-        total = total + f.values.real
-    deviation = np.abs(total - 1.0)
-    worst = np.unravel_index(int(np.argmax(deviation)), grid.shape)
-    if deviation[worst] > 1e-12:
-        point = grid.spatial_mesh()[worst]
-        raise ValueError(
-            f"translates do not form a partition of unity: sum deviates by "
-            f"{deviation[worst]:.3e} at x = {point.tolist()}"
-        )
-    return fields

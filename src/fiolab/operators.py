@@ -1,6 +1,5 @@
 """Operator families on discrete fields: multipliers, pseudo-differential
-operators, oscillatory integral operators, phase-and-amplitude integral
-operators, and canonical transforms.
+operators, phase-and-amplitude integral operators, and canonical transforms.
 
 Every operator is an :class:`OperatorHandle`, a linear map with an ``apply``
 and an ``apply_adjoint`` closure, built once per grid by its builder and
@@ -56,19 +55,14 @@ __all__ = [
     "weight_operator",
     "canonical_transform_operator",
     "pseudo_operator",
-    "oscillatory_operator",
     "fio_operator",
     "matrix_operator",
-    "kernel_operator",
     "adjoint",
     "compose",
     "scale",
     "add",
     "evaluate_multiplier",
 ]
-
-FULL_ARITY_MAX_POINTS = 128
-
 
 @dataclass(frozen=True)
 class OperatorHandle:
@@ -83,10 +77,10 @@ class OperatorHandle:
 @dataclass(frozen=True)
 class Amplitude:
     """Amplitude whose ``arity`` names the arguments ``evaluate`` takes, as
-    stacked vectors of shape (..., n): ``(x, xi)``, ``(y, xi)`` or ``(x, y, xi)``.
+    stacked vectors of shape (..., n): ``(x, xi)`` or ``(y, xi)``.
     Products with a function of ``x`` or ``y`` alone: see :func:`fio_operator`."""
 
-    arity: Literal["x_xi", "y_xi", "x_y_xi"]
+    arity: Literal["x_xi", "y_xi"]
     evaluate: Callable[..., np.ndarray]
     label: str = "amplitude"
 
@@ -97,10 +91,6 @@ class Amplitude:
     @staticmethod
     def of_y_xi(func, label="a(y,xi)"):
         return Amplitude("y_xi", func, label)
-
-    @staticmethod
-    def full(func, label="a(x,y,xi)"):
-        return Amplitude("x_y_xi", func, label)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def canonical_transform_operator(
 
 
 # ---------------------------------------------------------------------------
-# dense kernels: pseudo-differential and oscillatory integral operators
+# dense kernels: pseudo-differential operators
 # ---------------------------------------------------------------------------
 
 
@@ -307,23 +297,6 @@ def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> Opera
     )
 
 
-def oscillatory_operator(grid: Grid, phase, amplitude, label: str = "oscillatory") -> OperatorHandle:
-    """Oscillatory quadrature ``sum_l exp(i phi(x_j, y_l)) a(x_j, y_l) u_l dy^n``.
-
-    ``phase`` and ``amplitude`` are callables on stacked vectors (broadcast
-    against each other); output lives on the same spatial grid.  Dense
-    quadrature, intended for modest grids.
-    """
-    pts = grid.spatial_vectors()
-    apply, adjoint = _dense_kernel(phase, amplitude, pts, pts, grid.cell_volume, grid.cell_volume)
-    return OperatorHandle(
-        grid,
-        lambda u: Field(grid, apply(u.values).reshape(grid.shape)),
-        lambda v: Field(grid, adjoint(v.values).reshape(grid.shape)),
-        label=label,
-    )
-
-
 def _fio_analysis(grid: Grid, phase, amp) -> OperatorHandle:
     """Inner analysis handle ``F^{-1} I_{phi,a}`` of the factorized FIO paths.
 
@@ -363,8 +336,7 @@ def fio_operator(grid: Grid, phase, amplitude: Amplitude) -> OperatorHandle:
     * ``a(x,xi)``: ``(2pi)^n a(X,D) F^{-1} I_phi`` where ``I_phi`` maps the
       field to frequency samples;
     * ``a(y,xi)``: ``(2pi)^n F^{-1} I_{phi,a}`` with the amplitude inside the
-      analysis sum;
-    * ``a(x,y,xi)`` assembles the dense N x N kernel once (dim 1, small N only).
+      analysis sum.
 
     A product ``a1(x,xi) a2(y)`` is ``compose(fio_operator(grid, phase,
     Amplitude.of_x_xi(a1)), multiplication_operator(grid, a2))``, and
@@ -374,34 +346,13 @@ def fio_operator(grid: Grid, phase, amplitude: Amplitude) -> OperatorHandle:
     if amplitude.arity == "x_xi":
         inner = _fio_analysis(grid, phase, None)
         h = scale(two_pi_n, compose(pseudo_operator(grid, amplitude), inner))
-    elif amplitude.arity == "y_xi":
-        h = scale(two_pi_n, _fio_analysis(grid, phase, amplitude.evaluate))
     else:
-        if grid.dim != 1:
-            raise ValueError("full-arity a(x,y,xi) integral operators are restricted to dim 1")
-        if grid.points_per_axis > FULL_ARITY_MAX_POINTS:
-            cost = grid.points_per_axis**3
-            raise ValueError(
-                f"full-arity path needs a dense {grid.points_per_axis}^3 = {cost} element sum; "
-                f"refusing above N = {FULL_ARITY_MAX_POINTS}"
-            )
-        # K[j, l] = sum_k e^{i(x_j xi_k + phi(x_l, xi_k))} a(x_j, x_l, xi_k) dxi
-        x = grid.spatial_vectors()
-        xi = grid.frequency_vectors()
-        phase_lk = np.exp(1j * phase(x[:, np.newaxis, :], xi[np.newaxis, :, :]))
-        amp = amplitude.evaluate(
-            x[:, np.newaxis, np.newaxis, :],
-            x[np.newaxis, :, np.newaxis, :],
-            xi[np.newaxis, np.newaxis, :, :],
-        )
-        osc = np.exp(1j * (x @ xi.T))
-        kernel = np.einsum("jk,lk,jlk->jl", osc, phase_lk, np.asarray(amp, dtype=np.complex128))
-        h = kernel_operator(grid, kernel * grid.dxi)
+        h = scale(two_pi_n, _fio_analysis(grid, phase, amplitude.evaluate))
     return replace(h, label=f"fio[{amplitude.label}]")
 
 
 # ---------------------------------------------------------------------------
-# handles for matrices and kernels (norm-estimation currency)
+# handles for matrices (norm-estimation currency)
 # ---------------------------------------------------------------------------
 
 
@@ -417,11 +368,6 @@ def matrix_operator(grid: Grid, matrix: np.ndarray, label: str = "matrix") -> Op
         lambda v: Field(grid, (mh @ v.values.reshape(-1)).reshape(grid.shape)),
         label=label,
     )
-
-
-def kernel_operator(grid: Grid, kernel: np.ndarray, label: str = "kernel") -> OperatorHandle:
-    """Integral-kernel action ``sum_l K[j,l] u_l dy^n`` with its adjoint."""
-    return replace(scale(grid.cell_volume, matrix_operator(grid, kernel)), label=label)
 
 
 # ---------------------------------------------------------------------------

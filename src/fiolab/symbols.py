@@ -10,9 +10,7 @@ surface ``{p = 1}`` to the unit sphere along normals; its numerical inverse
 is a Newton iteration reduced to the unit sphere by homogeneity.
 
 Built-in families (Euclidean norm, anisotropic quadratic forms, smooth
-directional perturbations) carry exact derivatives.  Symbols constructed
-from a bare callable fall back to central finite differences and are marked
-``uses_fd_derivatives`` so downstream reports can flag the reduced accuracy.
+directional perturbations) carry exact derivatives.
 
 Callable convention: all symbol/map callables accept stacked vectors of
 shape ``(..., n)`` and return shape ``(...)`` (or ``(..., n)`` / ``(..., n, n)``
@@ -32,12 +30,10 @@ __all__ = [
     "SymbolClassSpec",
     "SymbolClassReport",
     "JacobianReport",
-    "CurvatureReport",
     "MapInversionError",
     "euclidean_symbol",
     "quadratic_form_symbol",
     "perturbed_symbol",
-    "symbol_from_callable",
     "symbol_from_config",
     "identity_map",
     "scaling_map",
@@ -45,16 +41,13 @@ __all__ = [
     "gauss_phase",
     "invert_map_batch",
     "check_jacobian_bound",
-    "check_curvature",
     "check_symbol_class",
     "sample_axis",
     "sphere_points",
 ]
 
 
-FD_STEP = 1e-5  # central-difference step of symbols built from a bare callable
 GAUSS_CHECK_SAMPLES = 64  # sphere directions where gauss_phase checks that grad p is not ~0
-FLAT_CURVATURE = 1e-3  # |Gaussian curvature| below which check_curvature flags "flat"
 
 
 class MapInversionError(RuntimeError):
@@ -70,7 +63,6 @@ class HomogeneousSymbol:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     label: str = "symbol"
-    uses_fd_derivatives: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,8 +73,6 @@ class CanonicalMap:
     ``newton_seed``, which returns a new array; a seed that is already the
     exact inverse ends the iteration before its first step.
     The map value at the origin is defined as 0 by the continuity limit.
-    ``uses_fd_derivatives`` marks a Jacobian assembled from finite-difference
-    symbol derivatives.
     """
 
     dim: int
@@ -90,7 +80,6 @@ class CanonicalMap:
     jacobian: Callable[[np.ndarray], np.ndarray]
     newton_seed: Callable[[np.ndarray], np.ndarray]
     label: str = "map"
-    uses_fd_derivatives: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -181,42 +170,13 @@ def perturbed_symbol(
         term = 2.0 * dd / r - 2.0 * s * dx / r**3 - s * s * eye / r**3 + 3.0 * s * s * xx / r**5
         return base.hessian(xi) + eps * term
 
-    sym = HomogeneousSymbol(
-        base.dim, ev, grad, hess, label=f"perturbed({base.label})",
-        uses_fd_derivatives=base.uses_fd_derivatives,
-    )
+    sym = HomogeneousSymbol(base.dim, ev, grad, hess, label=f"perturbed({base.label})")
     samples = sphere_points(base.dim, 64)
     if not np.min(sym.evaluate(samples)) > 0:  # a NaN fails too
         raise ValueError("perturbation amplitude destroys positivity of the symbol")
     if not np.isfinite(eps):  # +inf keeps the samples positive
         raise ValueError(f"bump amplitude must be finite, got {eps}")
     return sym
-
-
-def symbol_from_callable(
-    func: Callable[[np.ndarray], np.ndarray], dim: int, label: str = "custom"
-) -> HomogeneousSymbol:
-    """Wrap a bare callable; derivatives fall back to central differences."""
-
-    def grad(xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty(xi.shape)
-        for a in range(dim):
-            e = np.zeros(dim)
-            e[a] = FD_STEP
-            out[..., a] = (func(xi + e) - func(xi - e)) / (2.0 * FD_STEP)
-        return out
-
-    def hess(xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty(xi.shape + (dim,))
-        for a in range(dim):
-            e = np.zeros(dim)
-            e[a] = FD_STEP
-            out[..., a] = (grad(xi + e) - grad(xi - e)) / (2.0 * FD_STEP)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    return HomogeneousSymbol(dim, func, grad, hess, label=label, uses_fd_derivatives=True)
 
 
 def symbol_from_config(config: dict, dim: int) -> HomogeneousSymbol:
@@ -323,10 +283,7 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
         direction = np.asarray(direction, dtype=float)
         return direction / p.evaluate(direction)[..., np.newaxis]
 
-    return CanonicalMap(
-        dim, fwd, jac, newton_seed=seed, label=f"gauss({p.label})",
-        uses_fd_derivatives=p.uses_fd_derivatives,
-    )
+    return CanonicalMap(dim, fwd, jac, newton_seed=seed, label=f"gauss({p.label})")
 
 
 def invert_map_batch(
@@ -406,7 +363,6 @@ class JacobianReport:
     min_abs_det: float
     argmin_direction: tuple
     samples: int
-    fd_derivatives: bool
 
 
 def check_jacobian_bound(m: CanonicalMap, directions: int) -> JacobianReport:
@@ -422,60 +378,6 @@ def check_jacobian_bound(m: CanonicalMap, directions: int) -> JacobianReport:
         min_abs_det=float(dets[k]),
         argmin_direction=tuple(pts[k].tolist()),
         samples=pts.shape[0],
-        fd_derivatives=m.uses_fd_derivatives,
-    )
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    min_abs_curvature: float
-    argmin_direction: tuple
-    samples: int
-    flat_flag: bool
-    fd_derivatives: bool
-    degenerate_directions: tuple = ()
-
-
-def _level_set_curvature(p: HomogeneousSymbol, points: np.ndarray) -> np.ndarray:
-    """Gaussian curvature of ``{p = p(point)}`` at stacked points (M, n).
-
-    The closed form ``K = -det([[hess p, grad p], [grad p^T, 0]]) / |grad p|^(n+1)``
-    is the determinant of the shape operator (tangential part of
-    ``hess p / |grad p|``); in dim 1 it gives 1, the empty determinant.
-    """
-    g = p.gradient(points)
-    m, n = g.shape
-    bordered = np.zeros((m, n + 1, n + 1))
-    bordered[:, :n, :n] = p.hessian(points)
-    bordered[:, :n, n] = g
-    bordered[:, n, :n] = g
-    return -np.linalg.det(bordered) / np.linalg.norm(g, axis=-1) ** (n + 1)
-
-
-def check_curvature(p: HomogeneousSymbol, directions: int) -> CurvatureReport:
-    """Minimum |Gaussian curvature| of the unit level set over direction samples.
-
-    Each sampled direction ``w`` is projected onto the level set as
-    ``w / p(w)``; the curvature comes from the shape operator of the level
-    set (tangential part of ``hess p / |grad p|``).
-    """
-    pts = sphere_points(p.dim, directions)
-    gnorm = np.linalg.norm(p.gradient(pts), axis=-1)
-    bad = gnorm < 1e-8
-    degenerate = tuple(tuple(v) for v in pts[bad].tolist())
-    good = pts[~bad]
-    if good.shape[0] == 0:
-        raise ValueError("gradient degenerates at every sampled direction")
-    level_points = good / p.evaluate(good)[..., np.newaxis]
-    curv = np.abs(_level_set_curvature(p, level_points))
-    k = int(np.argmin(curv))
-    return CurvatureReport(
-        min_abs_curvature=float(curv[k]),
-        argmin_direction=tuple(good[k].tolist()),
-        samples=pts.shape[0],
-        flat_flag=bool(curv[k] < FLAT_CURVATURE),
-        fd_derivatives=p.uses_fd_derivatives,
-        degenerate_directions=degenerate,
     )
 
 

@@ -9,7 +9,6 @@ from fiolab.normest import (
     NormEstimate,
     _inner,
     cotlar_bound,
-    decompose_unity,
     operator_norm,
     power_iteration,
     schur_bound,
@@ -19,7 +18,6 @@ from fiolab.operators import (
     canonical_transform_operator,
     evaluate_multiplier,
     identity_operator,
-    kernel_operator,
     matrix_operator,
     multiplication_operator,
     multiplier_operator,
@@ -197,7 +195,7 @@ class TestSchurBound:
         rng = np.random.default_rng(0)
         for trial in range(20):
             kernel = rng.random((8, 8)) + 1j * rng.random((8, 8))
-            h = kernel_operator(g, kernel)
+            h = scale(g.cell_volume, matrix_operator(g, kernel))
             est = operator_norm(h, max_iters=500, tol=1e-11, seed=trial)
             assert schur_bound(kernel, g.dx, g.dx) >= est.estimate - 1e-9
 
@@ -335,46 +333,6 @@ class TestSolverCalls:
     def test_solver_inputs_checked_at_every_entry(self, entry, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             NORM_ENTRIES[entry](**bad)
-
-
-class TestDecomposeUnity:
-    def test_triangular_hat_is_exact(self):
-        g = make_grid(1, 4.0, 32)
-        parts = decompose_unity(lambda t: np.maximum(1.0 - np.abs(t), 0.0), g)
-        total = sum(f.values.real for f in parts.values())
-        assert np.max(np.abs(total - 1.0)) < 1e-14
-        assert set(parts) == {(k,) for k in range(-4, 4)}
-
-    def test_quadratic_bspline(self):
-        def bspline2(t):
-            t = np.abs(np.asarray(t, dtype=float)) + 1.5  # shift to [0, 3]
-            out = np.zeros_like(t)
-            m = (t >= 0) & (t < 1)
-            out[m] = 0.5 * t[m] ** 2
-            m = (t >= 1) & (t < 2)
-            out[m] = 0.5 * (-2.0 * t[m] ** 2 + 6.0 * t[m] - 3.0)
-            m = (t >= 2) & (t < 3)
-            out[m] = 0.5 * (3.0 - t[m]) ** 2
-            return out
-
-        g = make_grid(2, 3.0, 12)
-        parts = decompose_unity(bspline2, g)
-        total = sum(f.values.real for f in parts.values())
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_truncated_gaussian_rejected_with_worst_point(self):
-        g = make_grid(1, 4.0, 32)
-        with pytest.raises(ValueError, match="partition of unity"):
-            decompose_unity(lambda t: np.exp(-t * t), g)
-
-    def test_bump_family_feeds_cotlar(self):
-        g = make_grid(1, 4.0, 32)
-        parts = decompose_unity(lambda t: np.maximum(1.0 - np.abs(t), 0.0), g)
-        handles = {k: multiplication_operator(g, f.values) for k, f in parts.items()}
-        rep = cotlar_bound(handles, tol=1e-10, max_iters=500)
-        # the translates sum to the identity, whose norm is exactly 1
-        assert rep.sum_norm == pytest.approx(1.0, rel=1e-8)
-        assert rep.bound >= 1.0 - 1e-9
 
 
 class TestWeightedBoundednessRegression:

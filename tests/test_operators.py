@@ -3,7 +3,6 @@ import pytest
 
 from fiolab.lattice import (
     Field,
-    forward_transform,
     inner_product,
     make_grid,
     norm,
@@ -18,7 +17,6 @@ from fiolab.operators import (
     identity_operator,
     multiplication_operator,
     multiplier_operator,
-    oscillatory_operator,
     pseudo_operator,
     scale,
     weight_operator,
@@ -215,41 +213,6 @@ class TestPseudo:
             )
 
 
-class TestOscillatory:
-    def test_zero_amplitude_gives_zero(self):
-        g = make_grid(1, 4.0, 16)
-        out = oscillatory_operator(
-            g,
-            lambda x, y: np.sum(x * y, axis=-1),
-            lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-        ).apply(random_field(g))
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_fourier_phase_matches_transform_on_aligned_grid(self):
-        # with L^2 = pi N / 2 every spatial node coincides with a frequency
-        # node, so the quadrature must reproduce the analysis transform
-        n_pts = 16
-        g = make_grid(1, np.sqrt(np.pi * n_pts / 2), n_pts)
-        assert g.dx == pytest.approx(g.dxi)
-        u = Field(g, np.exp(-g.spatial_mesh()[..., 0] ** 2))
-        out = oscillatory_operator(g, lambda x, y: -np.sum(x * y, axis=-1), ones_amp).apply(u)
-        spec = forward_transform(u).values
-        assert np.max(np.abs(out.values - spec)) < 1e-10
-
-    def test_adjoint_pairing(self, rng):
-        g = make_grid(1, 4.0, 16)
-        h = oscillatory_operator(
-            g,
-            lambda x, y: 3.0 * np.tanh(np.sum(x * y, axis=-1)),
-            lambda x, y: ones_amp(x, y) + 0.5j,
-        )
-        u = random_field(g, seed=21)
-        v = random_field(g, seed=22)
-        lhs = inner_product(h.apply(u), v)
-        rhs = inner_product(u, h.apply_adjoint(v))
-        assert abs(lhs - rhs) / abs(lhs) < 1e-10
-
-
 class TestFio:
     def test_dual_fourier_phase_reduces_to_pseudo(self):
         # oracle: phi(y, xi) = -y.xi collapses the inner analysis operator to
@@ -303,7 +266,9 @@ class TestFio:
         ref = pseudo_operator(g, Amplitude.of_x_xi(a_func)).apply(w) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-8
 
-    def test_full_arity_matches_factorized_path(self):
+    def test_x_xi_path_matches_triple_sum(self):
+        # oracle: the defining double integral as one dense sum,
+        # sum_l sum_k e^{i(x_j xi_k + phi(x_l, xi_k))} a(x_j, xi_k) u_l dy dxi
         g = make_grid(1, 5.0, 32)
         u = random_field(g, seed=2)
         phase = lambda y, xi: (
@@ -311,32 +276,16 @@ class TestFio:
             + 0.3 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
         )
         a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        out_fact = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
-        full = Amplitude.full(
-            lambda x, y, xi: a_func(x, xi)
-            * np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xi.shape[:-1]))
-        )
-        out_full = fio_operator(g, phase, full).apply(u)
-        assert norm(out_full - out_fact) / norm(out_fact) < 1e-12
-
-    def test_size_guard_refuses_large_full_arity(self):
-        g = make_grid(1, 5.0, 256)
-        amp = Amplitude.full(lambda x, y, xi: ones_amp(x, y) * np.ones(xi.shape[:-1]))
-        phase = lambda y, xi: -np.sum(y * xi, axis=-1)
-        with pytest.raises(ValueError, match="refusing"):
-            fio_operator(g, phase, amp).apply(random_field(g))
-
-    def test_full_arity_needs_dim_one(self):
-        g = make_grid(2, 3.0, 8)
-        amp = Amplitude.full(
-            lambda x, y, xi: np.ones(
-                np.broadcast_shapes(x.shape[:-1], y.shape[:-1], xi.shape[:-1])
-            )
-        )
-        phase = lambda y, xi: -np.sum(y * xi, axis=-1)
-        with pytest.raises(ValueError, match="dim 1"):
-            fio_operator(g, phase, amp).apply(random_field(g))
-
+        out = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
+        x, xi = g.spatial_vectors()[:, np.newaxis, :], g.frequency_vectors()[np.newaxis, :, :]
+        oracle = np.einsum(
+            "jk,jk,lk,l->j",
+            np.exp(1j * np.sum(x * xi, axis=-1)),
+            a_func(x, xi),
+            np.exp(1j * phase(x, xi)),
+            u.values,
+        ) * (g.dx * g.dxi)
+        assert norm(Field(g, oracle) - out) / norm(out) < 1e-12
 
 def probe_handles(grid):
     cmap = gauss_phase(ELLIPSE) if grid.dim == 2 else scaling_map(1.5, grid.dim)
@@ -356,11 +305,6 @@ def probe_handles(grid):
                 ),
             )
         )
-        handles.append(
-            oscillatory_operator(
-                grid, lambda x, y: np.sum(x * y, axis=-1) * 0.7, lambda x, y: ones_amp(x, y)
-            )
-        )
         phase = lambda y, xi: (
             -np.sum(y * xi, axis=-1)
             + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
@@ -370,7 +314,6 @@ def probe_handles(grid):
         amplitudes = [
             Amplitude.of_y_xi(lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
             Amplitude.of_x_xi(a_main),
-            Amplitude.full(lambda x, y, xi: a_main(x, xi) * a_scalar(y) * (1.0 + 0.3j)),
         ]
         handles.extend(fio_operator(grid, phase, amp) for amp in amplitudes)
         # products with a function of x or y alone, by composition
