@@ -8,6 +8,7 @@ from fiolab.lattice import (
     SpectralField,
     bracket,
     forward_transform,
+    inner_product,
     inverse_transform,
     make_grid,
     norm,
@@ -167,6 +168,19 @@ class TestFieldValidation:
         f = Field(g, np.zeros(4))
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+
+class TestInnerProduct:
+    def test_sesquilinear_and_matches_norm(self):
+        g = make_grid(2, 3.0, 8)
+        u, v, w = (random_field(g, seed=s) for s in (1, 2, 3))
+        a, b = 0.7 - 1.3j, -2.0 + 0.4j
+        assert inner_product(u * a + v * b, w) == pytest.approx(
+            a * inner_product(u, w) + b * inner_product(v, w), rel=1e-12
+        )
+        assert inner_product(w, u * a) == pytest.approx(np.conj(a) * inner_product(w, u), rel=1e-12)
+        assert inner_product(v, u) == pytest.approx(np.conj(inner_product(u, v)), rel=1e-14)
+        assert inner_product(u, u) == pytest.approx(norm(u) ** 2, rel=1e-14)
 
 
 class TestNyquistHandling:

@@ -3,6 +3,7 @@ import pytest
 
 from fiolab.lattice import (
     Field,
+    bracket,
     inner_product,
     make_grid,
     norm,
@@ -14,7 +15,9 @@ from fiolab.operators import (
     canonical_transform_operator,
     compose,
     fio_operator,
+    adjoint,
     identity_operator,
+    matrix_operator,
     multiplication_operator,
     multiplier_operator,
     pseudo_operator,
@@ -286,6 +289,85 @@ class TestFio:
             u.values,
         ) * (g.dx * g.dxi)
         assert norm(Field(g, oracle) - out) / norm(out) < 1e-12
+
+
+def random_matrix(size, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+
+class TestHandleAlgebra:
+    # oracle: the dense matrices the handles stand for, on an 8-point grid
+    GRID = make_grid(1, 4.0, 8)
+
+    def act(self, h, u, adjoint_side=False):
+        return (h.apply_adjoint if adjoint_side else h.apply)(u).values
+
+    def test_matrix_operator_is_matvec(self):
+        a = random_matrix(8, 0)
+        u = random_field(self.GRID, seed=1)
+        h = matrix_operator(self.GRID, a)
+        np.testing.assert_allclose(self.act(h, u), a @ u.values, rtol=1e-14)
+        np.testing.assert_allclose(self.act(h, u, True), a.conj().T @ u.values, rtol=1e-14)
+
+    def test_matrix_operator_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="does not match grid size 8"):
+            matrix_operator(self.GRID, np.eye(7))
+
+    def test_compose_applies_rightmost_first(self):
+        a, b = random_matrix(8, 2), random_matrix(8, 3)
+        u = random_field(self.GRID, seed=4)
+        h = compose(matrix_operator(self.GRID, a), matrix_operator(self.GRID, b))
+        np.testing.assert_allclose(self.act(h, u), a @ b @ u.values, rtol=1e-12)
+        np.testing.assert_allclose(
+            self.act(h, u, True), (a @ b).conj().T @ u.values, rtol=1e-12
+        )
+
+    def test_adjoint_swaps_apply_and_adjoint(self):
+        a = random_matrix(8, 5)
+        u = random_field(self.GRID, seed=6)
+        h = adjoint(matrix_operator(self.GRID, a, label="A"))
+        assert h.label == "(A)*"
+        np.testing.assert_allclose(self.act(h, u), a.conj().T @ u.values, rtol=1e-14)
+        np.testing.assert_allclose(self.act(h, u, True), a @ u.values, rtol=1e-14)
+
+    def test_scale_conjugates_on_adjoint(self):
+        a, c = random_matrix(8, 7), 0.3 - 2.0j
+        u = random_field(self.GRID, seed=8)
+        h = scale(c, matrix_operator(self.GRID, a))
+        np.testing.assert_allclose(self.act(h, u), c * (a @ u.values), rtol=1e-14)
+        np.testing.assert_allclose(
+            self.act(h, u, True), np.conj(c) * (a.conj().T @ u.values), rtol=1e-14
+        )
+
+    def test_add_sums_every_handle(self):
+        mats = [random_matrix(8, seed) for seed in (9, 10, 11)]
+        u = random_field(self.GRID, seed=12)
+        h = add(*(matrix_operator(self.GRID, m) for m in mats))
+        total = sum(mats)
+        np.testing.assert_allclose(self.act(h, u), total @ u.values, rtol=1e-12)
+        np.testing.assert_allclose(self.act(h, u, True), total.conj().T @ u.values, rtol=1e-12)
+
+    @pytest.mark.parametrize("combine", [compose, add], ids=["compose", "add"])
+    def test_empty_combination_rejected(self, combine):
+        with pytest.raises(ValueError, match="at least one handle"):
+            combine()
+
+    def test_weight_operator_multiplies_by_bracket(self):
+        g = make_grid(2, 6.0, 16)
+        u = random_field(g, seed=13)
+        w = bracket(g.spatial_mesh())
+        out = weight_operator(g, 1.5).apply(u)
+        np.testing.assert_allclose(out.values, w**1.5 * u.values, rtol=1e-14)
+        back = weight_operator(g, -1.5).apply(out)
+        assert norm(back - u) / norm(u) < 1e-14
+
+    def test_weight_overflow_names_point(self):
+        # <x>^400 overflows at the box edge x = -1e4 (first grid point)
+        g = make_grid(1, 1.0e4, 8)
+        with pytest.raises(ValueError, match=r"<x>\^400 is not finite at x = \[-10000\.0\]"):
+            weight_operator(g, 400)
+
 
 def probe_handles(grid):
     cmap = gauss_phase(ELLIPSE) if grid.dim == 2 else scaling_map(1.5, grid.dim)

@@ -109,6 +109,32 @@ class TestSymbolFamilies:
         with pytest.raises(ValueError, match="unknown symbol"):
             symbol_from_config({"name": "nope"}, 2)
 
+    def test_quadratic_form_matrix_config(self):
+        # the "matrix" form equals "diag" on a diagonal matrix and takes full matrices
+        pts = sphere_points(2, 16) * 2.5
+        by_diag = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
+        by_matrix = symbol_from_config({"name": "quadratic_form", "matrix": [[1, 0], [0, 4]]}, 2)
+        np.testing.assert_array_equal(by_matrix.evaluate(pts), by_diag.evaluate(pts))
+        full = [[2.0, 0.5], [0.5, 1.0]]
+        sheared = symbol_from_config({"name": "quadratic_form", "matrix": full}, 2)
+        np.testing.assert_array_equal(
+            sheared.evaluate(pts), quadratic_form_symbol(np.array(full)).evaluate(pts)
+        )
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (["euclidean"], "must be a mapping"),
+            ({"name": "quadratic_form"}, "needs 'diag' or 'matrix'"),
+            ({"name": "quadratic_form", "diag": [1, 2, 3]}, "does not match dim 2"),
+            ({"name": "perturbed", "base": {"name": "euclidean"}}, "needs.*bump_amplitude"),
+        ],
+        ids=["not-a-mapping", "no-matrix", "wrong-dim", "perturbed-missing-keys"],
+    )
+    def test_config_errors_name_the_problem(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            symbol_from_config(config, 2)
+
 
 class TestGaussPhase:
     def test_euclidean_gives_identity(self):
@@ -205,6 +231,12 @@ class TestJacobianBound:
         for n, c in ((1, 2.0), (2, 3.0), (3, 0.5)):
             rep = check_jacobian_bound(scaling_map(c, n), 16)
             assert rep.min_abs_det == pytest.approx(c**n, rel=1e-12)
+
+    def test_linear_map_is_abs_det(self):
+        shear = np.array([[1.0, 2.0], [-0.5, 3.0]])
+        rep = check_jacobian_bound(linear_map(shear), 24)
+        assert rep.min_abs_det == pytest.approx(abs(np.linalg.det(shear)), rel=1e-12)
+        assert rep.samples == 24
 
     def test_ellipse_matches_finite_differences(self):
         psi = gauss_phase(ELLIPSE)
