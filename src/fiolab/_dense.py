@@ -34,10 +34,13 @@ axes and ends in one matmul over the targets.  It never conjugates a table:
 so it runs on conj(w) and the stored tables and conjugates the grid-sized
 sum once.
 
-Targets are processed in chunks of at most ``_CHUNK_ENTRIES`` = 2^18
-complex entries (4 MB) per axis table and per (chunk, N^(n-1))
-intermediate, a size that keeps BLAS's own buffers small;
-``operators._dense_kernel`` sizes its kernel blocks by the same budget.
+Targets are processed in chunks of ``_CHUNK_ENTRIES`` = 2^18 complex
+entries (4 MB) per axis table and per (chunk, N^(n-1)) intermediate, a
+size that keeps BLAS's own buffers small, but of at least 256 targets.
+That floor exceeds the budget once N^(n-1) > 1024: a 3-D chunk holds
+256 N^2 entries per intermediate, 2^20 (16 MB) at N = 64 and 2^22 (64 MB)
+at N = 128.  ``operators._dense_kernel`` sizes its kernel blocks by the
+same budget.
 The full tables stay resident while all axes together hold fewer than
 ``_RESIDENT_ENTRIES`` entries; larger ones are rebuilt from the factors for
 each chunk and dropped, so memory is O(chunk), not O(M N).
@@ -51,7 +54,7 @@ import numpy as np
 
 from fiolab.lattice import Grid
 
-# cap on complex entries per chunked intermediate and per axis table of a chunk (4 MB);
+# budget of complex entries per chunked intermediate and per axis table of a chunk (4 MB);
 # operators' dense kernels size their blocks by it too
 _CHUNK_ENTRIES = 1 << 18
 # full phase tables are kept for the life of a table below this many complex entries (128 MB)
@@ -96,7 +99,8 @@ class TrigTable:
 
     def _chunk(self) -> int:
         # targets per chunk: bounds the (chunk, N^(n-1)) intermediate and
-        # each (chunk, N) table of a chunk by _CHUNK_ENTRIES alike
+        # each (chunk, N) table of a chunk by _CHUNK_ENTRIES alike, except
+        # that the 256-target floor exceeds it once N^(n-1) > 1024
         n = self.grid.points_per_axis
         per_target = max(n ** (self.grid.dim - 1), n)
         return max(_CHUNK_ENTRIES // per_target, 256)

@@ -583,15 +583,18 @@ def _finite_or_none(value):
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:
     """Validate, run, and (optionally) persist one experiment.
 
-    Raises ``ValueError`` if the config has error-level violations.  A
-    numerical failure, in a sweep entry or in a whole run, is recorded in
-    the report instead: ``failed`` is set, the message joins ``warnings``,
-    and a missing or non-finite number is ``None``.
+    Raises ``ValueError`` if the config has error-level violations, and
+    ``OSError`` if ``out_dir`` cannot be made a directory, both before any
+    computation.  A numerical failure, in a sweep entry or in a whole run,
+    is recorded in the report instead: ``failed`` is set, the message joins
+    ``warnings``, and a missing or non-finite number is ``None``.
     """
     violations, run = _prepare(config)
     errors = [x for x in violations if x.severity == "error"]
     if errors:
         raise ValueError("; ".join(x.describe() for x in errors))
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     report = run()
     report.wall_clock_seconds = time.perf_counter() - started
@@ -632,8 +635,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        data = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     kind = None if args.command == "validate" else args.command
@@ -651,6 +654,9 @@ def main(argv=None) -> int:
         report = run_experiment(config, out_dir=args.out)
     except ValueError as exc:
         print(f"config invalid: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot use --out {args.out}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report.to_json_dict()["results"], sort_keys=True, indent=2))
     print(f"wall clock: {report.wall_clock_seconds:.3f} s", file=sys.stderr)

@@ -48,7 +48,6 @@ from fiolab.symbols import CanonicalMap, invert_map_batch
 
 __all__ = [
     "OperatorHandle",
-    "Amplitude",
     "identity_operator",
     "multiplier_operator",
     "multiplication_operator",
@@ -72,25 +71,6 @@ class OperatorHandle:
     apply: Callable[[Field], Field]
     apply_adjoint: Callable[[Field], Field]
     label: str = "operator"
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Amplitude whose ``arity`` names the arguments ``evaluate`` takes, as
-    stacked vectors of shape (..., n): ``(x, xi)`` or ``(y, xi)``.
-    Products with a function of ``x`` or ``y`` alone: see :func:`fio_operator`."""
-
-    arity: Literal["x_xi", "y_xi"]
-    evaluate: Callable[..., np.ndarray]
-    label: str = "amplitude"
-
-    @staticmethod
-    def of_x_xi(func, label="a(x,xi)"):
-        return Amplitude("x_xi", func, label)
-
-    @staticmethod
-    def of_y_xi(func, label="a(y,xi)"):
-        return Amplitude("y_xi", func, label)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +215,7 @@ def canonical_transform_operator(
 
 
 # ---------------------------------------------------------------------------
-# dense kernels: pseudo-differential operators
+# dense kernels: pseudo-differential and phase-and-amplitude integral operators
 # ---------------------------------------------------------------------------
 
 
@@ -274,16 +254,17 @@ def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: f
     return apply, adjoint
 
 
-def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> OperatorHandle:
+def pseudo_operator(grid: Grid, a) -> OperatorHandle:
     """Quantization ``a(X, D)``: the dense kernel with phase ``x . xi`` from frequency to space,
 
         (a(X, D) u)(x) = (2pi)^{-n} sum_k e^{i x . xi_k} a(x, xi_k) uhat_k dxi^n.
+
+    ``a(x, xi)`` takes stacked vectors of shape (..., n), broadcast against
+    each other.
     """
-    if a.arity != "x_xi":
-        raise ValueError(f"pseudo_operator needs an a(x,xi) amplitude, got arity {a.arity!r}")
     apply, adjoint = _dense_kernel(
         lambda x, xi: np.sum(x * xi, axis=-1),
-        a.evaluate,
+        a,
         grid.spatial_vectors(),
         grid.frequency_vectors(),
         grid.spectral_weight,
@@ -293,62 +274,37 @@ def pseudo_operator(grid: Grid, a: Amplitude, label: str | None = None) -> Opera
         grid,
         lambda u: Field(grid, apply(forward_transform(u).values).reshape(grid.shape)),
         lambda v: inverse_transform(SpectralField(grid, adjoint(v.values).reshape(grid.shape))),
-        label=label or f"pseudo[{a.label}]",
+        label="a(X,D)",
     )
 
 
-def _fio_analysis(grid: Grid, phase, amp) -> OperatorHandle:
-    """Inner analysis handle ``F^{-1} I_{phi,a}`` of the factorized FIO paths.
+def fio_operator(grid: Grid, phase, a=None) -> OperatorHandle:
+    """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a(y,xi) u(y) dy dxi``
+    with its exact discrete adjoint: ``(2pi)^n F^{-1} I``, where the dense kernel
+    ``I[xi_k] = sum_l exp(i phi(y_l, xi_k)) a(y_l, xi_k) u_l dy^n`` maps to frequency.
 
-    ``I[xi_k] = sum_l exp(i phi(y_l, xi_k)) a(y_l, xi_k) u_l dy^n`` is the
-    dense kernel from space to frequency; the inverse transform brings the
-    frequency samples back to a field.  ``amp`` may be None (unit amplitude).
+    ``phase`` (real) and ``a`` take stacked vectors ``(y, xi)`` as in
+    :func:`pseudo_operator`; ``a=None`` is a unit amplitude.  Other amplitudes
+    compose: ``a(x,xi)`` is ``compose(pseudo_operator(grid, a), fio_operator(grid,
+    phase))``, and a factor ``b(y)`` or ``b(x)`` adds
+    ``multiplication_operator(grid, b)`` on the input or output side.
     """
+    # (2pi)^n on both measures scales the apply and its adjoint alike
+    two_pi_n = (2.0 * np.pi) ** grid.dim
     to_freq, from_freq = _dense_kernel(
         lambda xi, y: phase(y, xi),
-        None if amp is None else (lambda xi, y: amp(y, xi)),
+        None if a is None else (lambda xi, y: a(y, xi)),
         grid.frequency_vectors(),
         grid.spatial_vectors(),
-        grid.cell_volume,
-        grid.spectral_weight,
+        grid.cell_volume * two_pi_n,
+        grid.spectral_weight * two_pi_n,
     )
     return OperatorHandle(
         grid,
         lambda u: inverse_transform(SpectralField(grid, to_freq(u.values).reshape(grid.shape))),
         lambda v: Field(grid, from_freq(forward_transform(v).values).reshape(grid.shape)),
-        label="F^-1 I_phi",
+        label="fio",
     )
-
-
-# ---------------------------------------------------------------------------
-# phase-and-amplitude integral operators
-# ---------------------------------------------------------------------------
-
-
-def fio_operator(grid: Grid, phase, amplitude: Amplitude) -> OperatorHandle:
-    """Integral operator ``int int e^{i(x.xi + phi(y,xi))} a u(y) dy dxi``,
-    with the exact discrete adjoint.
-
-    ``phase(y, xi)`` takes stacked vectors of shape (..., n), broadcast
-    against each other, and returns real values.  Built by composition
-    according to the amplitude arity:
-
-    * ``a(x,xi)``: ``(2pi)^n a(X,D) F^{-1} I_phi`` where ``I_phi`` maps the
-      field to frequency samples;
-    * ``a(y,xi)``: ``(2pi)^n F^{-1} I_{phi,a}`` with the amplitude inside the
-      analysis sum.
-
-    A product ``a1(x,xi) a2(y)`` is ``compose(fio_operator(grid, phase,
-    Amplitude.of_x_xi(a1)), multiplication_operator(grid, a2))``, and
-    ``a2(x) a1(y,xi)`` composes the multiplication on the output side.
-    """
-    two_pi_n = (2.0 * np.pi) ** grid.dim
-    if amplitude.arity == "x_xi":
-        inner = _fio_analysis(grid, phase, None)
-        h = scale(two_pi_n, compose(pseudo_operator(grid, amplitude), inner))
-    else:
-        h = scale(two_pi_n, _fio_analysis(grid, phase, amplitude.evaluate))
-    return replace(h, label=f"fio[{amplitude.label}]")
 
 
 # ---------------------------------------------------------------------------

@@ -573,8 +573,29 @@ class TestMainExitCodes:
         assert report["warnings"] == ["cotlar: forced failure"]
         assert report["results"] == dict.fromkeys(["bound", "sum_norm", "sound", "all_converged"])
 
-    def test_missing_config_file(self):
-        assert main(["egorov", "--config", "/nonexistent/config.json"]) == 1
+    @pytest.mark.parametrize(
+        "contents", [None, b"\xff\xfe{}", b"[" * 100_000], ids=["absent", "not-utf8", "too-deep"]
+    )
+    def test_missing_config_file(self, tmp_path, capsys, contents):
+        path = tmp_path / "config.json"
+        if contents is not None:
+            path.write_bytes(contents)
+        assert main(["egorov", "--config", str(path)]) == 1
+        _, err = capsys.readouterr()
+        assert err.startswith("cannot read config:")
+
+    def test_out_naming_a_file_fails_before_computation(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fiolab.cli.egorov_residual", lambda *args: calls.append(args))
+        path = write_config(tmp_path, EGOROV_CFG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["egorov", "--config", str(path), "--out", str(out)]) == 1
+        _, err = capsys.readouterr()
+        assert f"--out {out}" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert out.read_text() == "not a directory\n"
 
     def test_seed_override_lands_in_report(self, tmp_path):
         path = write_config(tmp_path, EGOROV_CFG)

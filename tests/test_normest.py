@@ -14,7 +14,6 @@ from fiolab.normest import (
     schur_bound,
 )
 from fiolab.operators import (
-    Amplitude,
     canonical_transform_operator,
     evaluate_multiplier,
     identity_operator,
@@ -259,8 +258,8 @@ class TestCotlarBound:
             handles = {}
             for i in range(3):
                 c0, c1, c2 = rng.standard_normal(3)
-                amp = Amplitude.of_x_xi(
-                    lambda x, xi, c0=c0, c1=c1, c2=c2: c0
+                amp = lambda x, xi, c0=c0, c1=c1, c2=c2: (
+                    c0
                     + c1 * np.exp(-np.sum(x * x, axis=-1))
                     + c2 / (1.0 + np.sum(xi * xi, axis=-1))
                 )

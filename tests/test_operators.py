@@ -10,7 +10,6 @@ from fiolab.lattice import (
 )
 from fiolab.normest import operator_norm
 from fiolab.operators import (
-    Amplitude,
     add,
     canonical_transform_operator,
     compose,
@@ -28,10 +27,6 @@ from fiolab.symbols import gauss_phase, identity_map, linear_map, quadratic_form
 from tests.conftest import gaussian_field, random_field
 
 ELLIPSE = quadratic_form_symbol(np.diag([1.0, 4.0]))
-
-
-def ones_amp(x, y):
-    return np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
 
 
 class TestMultiplier:
@@ -170,7 +165,7 @@ class TestPseudo:
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=0)
         sym = lambda xi: 1.0 / (1.0 + np.sum(xi * xi, axis=-1))
-        out = pseudo_operator(g, Amplitude.of_x_xi(lambda x, xi: sym(xi))).apply(u)
+        out = pseudo_operator(g, lambda x, xi: sym(xi)).apply(u)
         ref = multiplier_operator(g, sym).apply(u)
         assert norm(out - ref) / norm(ref) < 1e-12
 
@@ -178,9 +173,7 @@ class TestPseudo:
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=1)
         b = lambda x: np.sin(np.sum(x, axis=-1))
-        out = pseudo_operator(
-            g, Amplitude.of_x_xi(lambda x, xi: b(x) * np.ones(xi.shape[:-1]))
-        ).apply(u)
+        out = pseudo_operator(g, lambda x, xi: b(x) * np.ones(xi.shape[:-1])).apply(u)
         expected = b(g.spatial_mesh()) * u.values
         assert np.max(np.abs(out.values - expected)) < 1e-12 * np.max(np.abs(u.values))
 
@@ -189,16 +182,13 @@ class TestPseudo:
         u = random_field(g, seed=2)
         b = lambda x: np.cos(np.sum(x, axis=-1))
         c = lambda xi: np.exp(-np.sum(xi * xi, axis=-1))
-        out = pseudo_operator(g, Amplitude.of_x_xi(lambda x, xi: b(x) * c(xi))).apply(u)
+        out = pseudo_operator(g, lambda x, xi: b(x) * c(xi)).apply(u)
         ref = b(g.spatial_mesh()) * multiplier_operator(g, c).apply(u).values
         assert np.max(np.abs(out.values - ref)) < 1e-12 * np.max(np.abs(u.values))
 
     def test_norm_uniform_across_refinement(self):
         # bounded-derivative symbol: operator norms must show no growth trend
-        sym = Amplitude.of_x_xi(
-            lambda x, xi: 1.0
-            / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        )
+        sym = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
         estimates = []
         for n_pts in (32, 64, 128):
             g = make_grid(1, 8.0, n_pts)
@@ -208,12 +198,36 @@ class TestPseudo:
         slope = np.polyfit(np.log([32, 64, 128]), np.log(estimates), 1)[0]
         assert slope < 0.05
 
-    def test_wrong_arity_rejected(self):
-        g = make_grid(1, 4.0, 8)
-        with pytest.raises(ValueError, match="arity"):
-            pseudo_operator(g, Amplitude.of_y_xi(lambda y, xi: ones_amp(y, xi))).apply(
-                random_field(g)
-            )
+
+FORM_PHASE = lambda y, xi: (
+    -np.sum(y * xi, axis=-1) + 0.3 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
+)
+FORM_A = lambda z, xi: 1.0 / (1.0 + np.sum(z * z, axis=-1) + np.sum(xi * xi, axis=-1))
+FORM_B = lambda z: 1.0 + 0.5 * np.cos(np.sum(z, axis=-1))
+
+# the README's amplitude forms: (handle builder, full amplitude A(x, y, xi))
+FIO_FORMS = {
+    "a(x,xi)": (
+        lambda g: compose(pseudo_operator(g, FORM_A), fio_operator(g, FORM_PHASE)),
+        lambda x, y, xi: FORM_A(x, xi),
+    ),
+    "a(y,xi)": (
+        lambda g: fio_operator(g, FORM_PHASE, FORM_A),
+        lambda x, y, xi: FORM_A(y, xi),
+    ),
+    "a1(x,xi)a2(y)": (
+        lambda g: compose(
+            pseudo_operator(g, FORM_A),
+            fio_operator(g, FORM_PHASE),
+            multiplication_operator(g, FORM_B),
+        ),
+        lambda x, y, xi: FORM_A(x, xi) * FORM_B(y),
+    ),
+    "a2(x)a1(y,xi)": (
+        lambda g: compose(multiplication_operator(g, FORM_B), fio_operator(g, FORM_PHASE, FORM_A)),
+        lambda x, y, xi: FORM_B(x) * FORM_A(y, xi),
+    ),
+}
 
 
 class TestFio:
@@ -223,11 +237,10 @@ class TestFio:
         g = make_grid(1, 8.0, 64)
         u = random_field(g, seed=0)
         phase = lambda y, xi: -np.sum(y * xi, axis=-1)
-        amp = Amplitude.of_x_xi(
-            lambda x, xi: np.exp(-0.1 * np.sum(x * x, axis=-1))
-            / (1.0 + np.sum(xi * xi, axis=-1))
+        amp = lambda x, xi: (
+            np.exp(-0.1 * np.sum(x * x, axis=-1)) / (1.0 + np.sum(xi * xi, axis=-1))
         )
-        out = fio_operator(g, phase, amp).apply(u)
+        out = compose(pseudo_operator(g, amp), fio_operator(g, phase)).apply(u)
         ref = pseudo_operator(g, amp).apply(u) * (2 * np.pi)
         assert norm(out - ref) / norm(ref) < 1e-10
 
@@ -248,46 +261,25 @@ class TestFio:
             mapped = out.reshape(xi.shape)
             return -np.sum(y * mapped, axis=-1)
 
-        out = fio_operator(g, phase_eval, Amplitude.of_y_xi(ones_amp)).apply(u)
+        out = fio_operator(g, phase_eval).apply(u)
         ref = canonical_transform_operator(psi, g).apply(u) * (2 * np.pi) ** 2
         assert norm(out - ref) / norm(ref) < 1e-8
 
-    def test_factorization_identity(self):
-        # T = (2 pi)^n a(X,D) F^{-1} I_phi reproduced by composing the parts
-        g = make_grid(1, 6.0, 32)
-        u = random_field(g, seed=3)
-        phase = lambda y, xi: (
-            -np.sum(y * xi, axis=-1)
-            + 0.2 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
-        )
-        a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        out = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
-
-        from fiolab.operators import _fio_analysis
-
-        w = _fio_analysis(g, phase, None).apply(u)
-        ref = pseudo_operator(g, Amplitude.of_x_xi(a_func)).apply(w) * (2 * np.pi)
-        assert norm(out - ref) / norm(ref) < 1e-8
-
-    def test_x_xi_path_matches_triple_sum(self):
-        # oracle: the defining double integral as one dense sum,
-        # sum_l sum_k e^{i(x_j xi_k + phi(x_l, xi_k))} a(x_j, xi_k) u_l dy dxi
+    @pytest.mark.parametrize("form", FIO_FORMS)
+    def test_amplitude_forms_match_triple_sum(self, form):
+        # oracle: the defining double integral as one dense sum over the
+        # full amplitude A(x, y, xi) of each form,
+        # sum_l sum_k e^{i(x_j xi_k + phi(y_l, xi_k))} A(x_j, y_l, xi_k) u_l dy dxi
         g = make_grid(1, 5.0, 32)
         u = random_field(g, seed=2)
-        phase = lambda y, xi: (
-            -np.sum(y * xi, axis=-1)
-            + 0.3 * np.sum(xi, axis=-1) * np.tanh(np.sum(y, axis=-1))
-        )
-        a_func = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-        out = fio_operator(g, phase, Amplitude.of_x_xi(a_func)).apply(u)
-        x, xi = g.spatial_vectors()[:, np.newaxis, :], g.frequency_vectors()[np.newaxis, :, :]
-        oracle = np.einsum(
-            "jk,jk,lk,l->j",
-            np.exp(1j * np.sum(x * xi, axis=-1)),
-            a_func(x, xi),
-            np.exp(1j * phase(x, xi)),
-            u.values,
-        ) * (g.dx * g.dxi)
+        build, full_amplitude = FIO_FORMS[form]
+        out = build(g).apply(u)
+        pts = g.spatial_vectors()
+        x, y = pts[:, np.newaxis, np.newaxis, :], pts[np.newaxis, :, np.newaxis, :]
+        xi = g.frequency_vectors()[np.newaxis, np.newaxis, :, :]
+        phases = np.exp(1j * (np.sum(x * xi, axis=-1) + FORM_PHASE(y, xi)))
+        kernel = phases * full_amplitude(x, y, xi)
+        oracle = np.einsum("jlk,l->j", kernel, u.values) * (g.dx * g.dxi)
         assert norm(Field(g, oracle) - out) / norm(out) < 1e-12
 
 
@@ -382,9 +374,7 @@ def probe_handles(grid):
         handles.append(
             pseudo_operator(
                 grid,
-                Amplitude.of_x_xi(
-                    lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
-                ),
+                lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)),
             )
         )
         phase = lambda y, xi: (
@@ -393,15 +383,15 @@ def probe_handles(grid):
         )
         a_main = lambda z, xi: 1.0 / (1.0 + np.sum(z * z, axis=-1) + np.sum(xi * xi, axis=-1))
         a_scalar = lambda z: 1.0 + 0.5 * np.cos(np.sum(z, axis=-1))
-        amplitudes = [
-            Amplitude.of_y_xi(lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
-            Amplitude.of_x_xi(a_main),
-        ]
-        handles.extend(fio_operator(grid, phase, amp) for amp in amplitudes)
-        # products with a function of x or y alone, by composition
+        unit = fio_operator(grid, phase)
         scalar = multiplication_operator(grid, a_scalar)
-        handles.append(compose(fio_operator(grid, phase, Amplitude.of_x_xi(a_main)), scalar))
-        handles.append(compose(scalar, fio_operator(grid, phase, Amplitude.of_y_xi(a_main))))
+        handles += [
+            fio_operator(grid, phase, lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1))),
+            compose(pseudo_operator(grid, a_main), unit),
+            # products with a function of x or y alone
+            compose(pseudo_operator(grid, a_main), unit, scalar),
+            compose(scalar, fio_operator(grid, phase, a_main)),
+        ]
     handles.append(compose(handles[1], handles[2]))
     handles.append(add(handles[0], scale(0.5j, handles[1])))
     return handles
