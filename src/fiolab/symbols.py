@@ -6,11 +6,14 @@ gradient and Hessian callables so that the canonical frequency map
     psi(xi) = p(xi) * grad p(xi) / |grad p(xi)|
 
 and its Jacobian can be evaluated in closed form.  The map sends the level
-surface ``{p = 1}`` to the unit sphere along normals; its numerical inverse
-is a Newton iteration reduced to the unit sphere by homogeneity.
+surface ``{p = 1}`` to the unit sphere along normals; its inverse is a
+Newton iteration reduced to the unit sphere by homogeneity.  A symbol that
+knows the gradient of its dual norm seeds that iteration with the exact
+inverse, ``psi^{-1}(eta) = |eta| grad p^*(eta)``.
 
 Built-in families (Euclidean norm, anisotropic quadratic forms, smooth
-directional perturbations) carry exact derivatives.
+directional perturbations) carry exact derivatives; the quadratic forms
+also carry their dual-norm gradient.
 
 Callable convention: all symbol/map callables accept stacked vectors of
 shape ``(..., n)`` and return shape ``(...)`` (or ``(..., n)`` / ``(..., n, n)``
@@ -56,13 +59,21 @@ class MapInversionError(RuntimeError):
 
 @dataclass(frozen=True)
 class HomogeneousSymbol:
-    """Positive, degree-1 homogeneous function with derivative access."""
+    """Positive, degree-1 homogeneous function with derivative access.
+
+    ``dual_gradient``, when set, is the gradient of the dual norm
+    ``p^*(eta) = sup {eta . xi : p(xi) <= 1}``.  At a unit ``eta`` it is the
+    point of ``{p = 1}`` whose outer normal is ``eta``, i.e. the inverse of
+    the Gauss map on the unit sphere; :func:`gauss_phase` seeds Newton with
+    it.  For ``p(xi) = sqrt(xi . A xi)`` it is ``A^{-1} eta / sqrt(eta . A^{-1} eta)``.
+    """
 
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     label: str = "symbol"
+    dual_gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,9 @@ class CanonicalMap:
 
     :func:`invert_map_batch` inverts it by a Newton iteration seeded by
     ``newton_seed``, which returns a new array; a seed that is already the
-    exact inverse ends the iteration before its first step.
+    exact inverse (a linear map's, or a quadratic-form Gauss map's
+    ``|eta| grad p^*(eta)``) ends the iteration before its first step.  The
+    residual check still gates every point either way.
     The map value at the origin is defined as 0 by the continuity limit.
     """
 
@@ -101,10 +114,14 @@ def quadratic_form_symbol(matrix: np.ndarray) -> HomogeneousSymbol:
         raise ValueError("quadratic form matrix must be finite")
     if not np.allclose(a, a.T):
         raise ValueError("quadratic form matrix must be symmetric")
+    # grad and hess assume A^T = A exactly; a near-symmetric input would
+    # otherwise give p and grad p of two different forms
+    a = 0.5 * (a + a.T)
     eigvals = np.linalg.eigvalsh(a)
     if eigvals[0] <= 0:
         raise ValueError("quadratic form matrix must be positive definite")
     dim = a.shape[0]
+    a_inv = np.linalg.inv(a)
 
     def ev(xi):
         xi = np.asarray(xi, dtype=float)
@@ -122,7 +139,13 @@ def quadratic_form_symbol(matrix: np.ndarray) -> HomogeneousSymbol:
         outer = axi[..., :, np.newaxis] * axi[..., np.newaxis, :]
         return a / p[..., np.newaxis, np.newaxis] - outer / (p**3)[..., np.newaxis, np.newaxis]
 
-    return HomogeneousSymbol(dim, ev, grad, hess, label="quadratic_form")
+    def dual_grad(eta):
+        # the dual norm is sqrt(eta . A^{-1} eta)
+        eta = np.asarray(eta, dtype=float)
+        b = np.einsum("ij,...j->...i", a_inv, eta)
+        return b / np.sqrt(np.einsum("...i,...i->...", eta, b))[..., np.newaxis]
+
+    return HomogeneousSymbol(dim, ev, grad, hess, label="quadratic_form", dual_gradient=dual_grad)
 
 
 def perturbed_symbol(
@@ -245,7 +268,10 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
 
     The Jacobian is assembled analytically from the symbol's gradient and
     Hessian.  Construction fails if the gradient degenerates on sampled
-    directions of the unit sphere.
+    directions of the unit sphere.  Newton's seed is the exact inverse
+    ``grad p^*(eta)`` at a unit ``eta`` when the symbol carries
+    ``dual_gradient``, and the radial projection ``eta / p(eta)`` onto
+    ``{p = 1}`` otherwise.
     """
     dim = p.dim
     samples = sphere_points(dim, GAUSS_CHECK_SAMPLES)
@@ -283,7 +309,9 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
         direction = np.asarray(direction, dtype=float)
         return direction / p.evaluate(direction)[..., np.newaxis]
 
-    return CanonicalMap(dim, fwd, jac, newton_seed=seed, label=f"gauss({p.label})")
+    return CanonicalMap(
+        dim, fwd, jac, newton_seed=p.dual_gradient or seed, label=f"gauss({p.label})"
+    )
 
 
 def invert_map_batch(
@@ -293,8 +321,11 @@ def invert_map_batch(
 
     Homogeneity reduces the problem to the unit sphere:
     ``psi^{-1}(eta) = |eta| psi^{-1}(eta/|eta|)``.  Zero rows map to zero
-    (continuity convention).  Raises
-    :class:`MapInversionError` naming the worst direction on failure.
+    (continuity convention).  Every point must end with
+    ``|psi(xi) - eta/|eta|| <= tol``, an exact seed included (a quadratic
+    form's dual-norm gradient lands within about 1e-15 and takes no step);
+    otherwise this raises :class:`MapInversionError` naming the worst
+    direction.
     """
     eta = np.asarray(eta, dtype=float)
     out = np.zeros_like(eta)

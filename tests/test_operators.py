@@ -23,7 +23,14 @@ from fiolab.operators import (
     scale,
     weight_operator,
 )
-from fiolab.symbols import gauss_phase, identity_map, linear_map, quadratic_form_symbol, scaling_map
+from fiolab.symbols import (
+    gauss_phase,
+    identity_map,
+    linear_map,
+    perturbed_symbol,
+    quadratic_form_symbol,
+    scaling_map,
+)
 from tests.conftest import gaussian_field, random_field
 
 ELLIPSE = quadratic_form_symbol(np.diag([1.0, 4.0]))
@@ -370,6 +377,12 @@ def probe_handles(grid):
         weight_operator(grid, -1.0),
         canonical_transform_operator(cmap, grid),
     ]
+    if grid.dim == 2:
+        # inverse direction: a closed-form seed, and Newton steps without one
+        handles += [
+            canonical_transform_operator(gauss_phase(p), grid, "inverse")
+            for p in (ELLIPSE, perturbed_symbol(ELLIPSE, 0.1, [1.0, 1.0]))
+        ]
     if grid.dim == 1:
         handles.append(
             pseudo_operator(

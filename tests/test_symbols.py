@@ -22,6 +22,8 @@ from fiolab.symbols import (
 )
 
 ELLIPSE = quadratic_form_symbol(np.diag([1.0, 4.0]))
+# no dual-norm gradient, so its Gauss map is inverted by Newton steps
+PERTURBED_ELLIPSE = perturbed_symbol(ELLIPSE, 0.1, [1.0, 1.0])
 
 
 def fd_jacobian(m, xi, h=1e-6):
@@ -96,6 +98,17 @@ class TestSymbolFamilies:
         for matrix in (np.diag([bad, 1.0]), [[1.0, bad], [bad, 1.0]]):
             with pytest.raises(ValueError, match="must be finite"):
                 quadratic_form_symbol(matrix)
+
+    def test_near_symmetric_form_is_symmetrized(self):
+        # passes np.allclose(a, a.T); grad and hess assume an exact A^T = A
+        p = quadratic_form_symbol(np.array([[1.0, 0.5], [0.5 + 4e-6, 2.0]]))
+        psi = gauss_phase(p)
+        h = 1e-6
+        for xi0 in ([0.7, -1.3], [2.0, 0.1], [-0.5, 0.5]):
+            xi0 = np.asarray(xi0)
+            fd = [(p.evaluate(xi0 + h * e) - p.evaluate(xi0 - h * e)) / (2 * h) for e in np.eye(2)]
+            np.testing.assert_allclose(p.gradient(xi0), fd, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(psi.jacobian(xi0), fd_jacobian(psi, xi0), rtol=0, atol=1e-8)
 
     def test_config_round_trip(self):
         p = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
@@ -188,6 +201,38 @@ class TestGaussPhase:
             gauss_phase(flat)
 
 
+def spd_matrix(kind, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.2, 5.0, dim))
+    b = rng.standard_normal((dim, dim))
+    return b @ b.T + 0.5 * np.eye(dim)
+
+
+class TestDualGradient:
+    @pytest.mark.parametrize("kind", ["diagonal", "full"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inverts_the_gauss_map(self, kind, dim):
+        p = quadratic_form_symbol(spd_matrix(kind, dim, seed=dim))
+        eta = np.random.default_rng(10 + dim).standard_normal((200, dim))
+        mags = np.linalg.norm(eta, axis=-1)
+        xi = p.dual_gradient(eta)
+        # grad p^* is degree 0 and lands on the unit p-sphere
+        np.testing.assert_allclose(p.evaluate(xi), 1.0, rtol=1e-14)
+        back = gauss_phase(p).forward(mags[:, np.newaxis] * xi)
+        assert np.max(np.linalg.norm(back - eta, axis=-1) / mags) <= 1e-14
+
+    def test_carried_by_euclidean_not_by_perturbed(self):
+        eta = sphere_points(3, 32) * 2.0
+        np.testing.assert_allclose(euclidean_symbol(3).dual_gradient(eta), eta / 2.0, rtol=1e-15)
+        assert PERTURBED_ELLIPSE.dual_gradient is None
+
+
+INVERSION_SYMBOLS = pytest.mark.parametrize(
+    "p", [ELLIPSE, PERTURBED_ELLIPSE], ids=["closed-form", "newton"]
+)
+
+
 class TestInvertMap:
     def test_identity(self):
         out = invert_map_batch(identity_map(2), np.array([[3.0, -1.0]]))
@@ -197,16 +242,18 @@ class TestInvertMap:
         out = invert_map_batch(scaling_map(2.0, 2), np.array([[4.0, 0.0]]))
         np.testing.assert_allclose(out, [[2.0, 0.0]], atol=1e-12)
 
-    def test_ellipse_round_trip_random(self):
-        psi = gauss_phase(ELLIPSE)
+    @INVERSION_SYMBOLS
+    def test_round_trip_random(self, p):
+        psi = gauss_phase(p)
         rng = np.random.default_rng(3)
         xs = rng.standard_normal((100, 2))
         back = invert_map_batch(psi, psi.forward(xs), tol=1e-10)
         rel = np.linalg.norm(back - xs, axis=-1) / np.linalg.norm(xs, axis=-1)
         assert np.max(rel) < 1e-8
 
-    def test_forward_of_inverse_round_trip(self):
-        psi = gauss_phase(ELLIPSE)
+    @INVERSION_SYMBOLS
+    def test_forward_of_inverse_round_trip(self, p):
+        psi = gauss_phase(p)
         rng = np.random.default_rng(9)
         etas = rng.standard_normal((50, 2))
         xi = invert_map_batch(psi, etas, tol=1e-12)
@@ -218,9 +265,17 @@ class TestInvertMap:
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_nonconvergence_names_direction(self):
-        psi = gauss_phase(ELLIPSE)
+        psi = gauss_phase(PERTURBED_ELLIPSE)
         with pytest.raises(MapInversionError, match="direction"):
             invert_map_batch(psi, np.array([[1.0, 1.0]]), tol=1e-16, max_iter=1)
+
+    def test_exact_seed_takes_no_step(self):
+        # the residual check still gates the closed-form seed
+        etas = sphere_points(2, 64) * 3.0
+        xi = invert_map_batch(gauss_phase(ELLIPSE), etas, tol=1e-10, max_iter=0)
+        assert np.max(np.linalg.norm(gauss_phase(ELLIPSE).forward(xi) - etas, axis=-1)) <= 3e-10
+        with pytest.raises(MapInversionError, match="after 0 iterations"):
+            invert_map_batch(gauss_phase(PERTURBED_ELLIPSE), etas, tol=1e-10, max_iter=0)
 
 
 class TestJacobianBound:
