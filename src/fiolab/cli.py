@@ -25,7 +25,8 @@ defaults of optional fields (``weights.kind`` defaults to the first)::
       "kind":   "egorov" | "smoothing" | "norm" | "symbol-check" | "cotlar",
       "seed":   0,
       "symbol": {"name": "euclidean"} | {"name": "quadratic_form", "diag": <[...]>} |
-                {"name": "quadratic_form", "matrix": <[[...], ...]>} |
+                {"name": "quadratic_form", "matrix": <[[...], ...]>} (exactly one of
+                 diag and matrix) |
                 {"name": "perturbed", "base": <{...}>,
                  "bump_amplitude": <number>, "bump_direction": <[...]>},
       "grid":   {"dim": <int>, "half_width": <number>, "points": <N> | <[N, ...]>},
@@ -93,9 +94,11 @@ from fiolab.operators import (
 from fiolab.symbols import (
     SymbolClassSpec,
     check_symbol_class,
+    euclidean_symbol,
     gauss_phase,
+    perturbed_symbol,
+    quadratic_form_symbol,
     sample_axis,
-    symbol_from_config,
 )
 from fiolab.dispersive import DerivativeKind, TimeWindow, egorov_residual, smoothing_constant
 
@@ -178,6 +181,7 @@ _NUMBER = (_is_number, "finite number")
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "positive finite number")
 _NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "nonnegative finite number")
 _GRID_POINTS = (lambda x: _is_int(x) and x >= 4 and x % 2 == 0, "even integer >= 4")
+_MAPPING = (lambda x: isinstance(x, dict), "mapping")
 
 
 def _one_of(choices: tuple) -> tuple:
@@ -187,6 +191,11 @@ def _one_of(choices: tuple) -> tuple:
 def _vector(n: int) -> tuple:
     return (lambda x: isinstance(x, list) and len(x) == n and all(map(_is_number, x)),
             f"list of {n} finite numbers")
+
+
+def _matrix(n: int) -> tuple:
+    return (lambda x: isinstance(x, list) and len(x) == n and all(map(_vector(n)[0], x)),
+            f"list of {n} lists of {n} finite numbers")
 
 
 _REQUIRED = object()
@@ -213,7 +222,7 @@ class _Reader:
         return None if default is _REQUIRED else default
 
     def section(self, raw: dict, name: str, default=_REQUIRED) -> dict:
-        return self.read(raw, name, (lambda x: isinstance(x, dict), "mapping"), default) or {}
+        return self.read(raw, name, _MAPPING, default) or {}
 
     def read_list(self, section: dict, path: str, check: tuple):
         """A required value or non-empty list of values, as a list."""
@@ -246,8 +255,31 @@ def _read_grids(r: _Reader, raw: dict):
     return grids or [], half
 
 
-def _read_symbol(r: _Reader, raw: dict, grids: list):
-    return r.build("symbol", symbol_from_config, raw.get("symbol"), grids[0].dim) if grids else None
+def _read_symbol(r: _Reader, section: dict, dim: int, path: str = "symbol"):
+    """The symbol that the mapping at ``path`` in ``section`` names, or ``None``
+    when a field is bad; a ``perturbed`` symbol's ``base`` is read the same way."""
+    s = r.read(section, path, _MAPPING)
+    names = ("euclidean", "quadratic_form", "perturbed")
+    name = r.read(s, f"{path}.name", _one_of(names)) if s is not None else None
+    if name == "euclidean":
+        return euclidean_symbol(dim)
+    if name == "quadratic_form":
+        if ("diag" in s) == ("matrix" in s):
+            r.error(path, "exactly one of diag and matrix", sorted(s))
+        elif "diag" in s:
+            diag = r.read(s, f"{path}.diag", _vector(dim))
+            return diag and r.build(path, quadratic_form_symbol, np.diag(diag).tolist())
+        else:
+            matrix = r.read(s, f"{path}.matrix", _matrix(dim))
+            return matrix and r.build(path, quadratic_form_symbol, matrix)
+    if name == "perturbed":
+        base = _read_symbol(r, s, dim, f"{path}.base")
+        amplitude = r.read(s, f"{path}.bump_amplitude", _NUMBER)
+        direction = r.read(s, f"{path}.bump_direction", _vector(dim))
+        if None in (base, amplitude, direction):
+            return None
+        return r.build(path, lambda a: perturbed_symbol(base, a, direction), amplitude)
+    return None
 
 
 def _sweep(report: ReportRecord, header: list, key: str, entries: list, worker) -> list:
@@ -301,7 +333,7 @@ def _packet_field(grid, sigma: float, carrier) -> Field:
 
 def _prepare_egorov(r: _Reader, raw: dict, seed: int):
     grids, half = _read_grids(r, raw)
-    p = _read_symbol(r, raw, grids)
+    p = _read_symbol(r, raw, grids[0].dim) if grids else None
     data = r.section(raw, "data", {})
     sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
     r.build("data.sigma", lambda s: [_packet_exponent(g, s) for g in grids], sigma)
@@ -324,7 +356,7 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
     if len(grids) > 1:
         r.error("grid.points", "one size: smoothing sweeps window.horizon", raw["grid"]["points"])
     grid = grids[0] if grids else None
-    p = _read_symbol(r, raw, grids)
+    p = _read_symbol(r, raw, grids[0].dim) if grids else None
     if grid and grid.dim < 3:
         r.error("grid.dim", "outside smoothing-theorem hypotheses (n >= 3); run is labeled, "
                 "not blocked", grid.dim, severity="warning")
@@ -373,7 +405,8 @@ def _norm_operator(kind: str, grid, p):
 def _prepare_norm(r: _Reader, raw: dict, seed: int):
     grids, half = _read_grids(r, raw)
     kind = r.read(r.section(raw, "operator"), "operator.kind", _one_of(_NORM_OPERATORS))
-    p = _read_symbol(r, raw, grids) if kind in ("canonical", "canonical_inverse") else None
+    canonical = kind in ("canonical", "canonical_inverse")
+    p = _read_symbol(r, raw, grids[0].dim) if grids and canonical else None
     weights = r.section(raw, "weights", {})
     m_in = float(r.read(weights, "weights.m_in", _NUMBER, 0.0))
     m_out = float(r.read(weights, "weights.m_out", _NUMBER, 0.0))

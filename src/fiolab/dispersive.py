@@ -84,10 +84,12 @@ class TimeWindow:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("time horizon must be positive")
-        if self.steps < 2:
-            raise ValueError("time window needs at least 2 nodes")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"time horizon must be positive and finite, got {self.horizon}")
+        steps = int(self.steps)
+        if steps != self.steps or steps < 2:
+            raise ValueError(f"time window needs an integer number of nodes >= 2, got {self.steps}")
+        object.__setattr__(self, "steps", steps)  # np.linspace takes no float count
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps)
@@ -253,7 +255,7 @@ def smoothing_constant(
     *,
     seed: int = 0,
     tol: float = 1e-4,
-    max_iters: int = 200,
+    max_iters: int = 100,
 ) -> NormEstimate:
     """Best constant of ``f -> <x>^{-delta} D^{1/2} (evolution of f)``.
 

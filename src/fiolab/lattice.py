@@ -127,8 +127,9 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
     = pi / L`` and the quadrature weights ``dx^n`` and ``(dxi / 2 pi)^n``
     must be finite and positive.
     """
-    if dim < 1:
-        raise ValueError(f"grid dimension must be >= 1, got {dim}")
+    n_dim = int(dim)
+    if n_dim != dim or n_dim < 1:
+        raise ValueError(f"grid dimension must be an integer >= 1, got {dim}")
     if not half_width > 0:
         raise ValueError(f"grid half-width must be positive, got {half_width}")
     n_points = int(points_per_axis)
@@ -136,7 +137,7 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
         raise ValueError(f"points per axis must be an integer >= 4, got {points_per_axis}")
     if n_points % 2 != 0:
         raise ValueError(f"points per axis must be even, got {n_points}")
-    grid = Grid(dim=int(dim), half_width=float(half_width), points_per_axis=n_points)
+    grid = Grid(dim=n_dim, half_width=float(half_width), points_per_axis=n_points)
     for name in ("dx", "dxi", "cell_volume", "spectral_weight"):
         try:
             value = getattr(grid, name)

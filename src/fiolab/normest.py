@@ -145,7 +145,7 @@ def power_iteration(
 
 
 def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, tol: float = 1e-6,
-                  max_iters: int = 100, seed: int = 0) -> NormEstimate:
+                  max_iters: int = 200, seed: int = 0) -> NormEstimate:
     """Norm of ``op : L2_{m_in} -> L2_{m_out}``, deterministic for a fixed seed.
 
     Non-convergence is reported through the ``converged`` flag, never as an

@@ -37,7 +37,6 @@ __all__ = [
     "euclidean_symbol",
     "quadratic_form_symbol",
     "perturbed_symbol",
-    "symbol_from_config",
     "identity_map",
     "scaling_map",
     "linear_map",
@@ -200,32 +199,6 @@ def perturbed_symbol(
     if not np.isfinite(eps):  # +inf keeps the samples positive
         raise ValueError(f"bump amplitude must be finite, got {eps}")
     return sym
-
-
-def symbol_from_config(config: dict, dim: int) -> HomogeneousSymbol:
-    """Build a symbol from a name + parameters mapping (CLI front door)."""
-    if not isinstance(config, dict):
-        raise ValueError(f"symbol config must be a mapping with a 'name', got {config!r}")
-    name = config.get("name")
-    if name == "euclidean":
-        return euclidean_symbol(dim)
-    if name == "quadratic_form":
-        if "diag" in config:
-            matrix = np.diag(np.asarray(config["diag"], dtype=float))
-        elif "matrix" in config:
-            matrix = np.asarray(config["matrix"], dtype=float)
-        else:
-            raise ValueError("quadratic_form symbol needs 'diag' or 'matrix'")
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"quadratic form matrix shape {matrix.shape} does not match dim {dim}")
-        return quadratic_form_symbol(matrix)
-    if name == "perturbed":
-        missing = [k for k in ("base", "bump_amplitude", "bump_direction") if k not in config]
-        if missing:
-            raise ValueError(f"perturbed symbol needs {missing}")
-        base = symbol_from_config(config["base"], dim)
-        return perturbed_symbol(base, config["bump_amplitude"], config["bump_direction"])
-    raise ValueError(f"unknown symbol family: {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
+import inspect
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fiolab.cli
 import fiolab.dispersive
+import fiolab.normest
 from fiolab.cli import (
     ExperimentConfig,
     main,
@@ -13,6 +17,7 @@ from fiolab.cli import (
     validate_config,
 )
 from fiolab.normest import NormEstimate
+from fiolab.symbols import perturbed_symbol, quadratic_form_symbol, sphere_points
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -148,10 +153,21 @@ class TestValidateConfig:
 
 NAN, INF = float("nan"), float("inf")
 PERTURBED_NO_BASE = {"name": "perturbed", "bump_amplitude": 0.1, "bump_direction": [1.0]}
+EGOROV_2D = {
+    **EGOROV_CFG,
+    "symbol": {"name": "quadratic_form", "diag": [1.0, 4.0]},
+    "grid": {"dim": 2, "half_width": 6.0, "points": 16},
+}
+SHEAR = [[2.0, 0.5], [0.5, 1.0]]
+EGOROV_PERTURBED = {
+    **EGOROV_2D,
+    "symbol": {"name": "perturbed", "base": {"name": "quadratic_form", "matrix": SHEAR},
+               "bump_amplitude": 0.1, "bump_direction": [1, 0]},
+}
 
 
-def _with(base, section, **fields):
-    return {**base, section: {**base[section], **fields}}
+def _with(config, section, **fields):
+    return {**config, section: {**config[section], **fields}}
 
 
 # configs that must be rejected before any computation, with the field named
@@ -165,10 +181,10 @@ REJECTED_CONFIGS = {
     # sigma^2 overflows the float range
     "egorov-overflowing-sigma-square": (_with(EGOROV_CFG, "data", sigma=1e300), "data.sigma"),
     "egorov-no-points": (_with(EGOROV_CFG, "grid", points=[]), "grid.points"),
-    "egorov-perturbed-no-base": ({**EGOROV_CFG, "symbol": PERTURBED_NO_BASE}, "symbol"),
+    "egorov-perturbed-no-base": ({**EGOROV_CFG, "symbol": PERTURBED_NO_BASE}, "symbol.base"),
     "smoothing-perturbed-no-base": (
         {**SMOOTHING_CFG, "symbol": {**PERTURBED_NO_BASE, "bump_direction": [1.0, 0.0, 0.0]}},
-        "symbol",
+        "symbol.base",
     ),
     "smoothing-no-points": (_with(SMOOTHING_CFG, "grid", points=[]), "grid.points"),
     "smoothing-two-sizes": (_with(SMOOTHING_CFG, "grid", points=[8, 16]), "grid.points"),
@@ -176,13 +192,13 @@ REJECTED_CONFIGS = {
     "smoothing-string-tol": ({**SMOOTHING_CFG, "tol": "x"}, "tol"),
     "smoothing-diag-length": (
         {**SMOOTHING_CFG, "symbol": {"name": "quadratic_form", "diag": [1.0, 4.0]}},
-        "symbol",
+        "symbol.diag",
     ),
-    "smoothing-unknown-symbol": ({**SMOOTHING_CFG, "symbol": {"name": "ellipse"}}, "symbol"),
+    "smoothing-unknown-symbol": ({**SMOOTHING_CFG, "symbol": {"name": "ellipse"}}, "symbol.name"),
     "norm-unknown-operator": (_with(NORM_CFG, "operator", kind="fourier"), "operator.kind"),
     "norm-canonical-unknown-symbol": (
         {**_with(NORM_CFG, "operator", kind="canonical"), "symbol": {"name": "ellipse"}},
-        "symbol",
+        "symbol.name",
     ),
     "norm-zero-tol": ({**NORM_CFG, "tol": 0}, "tol"),
     "symbol-check-unknown-amplitude": (
@@ -195,6 +211,25 @@ REJECTED_CONFIGS = {
     ),
     "cotlar-empty-family": (_with(COTLAR_CFG, "family", size=0), "family.size"),
     "cotlar-bumps-above-points": (_with(COTLAR_CFG, "family", size=20), "family.size"),
+    # the symbol section is read by the cli, with no coercion of booleans or strings
+    "egorov-bool-diag": (_with(EGOROV_2D, "symbol", diag=[True, 4.0]), "symbol.diag"),
+    "egorov-string-diag": (_with(EGOROV_2D, "symbol", diag=[1.0, "4"]), "symbol.diag"),
+    "egorov-bool-bump-amplitude": (_with(EGOROV_PERTURBED, "symbol", bump_amplitude=True),
+                                   "symbol.bump_amplitude"),
+    "egorov-string-bump-amplitude": (_with(EGOROV_PERTURBED, "symbol", bump_amplitude="0.1"),
+                                     "symbol.bump_amplitude"),
+    "egorov-diag-and-matrix": (_with(EGOROV_2D, "symbol", matrix=[[1.0, 0.0], [0.0, 4.0]]),
+                               "symbol"),
+    "egorov-unknown-base": (_with(EGOROV_PERTURBED, "symbol", base={"name": "ellipse"}),
+                            "symbol.base.name"),
+    "egorov-symbol-not-a-mapping": ({**EGOROV_CFG, "symbol": ["euclidean"]}, "symbol"),
+    "egorov-quadratic-form-without-matrix": (
+        {**EGOROV_CFG, "symbol": {"name": "quadratic_form"}}, "symbol"
+    ),
+    "egorov-perturbed-without-bump": (
+        {**EGOROV_CFG, "symbol": {"name": "perturbed", "base": {"name": "euclidean"}}},
+        "symbol.bump_amplitude",
+    ),
     "egorov-zero-bump-direction": (
         {**EGOROV_CFG, "symbol": {**PERTURBED_NO_BASE, "base": {"name": "euclidean"},
                                   "bump_direction": [0.0]}},
@@ -214,15 +249,15 @@ REJECTED_CONFIGS = {
     "egorov-infinite-sigma": (_with(EGOROV_CFG, "data", sigma=INF), "data.sigma"),
     "egorov-nan-carrier": (_with(EGOROV_CFG, "data", carrier=[NAN]), "data.carrier"),
     "egorov-infinite-diag": (
-        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "diag": [INF]}}, "symbol"
+        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "diag": [INF]}}, "symbol.diag"
     ),
     "egorov-infinite-matrix": (
-        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "matrix": [[INF]]}}, "symbol"
+        {**EGOROV_CFG, "symbol": {"name": "quadratic_form", "matrix": [[INF]]}}, "symbol.matrix"
     ),
     "egorov-infinite-bump-amplitude": (
         {**EGOROV_CFG, "symbol": {**PERTURBED_NO_BASE, "base": {"name": "euclidean"},
                                   "bump_amplitude": INF}},
-        "symbol",
+        "symbol.bump_amplitude",
     ),
     "smoothing-infinite-delta": (_with(SMOOTHING_CFG, "weights", delta=INF), "weights.delta"),
     "smoothing-infinite-horizon": (_with(SMOOTHING_CFG, "window", horizon=INF), "window.horizon"),
@@ -300,6 +335,80 @@ def test_config_errors_caught_before_computation(tmp_path, capsys, case):
     assert f"[error] {field}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# a symbol section and the symbol the library builds for it
+SYMBOL_SECTIONS = {
+    "diag": ({"name": "quadratic_form", "diag": [1, 4]}, quadratic_form_symbol(np.diag([1, 4]))),
+    "diagonal-matrix": ({"name": "quadratic_form", "matrix": [[1, 0], [0, 4]]},
+                        quadratic_form_symbol(np.diag([1, 4]))),
+    "matrix": ({"name": "quadratic_form", "matrix": SHEAR}, quadratic_form_symbol(SHEAR)),
+    "perturbed": (EGOROV_PERTURBED["symbol"],
+                  perturbed_symbol(quadratic_form_symbol(SHEAR), 0.1, [1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMBOL_SECTIONS))
+def test_symbol_section_builds_the_library_symbol(monkeypatch, case):
+    section, expected = SYMBOL_SECTIONS[case]
+    built = []
+    monkeypatch.setattr("fiolab.cli.egorov_residual", lambda p, u: built.append(p) or 0.0)
+    assert not run_experiment(ExperimentConfig.from_dict({**EGOROV_2D, "symbol": section})).failed
+    pts = sphere_points(2, 16) * 2.5
+    for attr in ("evaluate", "gradient", "hessian"):
+        np.testing.assert_array_equal(getattr(built[0], attr)(pts), getattr(expected, attr)(pts))
+    if case == "diag":
+        assert built[0].evaluate(np.array([0.0, 1.0])) == 2.0
+    if case == "perturbed":
+        assert built[0].evaluate(np.array([1.0, 0.0])) == pytest.approx(math.sqrt(2.0) + 0.1)
+
+
+def test_diag_and_equal_matrix_give_identical_reports(tmp_path):
+    outs = []
+    for fields in ({"diag": [1, 4]}, {"matrix": [[1, 0], [0, 4]]}):
+        cfg = {**EGOROV_2D, "symbol": {"name": "quadratic_form", **fields}}
+        out = tmp_path / str(len(outs))
+        assert main(["egorov", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        report = read_strict_json(out / "report.json")
+        outs.append((json.dumps({k: v for k, v in report.items() if k != "config"}),
+                     (out / "sweep.csv").read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_perturbed_symbol_over_a_full_matrix_runs():
+    report = run_experiment(ExperimentConfig.from_dict(EGOROV_PERTURBED))
+    assert not report.failed
+    assert report.sweep_rows[0][-1] is True
+
+
+@pytest.mark.parametrize("kind", ["norm", "smoothing"])
+def test_cli_solver_defaults_are_the_library_defaults(monkeypatch, kind):
+    # a config without tol / max_iters passes the solver its own defaults
+    name = "operator_norm" if kind == "norm" else "smoothing_constant"
+    module = fiolab.normest if kind == "norm" else fiolab.dispersive
+    params = inspect.signature(getattr(module, name)).parameters
+    calls = []
+
+    def capture(*args, tol, max_iters, **kwargs):
+        calls.append((tol, max_iters))
+        return NormEstimate(1.0, 1, True, 0.0)
+
+    monkeypatch.setattr(f"fiolab.cli.{name}", capture)
+    cfg = NORM_CFG if kind == "norm" else SMOOTHING_CFG
+    assert not run_experiment(ExperimentConfig.from_dict(cfg)).failed
+    assert calls == [(params["tol"].default, params["max_iters"].default)]
+
+
+def test_non_finite_result_is_reported_as_null(tmp_path, monkeypatch):
+    monkeypatch.setattr("fiolab.cli.egorov_residual", lambda p, u: float("nan"))
+    out = tmp_path / "out"
+    assert main(["egorov", "--config", str(write_config(tmp_path, EGOROV_CFG)),
+                 "--out", str(out)]) == 2
+    report = read_strict_json(out / "report.json")
+    assert report["failed"] is True
+    assert report["sweep"]["rows"] == [[64, 10.0, None, True]]
+    assert report["results"]["residuals"] == {"64": None}
+    assert report["warnings"] == ["egorov: non-finite numbers reported as null"]
 
 
 class TestRunExperiment:
@@ -419,6 +528,14 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert report.results["sound"]
+
+    def test_cotlar_random_matrices(self):
+        cfg = _with(COTLAR_CFG, "family", kind="random_matrices", size=2, points=4)
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert not report.failed and report.results["sound"] is True
+        gamma = dict(report.sweep_rows)
+        assert sorted(gamma) == ["(-1,)", "(0,)", "(1,)"]
+        assert gamma["(-1,)"] == gamma["(1,)"] > 0
 
     def test_smoothing_experiment_small(self):
         cfg = ExperimentConfig.from_dict(

@@ -49,6 +49,15 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(1.0, 1)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="time horizon must be"):
+            TimeWindow(horizon, 5)
+
+    def test_rejects_fractional_steps(self):
+        with pytest.raises(ValueError, match="integer number of nodes"):
+            TimeWindow(1.0, 2.5)
+
     def test_space_time_field_checks_slices(self):
         g = make_grid(1, 4.0, 8)
         w = TimeWindow(1.0, 3)

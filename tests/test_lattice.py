@@ -43,6 +43,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 1.0, 2)
 
+    def test_rejects_fractional_dimension(self):
+        # int() would truncate it to a 2-D grid
+        with pytest.raises(ValueError, match="grid dimension must be an integer"):
+            make_grid(2.5, 4.0, 8)
+
     @pytest.mark.parametrize(
         "dim, half_width, name",
         [(1, 1e308, "dx"), (1, 1e-309, "dxi"), (3, 1e200, "cell_volume"),

@@ -18,7 +18,6 @@ from fiolab.symbols import (
     quadratic_form_symbol,
     scaling_map,
     sphere_points,
-    symbol_from_config,
 )
 
 ELLIPSE = quadratic_form_symbol(np.diag([1.0, 4.0]))
@@ -109,44 +108,6 @@ class TestSymbolFamilies:
             fd = [(p.evaluate(xi0 + h * e) - p.evaluate(xi0 - h * e)) / (2 * h) for e in np.eye(2)]
             np.testing.assert_allclose(p.gradient(xi0), fd, rtol=0, atol=1e-8)
             np.testing.assert_allclose(psi.jacobian(xi0), fd_jacobian(psi, xi0), rtol=0, atol=1e-8)
-
-    def test_config_round_trip(self):
-        p = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
-        assert p.evaluate(np.array([0.0, 1.0])) == pytest.approx(2.0)
-        q = symbol_from_config(
-            {"name": "perturbed", "base": {"name": "euclidean"},
-             "bump_amplitude": 0.1, "bump_direction": [1, 0]},
-            2,
-        )
-        assert q.evaluate(np.array([1.0, 0.0])) == pytest.approx(1.1)
-        with pytest.raises(ValueError, match="unknown symbol"):
-            symbol_from_config({"name": "nope"}, 2)
-
-    def test_quadratic_form_matrix_config(self):
-        # the "matrix" form equals "diag" on a diagonal matrix and takes full matrices
-        pts = sphere_points(2, 16) * 2.5
-        by_diag = symbol_from_config({"name": "quadratic_form", "diag": [1, 4]}, 2)
-        by_matrix = symbol_from_config({"name": "quadratic_form", "matrix": [[1, 0], [0, 4]]}, 2)
-        np.testing.assert_array_equal(by_matrix.evaluate(pts), by_diag.evaluate(pts))
-        full = [[2.0, 0.5], [0.5, 1.0]]
-        sheared = symbol_from_config({"name": "quadratic_form", "matrix": full}, 2)
-        np.testing.assert_array_equal(
-            sheared.evaluate(pts), quadratic_form_symbol(np.array(full)).evaluate(pts)
-        )
-
-    @pytest.mark.parametrize(
-        "config,message",
-        [
-            (["euclidean"], "must be a mapping"),
-            ({"name": "quadratic_form"}, "needs 'diag' or 'matrix'"),
-            ({"name": "quadratic_form", "diag": [1, 2, 3]}, "does not match dim 2"),
-            ({"name": "perturbed", "base": {"name": "euclidean"}}, "needs.*bump_amplitude"),
-        ],
-        ids=["not-a-mapping", "no-matrix", "wrong-dim", "perturbed-missing-keys"],
-    )
-    def test_config_errors_name_the_problem(self, config, message):
-        with pytest.raises(ValueError, match=message):
-            symbol_from_config(config, 2)
 
 
 class TestGaussPhase:
@@ -371,6 +332,17 @@ class TestSymbolClass:
             )
             worsts.append(rep.worst_constant)
         assert worsts[0] <= worsts[1] <= worsts[2]
+
+    def test_dim_two_matches_its_restriction(self):
+        # an amplitude of x_1 alone has zero derivatives along x_2 and xi, so
+        # the 2-D check reports the constant of its 1-D restriction
+        spec = SymbolClassSpec("S00", 2, 5.0)
+        amp = lambda x, xi: np.cos(x[..., 0]) / (1.0 + x[..., 0] ** 2)  # noqa: E731
+        one, two = (check_symbol_class(amp, spec, dim=d, x_half_width=4, xi_half_width=4,
+                                       x_points=9, xi_points=9) for d in (1, 2))
+        assert two.worst_constant == one.worst_constant
+        assert two.worst_orders == ((one.worst_orders[0][0], 0), (0, 0))
+        assert two.worst_point[0][0] == one.worst_point[0][0]
 
     def test_too_coarse_grid_rejected(self):
         spec = SymbolClassSpec("S00", 3, 1.0)
