@@ -237,7 +237,7 @@ class _Reader:
         """``make(*args)``; a rejection becomes a violation of ``field``."""
         try:
             return make(*args)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, MemoryError) as exc:
             self.error(field, str(exc), args[0])
             return None
 
@@ -252,7 +252,10 @@ def _read_grids(r: _Reader, raw: dict):
     if None in (dim, half, points):
         return [], half
     grids = r.build("grid.half_width", lambda h: [make_grid(dim, h, n) for n in points], half)
-    return grids or [], half
+    # a size whose mesh cannot be allocated is refused here; the mesh is cached for the run
+    meshes = grids and r.build("grid.points", lambda _: [grid.spatial_mesh() for grid in grids],
+                               points)
+    return (grids if meshes else []), half
 
 
 def _read_symbol(r: _Reader, section: dict, dim: int, path: str = "symbol"):

@@ -11,14 +11,19 @@ The smoothing functional measures
 
 with trapezoidal time weights ``w_j`` over ``[0, T]``; ``D^{1/2}`` is the
 spectral multiplier ``<xi>^{1/2}`` (inhomogeneous kind) or ``|xi|^{1/2}``
-(homogeneous kind), applied before the spatial weight.  The best constant
-of the map ``f -> weighted space-time trace`` is measured by the Lanczos
-solver ``normest.power_iteration`` (looked up here as a module global under
-that name, which ``perfbench/`` wraps and swaps) on the composed normal
-operator, streaming over time nodes in frequency space (the propagator is
-diagonal there).
+(homogeneous kind), applied before the spatial weight.  Both smoothing
+entries read one normal operator,
 
-Both smoothing entries split the time loop over ``_WORKERS = 2`` fixed
+    S(T) = D^{1/2} sum_j w_j exp(-i t_j p^2) <x>^{-2 delta} exp(i t_j p^2) D^{1/2},
+
+applied by streaming over time nodes in frequency space (the propagator
+is diagonal there): the functional of ``f`` is ``<f, S(T) f>^{1/2}``, and
+the best constant of the map ``f -> weighted space-time trace`` is the
+square root of the top eigenvalue of ``S(T)``, measured by the Lanczos
+solver ``normest.power_iteration`` (looked up here as a module global
+under that name, which ``perfbench/`` wraps and swaps).
+
+The apply of ``S(T)`` splits the time loop over ``_WORKERS = 2`` fixed
 workers: worker 0 on the calling thread and worker 1 on one thread that is
 joined before the call returns, so no thread outlives it and an error in
 either worker reaches the caller.  Batches hold ``_BATCH_NODES = 4`` nodes
@@ -46,6 +51,7 @@ from fiolab.lattice import (  # noqa: F401
     Grid,
     bracket,
     forward_transform,
+    inner_product,
     inverse_transform,
     norm,
 )
@@ -60,7 +66,6 @@ from fiolab.symbols import HomogeneousSymbol, gauss_phase
 
 __all__ = [
     "TimeWindow",
-    "SpaceTimeField",
     "propagate",
     "smoothing_functional",
     "smoothing_constant",
@@ -101,25 +106,6 @@ class TimeWindow:
         return w
 
 
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """One spatial field per time node of a window."""
-
-    window: TimeWindow
-    slices: tuple
-
-    def __post_init__(self):
-        if len(self.slices) != self.window.steps:
-            raise ValueError("slice count must match the window node count")
-        grids = {f.grid for f in self.slices}
-        if len(grids) != 1:
-            raise ValueError("all slices must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.slices[0].grid
-
-
 def symbol_on_grid(p: HomogeneousSymbol, grid: Grid) -> np.ndarray:
     """Sample ``p`` on the frequency grid with ``p(0) = 0`` enforced."""
     return evaluate_multiplier(p.evaluate, grid, value_at_zero=0.0).real
@@ -129,19 +115,6 @@ def _phase_step(p: HomogeneousSymbol, grid: Grid, window: TimeWindow) -> np.ndar
     """``exp(i h p^2)`` in FFT order, ``h`` the node spacing: one step of the phase recurrence."""
     h = window.horizon / (window.steps - 1)
     return np.exp(1j * h * np.fft.ifftshift(symbol_on_grid(p, grid) ** 2))
-
-
-def _fft_order_tables(grid: Grid, kind: DerivativeKind, space_power: float):
-    """The half-derivative multiplier and ``<x>^space_power``, in FFT order."""
-    mesh = grid.frequency_mesh()
-    mag2 = np.sum(mesh * mesh, axis=-1)
-    if kind == "inhomogeneous":
-        half_d = (1.0 + mag2) ** 0.25
-    elif kind == "homogeneous":
-        half_d = mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
-    else:
-        raise ValueError(f"unknown derivative kind {kind!r}")
-    return np.fft.ifftshift(half_d), np.fft.ifftshift(bracket(grid.spatial_mesh()) ** space_power)
 
 
 def _evolve(step: np.ndarray, spec: np.ndarray, window: TimeWindow, worker: int = 0,
@@ -206,69 +179,32 @@ def _split(work: Callable[[int], np.ndarray]) -> np.ndarray:
     return total
 
 
-def propagate(p: HomogeneousSymbol, f: Field, window: TimeWindow) -> SpaceTimeField:
-    """Exact spectral evolution ``uhat(t_j) = exp(i t_j p^2) fhat``."""
+def propagate(p: HomogeneousSymbol, f: Field, window: TimeWindow) -> tuple[Field, ...]:
+    """Exact spectral evolution ``uhat(t_j) = exp(i t_j p^2) fhat``, one field per node."""
     step = _phase_step(p, f.grid, window)
     spec = np.fft.fftn(np.fft.ifftshift(f.values))
     slices = []
     for _, _, fields in _evolve(step, spec, window):
         slices.extend(Field(f.grid, np.fft.fftshift(u)) for u in fields)
-    return SpaceTimeField(window, tuple(slices))
+    return tuple(slices)
 
 
-def smoothing_functional(
-    p: HomogeneousSymbol,
-    f: Field,
-    window: TimeWindow,
-    weight_exponent: float,
-    kind: DerivativeKind = "inhomogeneous",
-) -> float:
-    """Weighted space-time trace norm of the evolution of ``f``.
-
-    Streams over time nodes in batches, split over the two workers; the
-    propagator and half-derivative act in frequency, the weight in space.
-    """
-    step = _phase_step(p, f.grid, window)
-    half_d, w_space = _fft_order_tables(f.grid, kind, -weight_exponent)
-    spec = half_d * np.fft.fftn(np.fft.ifftshift(f.values))
-
-    def part(worker: int) -> np.ndarray:
-        acc = np.zeros(f.grid.shape)
-        for w_batch, _, fields in _evolve(step, spec, window, worker, _WORKERS):
-            fields *= w_space
-            power = np.abs(fields)
-            power *= power
-            for w_k, node_power in zip(w_batch, power):
-                node_power *= w_k
-                acc += node_power
-        return acc
-
-    return float(np.sqrt(_split(part).sum() * f.grid.cell_volume))
-
-
-def smoothing_constant(
-    p: HomogeneousSymbol,
-    grid: Grid,
-    window: TimeWindow,
-    delta: float,
-    kind: DerivativeKind = "inhomogeneous",
-    *,
-    seed: int = 0,
-    tol: float = 1e-4,
-    max_iters: int = 100,
-) -> NormEstimate:
-    """Best constant of ``f -> <x>^{-delta} D^{1/2} (evolution of f)``.
-
-    Lanczos (``power_iteration``; ``tol`` bounds the relative residual of
-    the returned Ritz pair) on the composed normal operator
-
-        D^{1/2} sum_j w_j exp(-i t_j p^2) <x>^{-2 delta} exp(i t_j p^2) D^{1/2}
-
-    streaming over time nodes with batched in-place transforms, split over
-    the two workers.
-    """
+def _smoothing_normal(
+    p: HomogeneousSymbol, grid: Grid, window: TimeWindow, delta: float, kind: DerivativeKind
+) -> Callable[[Field], Field]:
+    """The apply of ``S(T)`` (module docstring): batched in-place transforms
+    over the time nodes, split over the two workers."""
     step = _phase_step(p, grid, window)
-    half_d, w2_space = _fft_order_tables(grid, kind, -2.0 * delta)
+    mesh = grid.frequency_mesh()
+    mag2 = np.sum(mesh * mesh, axis=-1)
+    if kind == "inhomogeneous":
+        half_d = (1.0 + mag2) ** 0.25
+    elif kind == "homogeneous":
+        half_d = mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
+    else:
+        raise ValueError(f"unknown derivative kind {kind!r}")
+    half_d = np.fft.ifftshift(half_d)
+    w2_space = np.fft.ifftshift(bracket(grid.spatial_mesh()) ** (-2.0 * delta))
     axes = tuple(range(1, grid.dim + 1))
 
     def normal_apply(v: Field) -> Field:
@@ -291,6 +227,37 @@ def smoothing_constant(
         acc *= half_d
         return Field(grid, np.fft.fftshift(np.fft.ifftn(acc)))
 
+    return normal_apply
+
+
+def smoothing_functional(
+    p: HomogeneousSymbol,
+    f: Field,
+    window: TimeWindow,
+    weight_exponent: float,
+    kind: DerivativeKind = "inhomogeneous",
+) -> float:
+    """Weighted space-time trace norm of the evolution of ``f``: ``<f, S(T) f>^{1/2}``
+    with ``S(T)`` the normal operator of ``smoothing_constant`` at ``delta = weight_exponent``."""
+    s_f = _smoothing_normal(p, f.grid, window, weight_exponent, kind)(f)
+    return float(np.sqrt(max(inner_product(s_f, f).real, 0.0)))
+
+
+def smoothing_constant(
+    p: HomogeneousSymbol,
+    grid: Grid,
+    window: TimeWindow,
+    delta: float,
+    kind: DerivativeKind = "inhomogeneous",
+    *,
+    seed: int = 0,
+    tol: float = 1e-4,
+    max_iters: int = 100,
+) -> NormEstimate:
+    """Best constant of ``f -> <x>^{-delta} D^{1/2} (evolution of f)``: the square
+    root of the top eigenvalue of ``S(T)``, by Lanczos (``power_iteration``;
+    ``tol`` bounds the relative residual of the returned Ritz pair)."""
+    normal_apply = _smoothing_normal(p, grid, window, delta, kind)
     return power_iteration(normal_apply, _random_field(grid, seed), tol, max_iters)
 
 

@@ -149,6 +149,13 @@ def make_grid(dim: int, half_width: float, points_per_axis: int) -> Grid:
     return grid
 
 
+def _same_grid(a: Grid, b: Grid) -> Grid:
+    """``a``, if ``b`` is the same grid; objects on two grids do not combine."""
+    if a != b:
+        raise ValueError(f"cannot combine objects on different grids: {a} and {b}")
+    return a
+
+
 def _frozen_complex(values: np.ndarray, shape: tuple) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).reshape(shape).copy()
     arr.flags.writeable = False
@@ -174,10 +181,10 @@ class Field:
         object.__setattr__(self, "values", arr)
 
     def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
+        return Field(_same_grid(self.grid, other.grid), self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values - other.values)
+        return Field(_same_grid(self.grid, other.grid), self.values - other.values)
 
     def __mul__(self, scalar) -> "Field":
         return Field(self.grid, self.values * scalar)
@@ -232,7 +239,7 @@ def norm(f: Field) -> float:
 
 def inner_product(f: Field, g: Field) -> complex:
     """Discrete L2 pairing ``sum f conj(g) dx^n``."""
-    return complex(np.sum(f.values * np.conj(g.values)) * f.grid.cell_volume)
+    return complex(np.sum(f.values * np.conj(g.values)) * _same_grid(f.grid, g.grid).cell_volume)
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,6 +27,7 @@ that left the box, in the result's ``Field.meta``; neither is ever warned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
@@ -37,6 +38,7 @@ from fiolab.lattice import (
     Field,
     Grid,
     SpectralField,
+    _same_grid,
     bracket,
     forward_transform,
     inverse_transform,
@@ -78,6 +80,24 @@ class OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
+def _sample(a, grid: Grid, mesh: np.ndarray, what: str) -> np.ndarray:
+    """``a``, a callable on the stacked vectors of ``mesh`` or an array, as a
+    fresh complex array of ``grid.shape``; non-finite values are left to the caller."""
+    if not callable(a):
+        return np.array(np.reshape(a, grid.shape), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        vals = np.array(a(mesh), dtype=np.complex128)
+    if vals.shape != grid.shape:
+        raise ValueError(f"{what} returned shape {vals.shape}, expected {grid.shape}")
+    return vals
+
+
+def _first_non_finite(vals: np.ndarray, mesh: np.ndarray):
+    """The mesh point of the first non-finite value, as a list, or ``None``."""
+    bad = ~np.isfinite(vals)
+    return mesh[tuple(np.argwhere(bad)[0])].tolist() if np.any(bad) else None
+
+
 def evaluate_multiplier(a, grid: Grid, value_at_zero=None) -> np.ndarray:
     """Sample a frequency multiplier on the grid (math order).
 
@@ -87,23 +107,14 @@ def evaluate_multiplier(a, grid: Grid, value_at_zero=None) -> np.ndarray:
     at the origin).  A non-finite value anywhere else is an error naming
     the offending frequency.
     """
-    if callable(a):
-        with np.errstate(all="ignore"):
-            vals = np.asarray(a(grid.frequency_mesh()), dtype=np.complex128)
-        if vals.shape != grid.shape:
-            raise ValueError(f"multiplier returned shape {vals.shape}, expected {grid.shape}")
-    else:
-        vals = np.asarray(a, dtype=np.complex128).reshape(grid.shape).copy()
-    zero_index = (grid.points_per_axis // 2,) * grid.dim
+    mesh = grid.frequency_mesh()
+    vals = _sample(a, grid, mesh, "multiplier")
     if value_at_zero is not None:
-        vals = np.array(vals)
-        vals[zero_index] = value_at_zero
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        where = np.argwhere(bad)[0]
-        freq = grid.frequency_mesh()[tuple(where)]
+        vals[(grid.points_per_axis // 2,) * grid.dim] = value_at_zero
+    freq = _first_non_finite(vals, mesh)
+    if freq is not None:
         raise ValueError(
-            f"multiplier is not finite at frequency {freq.tolist()} "
+            f"multiplier is not finite at frequency {freq} "
             "(supply value_at_zero for homogeneous symbols)"
         )
     return vals
@@ -125,14 +136,11 @@ def multiplication_operator(grid: Grid, w, label: str = "multiplication") -> Ope
 
     A non-finite value is an error naming the offending point.
     """
-    if callable(w):
-        vals = np.asarray(w(grid.spatial_mesh()), dtype=np.complex128)
-    else:
-        vals = np.asarray(w, dtype=np.complex128).reshape(grid.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        point = grid.spatial_mesh()[tuple(np.argwhere(bad)[0])]
-        raise ValueError(f"{label} is not finite at x = {point.tolist()}")
+    mesh = grid.spatial_mesh()
+    vals = _sample(w, grid, mesh, label)
+    point = _first_non_finite(vals, mesh)
+    if point is not None:
+        raise ValueError(f"{label} is not finite at x = {point}")
 
     def times(mult: np.ndarray) -> Callable[[Field], Field]:
         return lambda u: Field(grid, u.values * mult)
@@ -340,7 +348,7 @@ def compose(*handles: OperatorHandle) -> OperatorHandle:
     """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first)."""
     if not handles:
         raise ValueError("compose needs at least one handle")
-    grid = handles[0].grid
+    grid = functools.reduce(_same_grid, (h.grid for h in handles))
 
     def _apply(u: Field) -> Field:
         for h in reversed(handles):
@@ -367,7 +375,7 @@ def scale(c: complex, h: OperatorHandle) -> OperatorHandle:
 def add(*handles: OperatorHandle) -> OperatorHandle:
     if not handles:
         raise ValueError("add needs at least one handle")
-    grid = handles[0].grid
+    grid = functools.reduce(_same_grid, (h.grid for h in handles))
 
     def _apply(u: Field) -> Field:
         return sum((h.apply(u) for h in handles[1:]), handles[0].apply(u))

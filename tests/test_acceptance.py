@@ -179,15 +179,13 @@ def test_criterion_06_propagator_exactness():
     grid = make_grid(2, 6.0, 16)
     f = random_field(grid, seed=3)
     evolution = propagate(quadratic_form_symbol(np.diag([1.0, 4.0])), f, TimeWindow(2.0, 9))
-    unitarity = max(abs(norm(s) - norm(f)) / norm(f) for s in evolution.slices)
+    unitarity = max(abs(norm(s) - norm(f)) / norm(f) for s in evolution)
 
     # group property
     g1 = make_grid(1, 8.0, 64)
     f1 = gaussian_field(g1, sigma=0.8)
-    two_step = propagate(
-        p1, propagate(p1, f1, TimeWindow(0.4, 5)).slices[-1], TimeWindow(0.4, 5)
-    ).slices[-1]
-    joint = propagate(p1, f1, TimeWindow(0.8, 9)).slices[-1]
+    two_step = propagate(p1, propagate(p1, f1, TimeWindow(0.4, 5))[-1], TimeWindow(0.4, 5))[-1]
+    joint = propagate(p1, f1, TimeWindow(0.8, 9))[-1]
     group_err = norm(two_step - joint) / norm(joint)
 
     # closed-form Gaussian match at interior points
@@ -195,7 +193,7 @@ def test_criterion_06_propagator_exactness():
     x = g2.spatial_mesh()[..., 0]
     f2 = Field(g2, np.exp(-x * x / 2.0))
     t_end = 0.5
-    got = propagate(p1, f2, TimeWindow(t_end, 2)).slices[-1].values
+    got = propagate(p1, f2, TimeWindow(t_end, 2))[-1].values
     exact = np.exp(-x * x / (2.0 * (1.0 - 2j * t_end))) / np.sqrt(1.0 - 2j * t_end)
     interior = np.abs(x) < 8.0
     gauss_err = np.max(np.abs(got[interior] - exact[interior])) / np.max(np.abs(exact))
@@ -319,7 +317,7 @@ def test_criterion_09_transform_path_equivalence():
     weight_back = weight_operator(grid, -1.0)
     ratio = half_derivative_ratio_operator(grid, p)
     total = 0.0
-    for w_j, v_j in zip(window.weights(), classical.slices):
+    for w_j, v_j in zip(window.weights(), classical):
         traced = weight_back.apply(
             ratio.apply(t_fwd.apply(multiplier_operator(grid, half_bracket).apply(v_j)))
         )

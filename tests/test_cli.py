@@ -209,6 +209,12 @@ REJECTED_CONFIGS = {
         _with(SYMBOL_CHECK_CFG, "symbol_class", kind="SG"),
         "symbol_class",
     ),
+    # the 3-D mesh of 1e5 points per axis cannot be allocated
+    "egorov-unallocatable-grid": (_with(EGOROV_CFG, "grid", dim=3, points=[100000]),
+                                  "grid.points"),
+    "smoothing-unallocatable-grid": (_with(SMOOTHING_CFG, "grid", points=[100000]),
+                                     "grid.points"),
+    "norm-unallocatable-grid": (_with(NORM_CFG, "grid", dim=3, points=[100000]), "grid.points"),
     "cotlar-empty-family": (_with(COTLAR_CFG, "family", size=0), "family.size"),
     "cotlar-bumps-above-points": (_with(COTLAR_CFG, "family", size=20), "family.size"),
     # the symbol section is read by the cli, with no coercion of booleans or strings
@@ -335,6 +341,13 @@ def test_config_errors_caught_before_computation(tmp_path, capsys, case):
     assert f"[error] {field}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unallocatable_grid_names_the_points_value():
+    cfg = _with(NORM_CFG, "grid", dim=3, points=[100000])
+    (violation,) = validate_config(ExperimentConfig.from_dict(cfg))
+    assert (violation.field, violation.actual) == ("grid.points", [100000])
+    assert "Unable to allocate" in violation.constraint
 
 
 # a symbol section and the symbol the library builds for it

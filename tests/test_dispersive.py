@@ -7,7 +7,6 @@ import fiolab.dispersive
 from fiolab.dispersive import (
     _BATCH_NODES,
     _WORKERS,
-    SpaceTimeField,
     TimeWindow,
     _evolve,
     _phase_step,
@@ -58,19 +57,13 @@ class TestTimeWindow:
         with pytest.raises(ValueError, match="integer number of nodes"):
             TimeWindow(1.0, 2.5)
 
-    def test_space_time_field_checks_slices(self):
-        g = make_grid(1, 4.0, 8)
-        w = TimeWindow(1.0, 3)
-        with pytest.raises(ValueError):
-            SpaceTimeField(w, (random_field(g),))
-
 
 class TestPropagate:
     def test_initial_slice_is_data(self):
         g = make_grid(1, 8.0, 64)
         f = gaussian_field(g)
         st = propagate(EUCLID_1D, f, TimeWindow(1.0, 5))
-        assert np.max(np.abs(st.slices[0].values - f.values)) < 1e-14
+        assert np.max(np.abs(st[0].values - f.values)) < 1e-14
 
     def test_grid_mode_picks_up_phase(self):
         g = make_grid(1, 8.0, 64)
@@ -79,7 +72,7 @@ class TestPropagate:
         t_end = 0.3
         st = propagate(EUCLID_1D, mode, TimeWindow(t_end, 4))
         expected = np.exp(1j * t_end * k**2) * mode.values
-        assert np.max(np.abs(st.slices[-1].values - expected)) < 1e-12
+        assert np.max(np.abs(st[-1].values - expected)) < 1e-12
 
     def test_gaussian_closed_form(self):
         # oracle: complex-Gaussian formula for the free evolution of
@@ -91,7 +84,7 @@ class TestPropagate:
         st = propagate(EUCLID_1D, f, TimeWindow(t_end, 2))
         exact = np.exp(-x * x / (2.0 * (1.0 - 2j * t_end))) / np.sqrt(1.0 - 2j * t_end)
         interior = np.abs(x) < 8.0
-        err = np.max(np.abs(st.slices[-1].values[interior] - exact[interior]))
+        err = np.max(np.abs(st[-1].values[interior] - exact[interior]))
         assert err < 1e-6 * np.max(np.abs(exact))
 
     def test_unitarity_all_slices(self):
@@ -99,24 +92,24 @@ class TestPropagate:
         f = random_field(g, seed=3)
         st = propagate(quadratic_form_symbol(np.diag([1.0, 4.0])), f, TimeWindow(2.0, 9))
         base = norm(f)
-        for s in st.slices:
+        for s in st:
             assert abs(norm(s) - base) / base < 1e-12
 
     def test_group_property(self):
         g = make_grid(1, 8.0, 64)
         f = gaussian_field(g, sigma=0.8)
         first = propagate(EUCLID_1D, f, TimeWindow(0.4, 5))
-        second = propagate(EUCLID_1D, first.slices[-1], TimeWindow(0.4, 5))
+        second = propagate(EUCLID_1D, first[-1], TimeWindow(0.4, 5))
         joint = propagate(EUCLID_1D, f, TimeWindow(0.8, 9))
-        for got, want in zip(second.slices, joint.slices[4:]):
+        for got, want in zip(second, joint[4:]):
             assert np.max(np.abs(got.values - want.values)) < 1e-10
 
     def test_time_reversal(self):
         g = make_grid(1, 8.0, 64)
         f = random_field(g, seed=9)
         t_end = 0.7
-        fwd = propagate(EUCLID_1D, f, TimeWindow(t_end, 3)).slices[-1]
-        back = propagate(EUCLID_1D, Field(g, np.conj(fwd.values)), TimeWindow(t_end, 3)).slices[-1]
+        fwd = propagate(EUCLID_1D, f, TimeWindow(t_end, 3))[-1]
+        back = propagate(EUCLID_1D, Field(g, np.conj(fwd.values)), TimeWindow(t_end, 3))[-1]
         recovered = np.conj(back.values)
         assert np.max(np.abs(recovered - f.values)) < 1e-10 * np.max(np.abs(f.values))
 
@@ -380,14 +373,15 @@ class TestEvolutionKernel:
         v = random_field(self.GRID, seed=14)
         assert np.array_equal(apply(v).values, apply(v).values)
 
+    @pytest.mark.parametrize("failing", range(_WORKERS), ids=lambda w: f"worker{w}")
     @pytest.mark.parametrize("entry", ["normal_apply", "functional"])
-    def test_worker_error_reaches_the_caller(self, entry, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, entry, failing, monkeypatch):
         real_evolve = fiolab.dispersive._evolve
 
         def failing_evolve(step, spec, window, worker=0, workers=1):
             for batch in real_evolve(step, spec, window, worker, workers):
-                if worker == 1:
-                    raise FloatingPointError("injected in worker 1")
+                if worker == failing:
+                    raise FloatingPointError(f"injected in worker {worker}")
                 yield batch
 
         f = random_field(self.GRID, seed=15)
@@ -397,12 +391,12 @@ class TestEvolutionKernel:
             )
         monkeypatch.setattr(fiolab.dispersive, "_evolve", failing_evolve)
         threads_before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="worker 1"):
+        with pytest.raises(FloatingPointError, match=f"worker {failing}"):
             if entry == "normal_apply":
                 apply(f)
             else:
                 smoothing_functional(self.SYMBOL, f, self.WINDOW, 0.75)
-        assert threading.active_count() == threads_before  # the worker was joined
+        assert threading.active_count() == threads_before  # worker 1 was joined
 
     def _check_functional(self, kind, window):
         f = random_field(self.GRID, seed=12)
@@ -421,7 +415,7 @@ class TestEvolutionKernel:
 
     def test_propagate_matches_frozen_reference(self):
         f = random_field(self.GRID, seed=13)
-        got = propagate(self.SYMBOL, f, self.WINDOW).slices
+        got = propagate(self.SYMBOL, f, self.WINDOW)
         p2 = symbol_on_grid(self.SYMBOL, self.GRID) ** 2
         fhat = forward_transform(f).values
         assert len(got) == self.WINDOW.steps

@@ -188,6 +188,22 @@ class TestInnerProduct:
         assert inner_product(u, u) == pytest.approx(norm(u) ** 2, rel=1e-14)
 
 
+# same N, different half width: the values line up but the grids do not
+GRID_A, GRID_B = make_grid(1, 4.0, 8), make_grid(1, 5.0, 8)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda u, v: u + v, lambda u, v: u - v, inner_product],
+    ids=["add", "sub", "inner_product"],
+)
+def test_fields_on_different_grids_do_not_combine(combine):
+    u, v = random_field(GRID_A, seed=1), random_field(GRID_B, seed=2)
+    with pytest.raises(ValueError, match="different grids") as info:
+        combine(u, v)
+    assert str(GRID_A) in str(info.value) and str(GRID_B) in str(info.value)
+
+
 class TestNyquistHandling:
     def test_mask_covers_first_row_per_axis(self):
         g = make_grid(2, 3.0, 8)

@@ -66,6 +66,12 @@ class TestMultiplier:
         with pytest.raises(ValueError, match="not finite at frequency"):
             multiplier_operator(g, lambda xi: 1.0 / np.sum(xi * xi, axis=-1)).apply(random_field(g))
 
+    def test_multiplication_callable_shape_checked(self):
+        # a row of the mesh would broadcast across the grid
+        g = make_grid(2, 4.0, 8)
+        with pytest.raises(ValueError, match=r"returned shape \(8,\), expected \(8, 8\)"):
+            multiplication_operator(g, lambda x: x[0, :, 0])
+
     def test_explicit_zero_frequency_value(self):
         g = make_grid(1, 4.0, 8)
         u = random_field(g, seed=2)
@@ -351,6 +357,15 @@ class TestHandleAlgebra:
     def test_empty_combination_rejected(self, combine):
         with pytest.raises(ValueError, match="at least one handle"):
             combine()
+
+    @pytest.mark.parametrize("combine", [compose, add], ids=["compose", "add"])
+    def test_handles_on_different_grids_rejected(self, combine):
+        other = make_grid(1, 5.0, 8)  # same N as GRID, another half width
+        handles = (multiplier_operator(self.GRID, lambda xi: np.ones(xi.shape[:-1])),
+                   multiplication_operator(other, np.ones(8)))
+        with pytest.raises(ValueError, match="different grids") as info:
+            combine(*handles)
+        assert str(self.GRID) in str(info.value) and str(other) in str(info.value)
 
     def test_weight_operator_multiplies_by_bracket(self):
         g = make_grid(2, 6.0, 16)
