@@ -56,8 +56,9 @@ computation starts.
 the Ritz pair the norm solver returns for the measured operator ``B``.  Norm
 rows are ``[label, m_in, m_out, N, L, estimate, iterations, rel_residual,
 converged]`` and smoothing rows ``[T, N_t, delta, kind, constant,
-rel_residual, converged]``; ``rel_residual`` is that residual (``null`` for a
-failed row), so ``converged`` can be checked from the report: it holds when
+iterations, rel_residual, converged]``; ``iterations`` counts the solver's
+applies and ``rel_residual`` is that residual (both ``null`` for a failed
+row), so ``converged`` can be checked from the report: it holds when
 ``rel_residual <= tol`` and the estimate has settled, or when the Krylov space
 became invariant.  Egorov rows are ``[N, L, residual, ok]``.  A failed row
 keeps its inputs; every measured column is null and ``ok``/``converged`` is
@@ -379,9 +380,11 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
             row.update(T=w.horizon, N_t=w.steps, delta=delta, kind=kind)
             est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
                                      max_iters=max_iters)
-            row.update(constant=est.estimate, rel_residual=est.residual, converged=est.converged)
+            row.update(constant=est.estimate, iterations=est.iterations,
+                       rel_residual=est.residual, converged=est.converged)
 
-        header = ["T", "N_t", "delta", "kind", "constant", "rel_residual", "converged"]
+        header = ["T", "N_t", "delta", "kind", "constant", "iterations", "rel_residual",
+                  "converged"]
         constants = [row["constant"] for row in _sweep(report, header, "T", windows, worker)]
         report.results["constants"] = constants
         if len(constants) > 1:

@@ -65,14 +65,38 @@ __all__ = [
     "evaluate_multiplier",
 ]
 
+
+@dataclass(frozen=True)
+class _OnGrid:
+    """``fn``, refusing a field on any grid but ``grid`` (the error of ``_same_grid``)."""
+
+    grid: Grid
+    fn: Callable[[Field], Field]
+
+    def __call__(self, u: Field) -> Field:
+        _same_grid(self.grid, u.grid)
+        return self.fn(u)
+
+
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Linear map on fields with an exact discrete adjoint."""
+    """Linear map on fields with an exact discrete adjoint.
+
+    ``apply`` and ``apply_adjoint`` refuse a field on another grid than the
+    handle's.  The closures are wrapped once; a handle rebuilt by
+    ``dataclasses.replace`` keeps a closure that is already checked for its grid.
+    """
 
     grid: Grid
     apply: Callable[[Field], Field]
     apply_adjoint: Callable[[Field], Field]
     label: str = "operator"
+
+    def __post_init__(self):
+        for name in ("apply", "apply_adjoint"):
+            fn = getattr(self, name)
+            if not (isinstance(fn, _OnGrid) and fn.grid == self.grid):
+                object.__setattr__(self, name, _OnGrid(self.grid, fn))
 
 
 # ---------------------------------------------------------------------------

@@ -502,16 +502,15 @@ class TestRunExperiment:
         assert report.warnings == [warning]
 
     def test_smoothing_worker_error_is_a_failed_row(self, monkeypatch):
-        # raised on the smoothing loop's second thread, in the batch it owns
-        real_evolve = fiolab.dispersive._evolve
+        # raised on the smoothing apply's second thread
+        real_worker_sum = fiolab.dispersive._worker_sum
 
-        def evolve(step, spec, window, worker=0, workers=1):
-            for batch in real_evolve(step, spec, window, worker, workers):
-                if worker == 1:
-                    raise FloatingPointError("forced failure")
-                yield batch
+        def worker_sum(factors, index, spec, w2_space, worker):
+            if worker == 1:
+                raise FloatingPointError("forced failure")
+            return real_worker_sum(factors, index, spec, w2_space, worker)
 
-        monkeypatch.setattr(fiolab.dispersive, "_evolve", evolve)
+        monkeypatch.setattr(fiolab.dispersive, "_worker_sum", worker_sum)
         report = run_experiment(ExperimentConfig.from_dict(SMOOTHING_CFG))
         assert report.failed
         assert report.warnings == ["smoothing T=0.5: forced failure"]

@@ -5,11 +5,14 @@ import pytest
 
 import fiolab.dispersive
 from fiolab.dispersive import (
-    _BATCH_NODES,
+    _BATCH,
     _WORKERS,
     TimeWindow,
     _evolve,
+    _level_factor,
+    _level_index,
     _phase_step,
+    _time_kernel,
     egorov_residual,
     half_derivative_ratio_operator,
     propagate,
@@ -306,55 +309,81 @@ def _capture_normal_apply(monkeypatch, p, grid, window, delta, kind):
     return captured["apply"]
 
 
-def _batch_count(window):
-    return -(-window.steps // _BATCH_NODES)
+def _term_count(p, grid, window):
+    return len(_level_factor(_level_index(p, grid)[0], window))
 
 
 class TestEvolutionKernel:
-    # 19 nodes: four full batches of 4 and a partial one, five in all, so
-    # worker 0 owns three batches and worker 1 two
     GRID = make_grid(3, 6.0, 8)
-    WINDOW = TimeWindow(1.5, 19)
     SYMBOL = quadratic_form_symbol(np.diag([1.0, 2.0, 4.0]))
-    # the window above; one batch, which worker 1 does not own; three full
-    # batches (odd, no partial one); two full batches (even)
-    WINDOWS = [WINDOW, TimeWindow(0.5, _BATCH_NODES), TimeWindow(1.0, 3 * _BATCH_NODES),
-               TimeWindow(1.0, 2 * _BATCH_NODES)]
+    # p^2 takes 325 and 281 values on the 512 frequencies, against SYMBOL's 89
+    MANY_LEVELS = {
+        "perturbed": perturbed_symbol(SYMBOL, 0.3, [1.0, 0.5, 0.25]),
+        "matrix": quadratic_form_symbol(
+            np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
+        ),
+    }
+    # 17 terms: four full batches of 4 and a partial one, five in all, so
+    # worker 0 owns three batches and worker 1 two
+    WINDOW = TimeWindow(1.5, 19)
+    # the window above; then short windows, where every node is a term: one
+    # batch, which worker 1 does not own; three full batches (odd, no partial
+    # one); two full batches (even)
+    WINDOWS = [WINDOW, TimeWindow(0.5, _BATCH), TimeWindow(1.0, 3 * _BATCH),
+               TimeWindow(1.0, 2 * _BATCH)]
     WINDOW_IDS = ["partial", "one-batch", "odd", "even"]
 
     def test_window_spans_full_and_partial_batches(self):
-        assert self.WINDOW.steps > 2 * _BATCH_NODES
-        assert self.WINDOW.steps % _BATCH_NODES != 0
-        assert _batch_count(self.WINDOW) % _WORKERS != 0
-        step = _phase_step(self.SYMBOL, self.GRID, self.WINDOW)
-        spec = np.ones(self.GRID.shape, dtype=complex)
-        for worker in range(_WORKERS):
-            assert any(True for _ in _evolve(step, spec, self.WINDOW, worker, _WORKERS))
+        terms = _term_count(self.SYMBOL, self.GRID, self.WINDOW)
+        assert terms > 2 * _BATCH
+        assert terms % _BATCH != 0
+        assert -(-terms // _BATCH) % _WORKERS != 0
 
     def test_windows_cover_the_split_edge_cases(self):
-        batches = [_batch_count(w) for w in self.WINDOWS]
+        terms = [_term_count(self.SYMBOL, self.GRID, w) for w in self.WINDOWS]
+        batches = [-(-t // _BATCH) for t in terms]
         assert batches[1] == 1 < _WORKERS  # worker 1 owns no batch
-        assert batches[2] % 2 == 1 and self.WINDOWS[2].steps % _BATCH_NODES == 0
+        assert batches[2] % 2 == 1 and terms[2] % _BATCH == 0
         assert batches[3] % 2 == 0
 
-    @pytest.mark.parametrize("window", WINDOWS, ids=WINDOW_IDS)
-    def test_split_phases_are_bitwise_serial(self, window):
-        step = _phase_step(self.SYMBOL, self.GRID, window)
-        spec = random_field(self.GRID, seed=10).values
-        serial = [(p.copy(), f.copy()) for _, p, f in _evolve(step, spec, window)]
-        for worker in range(_WORKERS):
-            batches = _evolve(step, spec, window, worker, _WORKERS)
-            owned = [(p.copy(), f.copy()) for _, p, f in batches]
-            want = serial[worker::_WORKERS]
-            assert len(owned) == len(want)
-            for (phases, fields), (want_phases, want_fields) in zip(owned, want):
-                assert np.array_equal(phases, want_phases)
-                assert np.array_equal(fields, want_fields)
+    def test_many_level_symbols_have_many_levels(self):
+        for symbol in self.MANY_LEVELS.values():
+            levels, index = _level_index(symbol, self.GRID)
+            assert levels.size > 3 * _level_index(self.SYMBOL, self.GRID)[0].size
+            np.testing.assert_array_equal(
+                levels[index], np.fft.ifftshift(symbol_on_grid(symbol, self.GRID) ** 2)
+            )
 
-    def _check_normal_apply(self, kind, window, monkeypatch):
-        apply = _capture_normal_apply(monkeypatch, self.SYMBOL, self.GRID, window, 0.75, kind)
+    def test_level_factor_reproduces_the_time_kernel(self):
+        # criterion-5 grid at T = 1: the factor's terms rebuild
+        # G(l, m) = sum_k w_k exp(-i t_k (lambda_l - lambda_m)) with fewer
+        # terms than the 65 trapezoid nodes
+        symbol = quadratic_form_symbol(np.diag([1.0, 1.0, 4.0]))
+        levels, _ = _level_index(symbol, make_grid(3, 12.0, 32))
+        window = TimeWindow(1.0, 65)
+        factors = np.array(_level_factor(levels, window))
+        phases = np.exp(1j * np.multiply.outer(window.nodes(), levels))
+        kernel = np.conj(phases).T @ (window.weights()[:, np.newaxis] * phases)
+        rebuilt = factors.T @ np.conj(factors)
+        assert len(factors) < window.steps // 2
+        assert np.linalg.norm(rebuilt - kernel) < 1e-13 * np.linalg.norm(kernel)
+
+    @pytest.mark.parametrize("window", [TimeWindow(1.0, 5), TimeWindow(3.0, 8)],
+                             ids=["odd-nodes", "even-nodes"])
+    def test_time_kernel_matches_the_node_sum(self, window):
+        # level differences at and next to the removable singularities
+        # s = 2 pi n / h of the closed form, which a coarse window reaches
+        period = 2.0 * np.pi / (window.horizon / (window.steps - 1))
+        levels = np.array([0.0, 1e-14, 0.3, period, period + 1e-12, 2.0 * period - 0.5,
+                           3.0 * period, -period, 40.0])
+        direct = np.exp(-1j * np.multiply.outer(levels, window.nodes())) @ window.weights()
+        got = _time_kernel(levels, 0.0, window)
+        assert np.max(np.abs(got - direct)) < 1e-13 * window.horizon
+
+    def _check_normal_apply(self, kind, window, monkeypatch, symbol=SYMBOL):
+        apply = _capture_normal_apply(monkeypatch, symbol, self.GRID, window, 0.75, kind)
         v = random_field(self.GRID, seed=11)
-        want = _reference_normal_apply(self.SYMBOL, self.GRID, window, 0.75, kind, v)
+        want = _reference_normal_apply(symbol, self.GRID, window, 0.75, kind, v)
         assert _rel_err(apply(v).values, want.values) < 1e-13
 
     @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
@@ -366,30 +395,40 @@ class TestEvolutionKernel:
     def test_normal_apply_matches_frozen_reference_on_split_edges(self, kind, window, monkeypatch):
         self._check_normal_apply(kind, window, monkeypatch)
 
+    @pytest.mark.parametrize("symbol", sorted(MANY_LEVELS))
+    @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
+    def test_normal_apply_matches_frozen_reference_with_many_levels(self, kind, symbol,
+                                                                    monkeypatch):
+        self._check_normal_apply(kind, self.WINDOW, monkeypatch, self.MANY_LEVELS[symbol])
+
     def test_normal_apply_is_bitwise_deterministic(self, monkeypatch):
-        apply = _capture_normal_apply(
-            monkeypatch, self.SYMBOL, self.GRID, self.WINDOW, 0.75, "inhomogeneous"
-        )
+        applies = [
+            _capture_normal_apply(
+                monkeypatch, self.SYMBOL, self.GRID, self.WINDOW, 0.75, "inhomogeneous"
+            )
+            for _ in range(2)
+        ]
         v = random_field(self.GRID, seed=14)
-        assert np.array_equal(apply(v).values, apply(v).values)
+        first = applies[0](v).values
+        assert np.array_equal(first, applies[0](v).values)
+        assert np.array_equal(first, applies[1](v).values)  # the factor is rebuilt bitwise
 
     @pytest.mark.parametrize("failing", range(_WORKERS), ids=lambda w: f"worker{w}")
     @pytest.mark.parametrize("entry", ["normal_apply", "functional"])
     def test_worker_error_reaches_the_caller(self, entry, failing, monkeypatch):
-        real_evolve = fiolab.dispersive._evolve
+        real_worker_sum = fiolab.dispersive._worker_sum
 
-        def failing_evolve(step, spec, window, worker=0, workers=1):
-            for batch in real_evolve(step, spec, window, worker, workers):
-                if worker == failing:
-                    raise FloatingPointError(f"injected in worker {worker}")
-                yield batch
+        def failing_worker_sum(factors, index, spec, w2_space, worker):
+            if worker == failing:
+                raise FloatingPointError(f"injected in worker {worker}")
+            return real_worker_sum(factors, index, spec, w2_space, worker)
 
         f = random_field(self.GRID, seed=15)
         if entry == "normal_apply":
             apply = _capture_normal_apply(
                 monkeypatch, self.SYMBOL, self.GRID, self.WINDOW, 0.75, "inhomogeneous"
             )
-        monkeypatch.setattr(fiolab.dispersive, "_evolve", failing_evolve)
+        monkeypatch.setattr(fiolab.dispersive, "_worker_sum", failing_worker_sum)
         threads_before = threading.active_count()
         with pytest.raises(FloatingPointError, match=f"worker {failing}"):
             if entry == "normal_apply":
@@ -398,10 +437,10 @@ class TestEvolutionKernel:
                 smoothing_functional(self.SYMBOL, f, self.WINDOW, 0.75)
         assert threading.active_count() == threads_before  # worker 1 was joined
 
-    def _check_functional(self, kind, window):
+    def _check_functional(self, kind, window, symbol=SYMBOL):
         f = random_field(self.GRID, seed=12)
-        got = smoothing_functional(self.SYMBOL, f, window, 0.75, kind)
-        want = _reference_functional(self.SYMBOL, f, window, 0.75, kind)
+        got = smoothing_functional(symbol, f, window, 0.75, kind)
+        want = _reference_functional(symbol, f, window, 0.75, kind)
         assert abs(got - want) < 1e-13 * want
 
     @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
@@ -412,6 +451,11 @@ class TestEvolutionKernel:
     @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
     def test_functional_matches_frozen_reference_on_split_edges(self, kind, window):
         self._check_functional(kind, window)
+
+    @pytest.mark.parametrize("symbol", sorted(MANY_LEVELS))
+    @pytest.mark.parametrize("kind", ["inhomogeneous", "homogeneous"])
+    def test_functional_matches_frozen_reference_with_many_levels(self, kind, symbol):
+        self._check_functional(kind, self.WINDOW, self.MANY_LEVELS[symbol])
 
     def test_propagate_matches_frozen_reference(self):
         f = random_field(self.GRID, seed=13)
@@ -424,20 +468,17 @@ class TestEvolutionKernel:
 
     def test_phase_recurrence_tracks_exp_over_longest_window(self):
         # criterion-5 grid and longest window: t p^2 reaches about 1684 rad,
-        # where exp's own argument rounding is about 2e-13; each worker's
-        # owned batches are checked against exp at their own nodes
+        # where exp's own argument rounding is about 2e-13
         grid = make_grid(3, 12.0, 32)
         window = TimeWindow(16.0, 1025)
         symbol = quadratic_form_symbol(np.diag([1.0, 1.0, 4.0]))
         p2 = np.fft.ifftshift(symbol_on_grid(symbol, grid) ** 2)
         step = _phase_step(symbol, grid, window)
-        owner = np.arange(window.steps) // _BATCH_NODES % _WORKERS
         spec = np.zeros(grid.shape, dtype=complex)
-        for worker in range(_WORKERS):
-            nodes = iter(window.nodes()[owner == worker])
-            worst = 0.0
-            for _, phases, _ in _evolve(step, spec, window, worker, _WORKERS):
-                for phase in phases:
-                    worst = max(worst, np.max(np.abs(phase - np.exp(1j * next(nodes) * p2))))
-            assert next(nodes, None) is None
-            assert worst < 1e-12
+        nodes = iter(window.nodes())
+        worst = 0.0
+        for _, phases, _ in _evolve(step, spec, window):
+            for phase in phases:
+                worst = max(worst, np.max(np.abs(phase - np.exp(1j * next(nodes) * p2))))
+        assert next(nodes, None) is None
+        assert worst < 1e-12

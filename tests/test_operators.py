@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,26 @@ class TestHandleAlgebra:
         with pytest.raises(ValueError, match="different grids") as info:
             combine(*handles)
         assert str(self.GRID) in str(info.value) and str(other) in str(info.value)
+
+    @pytest.mark.parametrize("entry", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("build", [multiplication_operator, multiplier_operator],
+                             ids=["multiplication", "multiplier"])
+    def test_field_on_another_grid_rejected(self, build, entry):
+        other = make_grid(1, 5.0, 8)  # same N as GRID, another half width
+        handle = build(self.GRID, np.arange(8.0))
+        with pytest.raises(ValueError, match="different grids") as info:
+            getattr(handle, entry)(random_field(other, seed=13))
+        assert str(self.GRID) in str(info.value) and str(other) in str(info.value)
+
+    def test_grid_check_survives_replace(self):
+        # the benchmark's tracer rebuilds handles with dataclasses.replace
+        handle = multiplication_operator(self.GRID, np.arange(8.0))
+        unchecked = dataclasses.replace(handle, apply=lambda u: u, apply_adjoint=lambda u: u)
+        u = random_field(make_grid(1, 5.0, 8), seed=13)
+        for entry in (unchecked.apply, unchecked.apply_adjoint, adjoint(handle).apply):
+            with pytest.raises(ValueError, match="different grids"):
+                entry(u)
+        assert adjoint(handle).apply is handle.apply_adjoint  # not wrapped twice
 
     def test_weight_operator_multiplies_by_bracket(self):
         g = make_grid(2, 6.0, 16)
