@@ -43,19 +43,20 @@ table holds levels x terms complex entries (16 B each): 0.5 MB for 1146
 levels and 30 terms, and 94 MB for a perturbed diag(1, 1, 4) with 16344
 levels and 376 terms at ``T = 16``.  A term costs what a node did, one
 inverse and one forward FFT, with the phase table replaced by a gather of
-``u_r`` by level index.  ``propagate`` alone keeps the node recurrence,
-since it returns the fields at the nodes.
+``u_r`` by level index.  ``propagate`` reads the same level index: at each
+node it takes ``exp(i t lambda)`` on the distinct levels and gathers it,
+so every phase is ``exp(i t p^2)`` of the same floats, with no recurrence.
 
 The apply of ``S(T)`` splits its terms over ``_WORKERS = 2`` fixed workers:
 worker 0 on the calling thread and worker 1 on one thread that is joined
 before the call returns, so no thread outlives it and an error in either
-worker reaches the caller.  Batches hold ``_BATCH = 4`` terms and go to the
-workers alternately.  The worker count is fixed in code, not an option.
-Each worker sums its own batches in order with elementwise numpy only
-(``np.take`` gathers, which run without the GIL); the workers' partial sums
-are added in worker order.  Nothing on the apply calls BLAS (whose idle
-threads would spin on the second core), and the results are bitwise
-deterministic, independent of thread timing.
+worker reaches the caller.  Worker ``w`` owns the terms ``r`` with
+``r % _WORKERS == w``.  The worker count is fixed in code, not an option.
+Each worker sums its own terms in order, one at a time, with elementwise
+numpy only (``np.take`` gathers, which run without the GIL); the workers'
+partial sums are added in worker order.  Nothing on the apply calls BLAS
+(whose idle threads would spin on the second core), and the results are
+bitwise deterministic, independent of thread timing.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ __all__ = [
 
 DerivativeKind = Literal["inhomogeneous", "homogeneous"]
 
-_BATCH = 4
 _WORKERS = 2
 # the level factor of S(T)'s time kernel stops once no residual diagonal exceeds this share of T
 _FACTOR_CUT = 1e-13
@@ -134,37 +134,6 @@ def symbol_on_grid(p: HomogeneousSymbol, grid: Grid) -> np.ndarray:
     return evaluate_multiplier(p.evaluate, grid, value_at_zero=0.0).real
 
 
-def _phase_step(p: HomogeneousSymbol, grid: Grid, window: TimeWindow) -> np.ndarray:
-    """``exp(i h p^2)`` in FFT order, ``h`` the node spacing: one step of the phase recurrence."""
-    h = window.horizon / (window.steps - 1)
-    return np.exp(1j * h * np.fft.ifftshift(symbol_on_grid(p, grid) ** 2))
-
-
-def _evolve(step: np.ndarray, spec: np.ndarray, window: TimeWindow):
-    """The spectral time loop: yield ``(w_batch, phases, fields)`` per batch of nodes.
-
-    ``phases[k] = exp(i t_k p^2)`` by the recurrence ``P_k = P_{k-1} step`` with
-    ``step = exp(i h p^2)`` from ``_phase_step`` and ``P_0 = 1`` (no ``exp`` per
-    node, O(batch) memory at any horizon) and ``fields[k] = ifftn(phases[k] spec)``,
-    all in FFT order.  Both buffers are reused by the next batch, so consumers
-    may overwrite them.
-    """
-    axes = tuple(range(1, step.ndim + 1))
-    weights = window.weights()
-    phase_buf, field_buf = np.empty((2, min(_BATCH, window.steps)) + step.shape, complex)
-    carry = np.ones(step.shape, dtype=complex)
-    for start in range(0, window.steps, _BATCH):
-        w_batch = weights[start : start + _BATCH]
-        phases, fields = phase_buf[: w_batch.size], field_buf[: w_batch.size]
-        phases[0] = carry
-        for k in range(1, w_batch.size):
-            np.multiply(phases[k - 1], step, out=phases[k])
-        np.multiply(phases[-1], step, out=carry)
-        np.multiply(phases, spec, out=fields)
-        np.fft.ifftn(fields, axes=axes, out=fields)
-        yield w_batch, phases, fields
-
-
 def _split(work: Callable[[int], np.ndarray]) -> np.ndarray:
     """``work(0) + work(1) + ...`` over the ``_WORKERS`` workers, added in worker order.
 
@@ -196,21 +165,21 @@ def _split(work: Callable[[int], np.ndarray]) -> np.ndarray:
     return total
 
 
-def propagate(p: HomogeneousSymbol, f: Field, window: TimeWindow) -> tuple[Field, ...]:
-    """Exact spectral evolution ``uhat(t_j) = exp(i t_j p^2) fhat``, one field per node."""
-    step = _phase_step(p, f.grid, window)
-    spec = np.fft.fftn(np.fft.ifftshift(f.values))
-    slices = []
-    for _, _, fields in _evolve(step, spec, window):
-        slices.extend(Field(f.grid, np.fft.fftshift(u)) for u in fields)
-    return tuple(slices)
-
-
 def _level_index(p: HomogeneousSymbol, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values ``lambda_l`` of ``p^2`` on the grid, ascending, and the
     FFT-order array of level indices: ``p^2 = levels[index]``."""
     levels, index = np.unique(np.fft.ifftshift(symbol_on_grid(p, grid) ** 2), return_inverse=True)
     return levels, index.reshape(grid.shape)
+
+
+def propagate(p: HomogeneousSymbol, f: Field, window: TimeWindow) -> tuple[Field, ...]:
+    """Exact spectral evolution ``uhat(t_j) = exp(i t_j p^2) fhat``, one field per node."""
+    levels, index = _level_index(p, f.grid)
+    spec = np.fft.fftn(np.fft.ifftshift(f.values))
+    return tuple(
+        Field(f.grid, np.fft.fftshift(np.fft.ifftn(np.exp(1j * t * levels)[index] * spec)))
+        for t in window.nodes()
+    )
 
 
 def _time_kernel(levels: np.ndarray, level: float, window: TimeWindow) -> np.ndarray:
@@ -263,31 +232,22 @@ def _level_factor(levels: np.ndarray, window: TimeWindow) -> list:
 def _worker_sum(factors: list, index: np.ndarray, spec: np.ndarray,
                 w2_space: np.ndarray, worker: int) -> np.ndarray:
     """Worker ``worker``'s part of the factored sum, in FFT order:
-    ``sum_r u_r[index] fftn(W^2 ifftn(conj(u_r[index]) spec))`` over the terms of
-    the batches ``b`` with ``b % _WORKERS == worker``, ``_BATCH`` terms each,
-    added in order."""
-    axes = tuple(range(1, spec.ndim + 1))
+    ``sum_r u_r[index] fftn(W^2 ifftn(conj(u_r[index]) spec))`` over the terms
+    ``r`` with ``r % _WORKERS == worker``, added in order."""
     acc = np.zeros(spec.shape, dtype=complex)
-    starts = range(worker * _BATCH, len(factors), _WORKERS * _BATCH)
-    if not starts:
-        return acc
-    field_buf = np.empty((min(_BATCH, len(factors)),) + spec.shape, complex)
+    field = np.empty(spec.shape, complex)
     gather = np.empty(spec.shape, complex)
-    for start in starts:
-        batch = factors[start : start + _BATCH]
-        fields = field_buf[: len(batch)]
+    for u in factors[worker::_WORKERS]:
         # np.take with out= runs without the GIL, where fancy indexing would hold
         # it; mode="clip" writes to out unbuffered, and index is always in range
-        for u, field in zip(batch, fields):
-            np.take(u, index, out=field, mode="clip")
-            np.conjugate(field, out=field)
-            field *= spec
-        np.fft.ifftn(fields, axes=axes, out=fields)
-        fields *= w2_space
-        np.fft.fftn(fields, axes=axes, out=fields)
-        for u, field in zip(batch, fields):
-            field *= np.take(u, index, out=gather, mode="clip")
-            acc += field
+        np.take(u, index, out=field, mode="clip")
+        np.conjugate(field, out=field)
+        field *= spec
+        np.fft.ifftn(field, out=field)
+        field *= w2_space
+        np.fft.fftn(field, out=field)
+        field *= np.take(u, index, out=gather, mode="clip")
+        acc += field
     return acc
 
 
@@ -295,7 +255,7 @@ def _smoothing_normal(
     p: HomogeneousSymbol, grid: Grid, window: TimeWindow, delta: float, kind: DerivativeKind
 ) -> Callable[[Field], Field]:
     """The apply of ``S(T)`` (module docstring): the level factor of the time
-    kernel, built once, summed by batches of terms over the two workers."""
+    kernel, built once, summed term by term over the two workers."""
     mesh = grid.frequency_mesh()
     mag2 = np.sum(mesh * mesh, axis=-1)
     if kind == "inhomogeneous":

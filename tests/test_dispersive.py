@@ -5,13 +5,10 @@ import pytest
 
 import fiolab.dispersive
 from fiolab.dispersive import (
-    _BATCH,
     _WORKERS,
     TimeWindow,
-    _evolve,
     _level_factor,
     _level_index,
-    _phase_step,
     _time_kernel,
     egorov_residual,
     half_derivative_ratio_operator,
@@ -323,28 +320,23 @@ class TestEvolutionKernel:
             np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3], [0.2, 0.3, 1.0]])
         ),
     }
-    # 17 terms: four full batches of 4 and a partial one, five in all, so
-    # worker 0 owns three batches and worker 1 two
+    # 17 terms from 19 nodes: an odd count, so worker 0 owns nine and worker 1 eight
     WINDOW = TimeWindow(1.5, 19)
     # the window above; then short windows, where every node is a term: one
-    # batch, which worker 1 does not own; three full batches (odd, no partial
-    # one); two full batches (even)
-    WINDOWS = [WINDOW, TimeWindow(0.5, _BATCH), TimeWindow(1.0, 3 * _BATCH),
-               TimeWindow(1.0, 2 * _BATCH)]
-    WINDOW_IDS = ["partial", "one-batch", "odd", "even"]
+    # term, which worker 1 does not own; an odd count; an even count
+    WINDOWS = [WINDOW, TimeWindow(1e-8, 2), TimeWindow(1.0, 5), TimeWindow(1.0, 8)]
+    WINDOW_IDS = ["long", "one-term", "odd", "even"]
 
-    def test_window_spans_full_and_partial_batches(self):
+    def test_window_truncates_to_an_odd_term_count(self):
         terms = _term_count(self.SYMBOL, self.GRID, self.WINDOW)
-        assert terms > 2 * _BATCH
-        assert terms % _BATCH != 0
-        assert -(-terms // _BATCH) % _WORKERS != 0
+        assert 2 * _WORKERS < terms < self.WINDOW.steps
+        assert terms % _WORKERS == 1
 
     def test_windows_cover_the_split_edge_cases(self):
-        terms = [_term_count(self.SYMBOL, self.GRID, w) for w in self.WINDOWS]
-        batches = [-(-t // _BATCH) for t in terms]
-        assert batches[1] == 1 < _WORKERS  # worker 1 owns no batch
-        assert batches[2] % 2 == 1 and terms[2] % _BATCH == 0
-        assert batches[3] % 2 == 0
+        terms = [_term_count(self.SYMBOL, self.GRID, w) for w in self.WINDOWS[1:]]
+        assert terms[0] == 1 < _WORKERS  # worker 1 owns no term
+        assert terms[1] > _WORKERS and terms[1] % _WORKERS == 1
+        assert terms[2] > _WORKERS and terms[2] % _WORKERS == 0
 
     def test_many_level_symbols_have_many_levels(self):
         for symbol in self.MANY_LEVELS.values():
@@ -457,28 +449,19 @@ class TestEvolutionKernel:
     def test_functional_matches_frozen_reference_with_many_levels(self, kind, symbol):
         self._check_functional(kind, self.WINDOW, self.MANY_LEVELS[symbol])
 
-    def test_propagate_matches_frozen_reference(self):
+    @pytest.mark.parametrize(
+        "symbol, window",
+        [(SYMBOL, WINDOW), (MANY_LEVELS["perturbed"], WINDOW), (MANY_LEVELS["matrix"], WINDOW),
+         (SYMBOL, TimeWindow(16.0, 1025))],
+        ids=["window", "perturbed", "matrix", "long-window"],
+    )
+    def test_propagate_matches_frozen_reference(self, symbol, window):
+        # the long window reaches t p^2 of about 490 rad, where a phase
+        # recurrence would drift to 3.7e-14, while exp per node stays at rounding
         f = random_field(self.GRID, seed=13)
-        got = propagate(self.SYMBOL, f, self.WINDOW)
-        p2 = symbol_on_grid(self.SYMBOL, self.GRID) ** 2
+        got = propagate(symbol, f, window)
+        p2 = symbol_on_grid(symbol, self.GRID) ** 2
         fhat = forward_transform(f).values
-        assert len(got) == self.WINDOW.steps
-        for u, (_, _, fields) in zip(got, _reference_batches(p2, fhat, self.WINDOW, batch=1)):
-            assert _rel_err(u.values, fields[0] / self.GRID.cell_volume) < 1e-13
-
-    def test_phase_recurrence_tracks_exp_over_longest_window(self):
-        # criterion-5 grid and longest window: t p^2 reaches about 1684 rad,
-        # where exp's own argument rounding is about 2e-13
-        grid = make_grid(3, 12.0, 32)
-        window = TimeWindow(16.0, 1025)
-        symbol = quadratic_form_symbol(np.diag([1.0, 1.0, 4.0]))
-        p2 = np.fft.ifftshift(symbol_on_grid(symbol, grid) ** 2)
-        step = _phase_step(symbol, grid, window)
-        spec = np.zeros(grid.shape, dtype=complex)
-        nodes = iter(window.nodes())
-        worst = 0.0
-        for _, phases, _ in _evolve(step, spec, window):
-            for phase in phases:
-                worst = max(worst, np.max(np.abs(phase - np.exp(1j * next(nodes) * p2))))
-        assert next(nodes, None) is None
-        assert worst < 1e-12
+        assert len(got) == window.steps
+        for u, (_, _, fields) in zip(got, _reference_batches(p2, fhat, window, batch=1)):
+            assert _rel_err(u.values, fields[0] / self.GRID.cell_volume) < 1e-14
