@@ -54,13 +54,17 @@ computation starts.
 
 ``tol`` bounds the relative residual ``|B*B y - theta y| / (theta |y|)`` of
 the Ritz pair the norm solver returns for the measured operator ``B``.  Norm
-rows are ``[label, m_in, m_out, N, L, estimate, iterations, rel_residual,
-converged]`` and smoothing rows ``[T, N_t, delta, kind, constant,
+rows are ``[label, m_in, m_out, N, L, estimate, continuum_norm, iterations,
+rel_residual, converged]`` and smoothing rows ``[T, N_t, delta, kind, constant,
 iterations, rel_residual, converged]``; ``iterations`` counts the solver's
 applies and ``rel_residual`` is that residual (both ``null`` for a failed
 row), so ``converged`` can be checked from the report: it holds when
 ``rel_residual <= tol`` and the estimate has settled, or when the Krylov space
-became invariant.  Egorov rows are ``[N, L, residual, ok]``.  A failed row
+became invariant.  ``continuum_norm`` is the norm of the continuum transform
+that a ``canonical`` or ``canonical_inverse`` row approximates at
+``m_in = m_out = 0``, ``(min |det D psi|)^{-1/2}`` or ``(max |det D psi|)^{1/2}``
+over sampled unit directions, taken with no apply; it is null for other rows.
+Egorov rows are ``[N, L, residual, ok]``.  A failed row
 keeps its inputs; every measured column is null and ``ok``/``converged`` is
 false (a norm row's ``label`` is null when its operator could not be built).
 
@@ -94,6 +98,7 @@ from fiolab.operators import (
 )
 from fiolab.symbols import (
     SymbolClassSpec,
+    check_jacobian_bound,
     check_symbol_class,
     euclidean_symbol,
     gauss_phase,
@@ -395,6 +400,9 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
 
 
 _NORM_OPERATORS = ("identity", "bracket_multiplier", "canonical", "canonical_inverse")
+# unit-sphere directions for a canonical norm's continuum value; a multiple
+# of 4, so that the 2-D sample holds both axis directions
+_JACOBIAN_SAMPLES = 360
 
 
 def _norm_operator(kind: str, grid, p):
@@ -406,6 +414,14 @@ def _norm_operator(kind: str, grid, p):
         )
     direction = "forward" if kind == "canonical" else "inverse"
     return canonical_transform_operator(gauss_phase(p), grid, direction)
+
+
+def _continuum_norm(kind: str, p) -> float:
+    """The continuum L2 norm of the canonical transform ``kind`` names, from
+    sampled Jacobian determinants: ``(min |det D psi|)^{-1/2}``, or
+    ``(max |det D psi|)^{1/2}`` for ``canonical_inverse``."""
+    jac = check_jacobian_bound(gauss_phase(p), _JACOBIAN_SAMPLES)
+    return jac.min_abs_det**-0.5 if kind == "canonical" else jac.max_abs_det**0.5
 
 
 def _prepare_norm(r: _Reader, raw: dict, seed: int):
@@ -421,18 +437,20 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int):
     r.build("weights.m_in", lambda m: [weight_operator(g, -m) for g in grids], m_in)
     tol = float(r.read(raw, "tol", _POSITIVE, 1e-6))
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 200)
+    unweighted_canonical = canonical and m_in == m_out == 0
 
     def body(report: ReportRecord):
         def worker(grid, row):
             row.update(m_in=m_in, m_out=m_out, N=grid.points_per_axis, L=half)
             op = _norm_operator(kind, grid, p)
             row["label"] = op.label
+            row["continuum_norm"] = _continuum_norm(kind, p) if unweighted_canonical else None
             est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
             row.update(estimate=est.estimate, iterations=est.iterations,
                        rel_residual=est.residual, converged=est.converged)
 
-        header = ["label", "m_in", "m_out", "N", "L", "estimate", "iterations", "rel_residual",
-                  "converged"]
+        header = ["label", "m_in", "m_out", "N", "L", "estimate", "continuum_norm", "iterations",
+                  "rel_residual", "converged"]
         done = _sweep(report, header, "N", grids, worker)
         estimates = [row["estimate"] for row in done]
         report.results["estimates"] = estimates

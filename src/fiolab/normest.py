@@ -8,7 +8,8 @@ Every norm, here and in ``dispersive.smoothing_constant``, is one call of
 swaps in its reference solver, under that name in ``normest`` and
 ``dispersive``.  ``tol`` bounds the relative residual of the returned Ritz
 pair.  ``operator_norm`` takes ``B = <x>^{m_out} T <x>^{-m_in}``, with
-weights as exact diagonal multiplications.  The solver starts from a
+weights as exact diagonal multiplications; a handle's own ``normal``, when
+it has one, serves as ``B* B`` (``_normal_apply``).  The solver starts from a
 fixed-seed random field and reports convergence honestly: a run that
 exhausts ``max_iters`` returns its last estimate with ``converged=False``.
 
@@ -72,7 +73,12 @@ def _inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def _normal_apply(b: OperatorHandle) -> Callable[[Field], Field]:
-    """``v -> B* B v``, the operator whose top eigenvalue is ``|B|^2``."""
+    """``v -> B* B v``, the operator whose top eigenvalue is ``|B|^2``: the
+    handle's own ``normal`` when it has one (a canonical transform's FFT
+    convolution, see ``operators.canonical_transform_operator``), else
+    ``apply`` followed by ``apply_adjoint``."""
+    if b.normal is not None:
+        return b.normal
     return compose(adjoint(b), b).apply
 
 
@@ -149,9 +155,12 @@ def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, 
     """Norm of ``op : L2_{m_in} -> L2_{m_out}``, deterministic for a fixed seed.
 
     Non-convergence is reported through the ``converged`` flag, never as an
-    exception.
+    exception.  A weight of exponent 0 is left out, since ``<x>^0`` multiplies
+    by exactly 1; with no output weight, ``B`` keeps ``op``'s ``normal``.
     """
-    b = compose(weight_operator(op.grid, m_out), op, weight_operator(op.grid, -m_in))
+    outer = [weight_operator(op.grid, m_out)] if m_out else []
+    inner = [weight_operator(op.grid, -m_in)] if m_in else []
+    b = compose(*outer, op, *inner)
     return power_iteration(_normal_apply(b), _random_field(op.grid, seed), tol, max_iters)
 
 

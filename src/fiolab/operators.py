@@ -8,7 +8,10 @@ applies a multiplier once.  Adjoints are the exact conjugate-transpose of
 the discrete quadrature with respect to the ``dx^n``-weighted inner product,
 never an analytic formula, so the pairing identity ``<T u, v> = <u, T* v>``
 holds to rounding error by construction.  :func:`adjoint`, :func:`compose`,
-:func:`scale` and :func:`add` build new handles from old ones.
+:func:`scale` and :func:`add` build new handles from old ones.  A handle may
+also carry ``normal``, a faster ``T* T``: the canonical transform sets it (a
+Toeplitz convolution, O(N^n log N) per call instead of O(N^{2n})), and
+:func:`compose` keeps it when the composition's leftmost factor has one.
 
 Canonical transforms evaluate the input spectrum at the mapped frequency
 points by exact trigonometric sums (band-limited interpolation).  Two
@@ -28,6 +31,7 @@ that left the box, in the result's ``Field.meta``; neither is ever warned.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
@@ -82,20 +86,24 @@ class _OnGrid:
 class OperatorHandle:
     """Linear map on fields with an exact discrete adjoint.
 
-    ``apply`` and ``apply_adjoint`` refuse a field on another grid than the
-    handle's.  The closures are wrapped once; a handle rebuilt by
-    ``dataclasses.replace`` keeps a closure that is already checked for its grid.
+    ``normal``, when set, is a faster route to ``v -> T* T v`` than applying
+    ``apply`` and then ``apply_adjoint``; it agrees with that composition to
+    rounding.  ``apply``, ``apply_adjoint`` and ``normal`` refuse a field on
+    another grid than the handle's.  The closures are wrapped once; a handle
+    rebuilt by ``dataclasses.replace`` keeps a closure that is already
+    checked for its grid.
     """
 
     grid: Grid
     apply: Callable[[Field], Field]
     apply_adjoint: Callable[[Field], Field]
     label: str = "operator"
+    normal: Callable[[Field], Field] | None = None
 
     def __post_init__(self):
-        for name in ("apply", "apply_adjoint"):
+        for name in ("apply", "apply_adjoint", "normal"):
             fn = getattr(self, name)
-            if not (isinstance(fn, _OnGrid) and fn.grid == self.grid):
+            if fn is not None and not (isinstance(fn, _OnGrid) and fn.grid == self.grid):
                 object.__setattr__(self, name, _OnGrid(self.grid, fn))
 
 
@@ -217,6 +225,18 @@ def canonical_transform_operator(
     large (see ``fiolab._dense``).  Each apply records the input's spectral
     tail (``spectral_tail``) and the number of mapped points that left the
     frequency box (``out_of_box_modes``) in the result's ``Field.meta``.
+
+    The handle's ``normal`` is ``T* T = Z A* A Z``, with ``Z`` the Nyquist
+    filter and ``A`` the analysis sum over the in-box targets ``eta_m``.
+    ``A* A`` is the convolution with ``K(d) = N^{-n} sum_m exp(i eta_m . d dx)``
+    over the offsets ``|d_a| < N``, so each call is one zero-padded FFT pair
+    of size (2N)^n, O(N^n log N).  ``K`` is built on the first call, from
+    this handle's own table: on the (2N)^n circular offsets, the block of a
+    sign vector ``s`` (axis ``a`` in ``[0, N)`` if ``s_a = +1``, else in
+    ``[N, 2N)``) has ``d dx = x_k + L s``, so it is
+    ``dx^n table.synthesis(exp(i L eta_m . s))``: 2^n syntheses on the N grid
+    and one (2N)^n complex array.  A handle whose ``normal`` is never called
+    never builds it.
     """
     targets = _canonical_targets(m, grid, direction)
     xi_max = grid.dxi * grid.points_per_axis / 2.0
@@ -224,6 +244,13 @@ def canonical_transform_operator(
     in_box &= ~nyquist_mask(grid).reshape(-1)
     table = TrigTable(grid, targets[in_box])
     out_of_box_count = int(np.sum(~in_box))
+    n = grid.points_per_axis
+    crop = (slice(0, n),) * grid.dim
+
+    def _filtered(values: np.ndarray) -> Field:
+        # Z: the field with its unpaired Nyquist modes zeroed
+        spec = zero_nyquist(forward_transform(Field(grid, values)).values, grid)
+        return inverse_transform(SpectralField(grid, spec))
 
     def _apply(u: Field) -> Field:
         spec = forward_transform(u)
@@ -238,12 +265,24 @@ def canonical_transform_operator(
     def _adjoint(v: Field) -> Field:
         # in_box holds no Nyquist entry, so none of them is read
         spec = forward_transform(v).values.reshape(-1)
-        scattered = table.synthesis(spec[in_box])
-        out_spec = zero_nyquist(forward_transform(Field(grid, scattered)).values, grid)
-        return inverse_transform(SpectralField(grid, out_spec))
+        return _filtered(table.synthesis(spec[in_box]))
+
+    @functools.cache
+    def _kernel_spectrum() -> np.ndarray:
+        kernel = np.empty((2 * n,) * grid.dim, dtype=np.complex128)
+        for signs in itertools.product((1.0, -1.0), repeat=grid.dim):
+            block = tuple(slice(0, n) if s > 0 else slice(n, 2 * n) for s in signs)
+            weights = np.exp(1j * grid.half_width * (table.targets @ np.array(signs)))
+            kernel[block] = table.synthesis(weights)
+        return np.fft.fftn(kernel * grid.cell_volume)
+
+    def _normal(u: Field) -> Field:
+        padded = np.zeros((2 * n,) * grid.dim, dtype=np.complex128)
+        padded[crop] = _filtered(u.values).values
+        return _filtered(np.fft.ifftn(np.fft.fftn(padded) * _kernel_spectrum())[crop])
 
     label = f"T[{m.label}]" if direction == "forward" else f"T^-1[{m.label}]"
-    return OperatorHandle(grid, _apply, _adjoint, label=label)
+    return OperatorHandle(grid, _apply, _adjoint, label=label, normal=_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +403,18 @@ def matrix_operator(grid: Grid, matrix: np.ndarray, label: str = "matrix") -> Op
 
 
 def adjoint(h: OperatorHandle) -> OperatorHandle:
-    """The handle of ``h*``: apply and adjoint swapped."""
-    return replace(h, apply=h.apply_adjoint, apply_adjoint=h.apply, label=f"({h.label})*")
+    """The handle of ``h*``: apply and adjoint swapped, with no ``normal``
+    (``h h*`` is not ``h* h``)."""
+    return replace(h, apply=h.apply_adjoint, apply_adjoint=h.apply, label=f"({h.label})*",
+                   normal=None)
 
 
 def compose(*handles: OperatorHandle) -> OperatorHandle:
-    """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first)."""
+    """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first).
+
+    When ``handles[0]`` has a ``normal``, so does the composition:
+    ``R* o handles[0].normal o R`` with ``R`` the composition of the rest.
+    """
     if not handles:
         raise ValueError("compose needs at least one handle")
     grid = functools.reduce(_same_grid, (h.grid for h in handles))
@@ -384,7 +429,17 @@ def compose(*handles: OperatorHandle) -> OperatorHandle:
             v = h.apply_adjoint(v)
         return v
 
-    return OperatorHandle(grid, _apply, _adjoint, label=" o ".join(h.label for h in handles))
+    head_normal, rest = handles[0].normal, handles[1:]
+    if head_normal is not None and rest:
+        r = compose(*rest)
+
+        def normal(u: Field) -> Field:
+            return r.apply_adjoint(head_normal(r.apply(u)))
+    else:
+        normal = head_normal
+
+    return OperatorHandle(grid, _apply, _adjoint, label=" o ".join(h.label for h in handles),
+                          normal=normal)
 
 
 def scale(c: complex, h: OperatorHandle) -> OperatorHandle:

@@ -367,10 +367,11 @@ class JacobianReport:
     min_abs_det: float
     argmin_direction: tuple
     samples: int
+    max_abs_det: float
 
 
 def check_jacobian_bound(m: CanonicalMap, directions: int) -> JacobianReport:
-    """Minimum ``|det d psi|`` over sampled unit-sphere directions.
+    """Minimum and maximum ``|det d psi|`` over sampled unit-sphere directions.
 
     Degree-1 homogeneity of the map makes the Jacobian determinant
     homogeneous of degree 0, so sphere sampling covers all scales.
@@ -382,6 +383,7 @@ def check_jacobian_bound(m: CanonicalMap, directions: int) -> JacobianReport:
         min_abs_det=float(dets[k]),
         argmin_direction=tuple(pts[k].tolist()),
         samples=pts.shape[0],
+        max_abs_det=float(np.max(dets)),
     )
 
 

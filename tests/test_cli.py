@@ -444,6 +444,34 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.results["estimates"][0] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("kind, continuum", [("canonical", 1.0), ("canonical_inverse", 2.0)])
+    def test_unweighted_canonical_rows_carry_continuum_norm(self, kind, continuum):
+        # |det D psi| of diag(1, 4) spans [1, 4], with both ends on the axes,
+        # which a sample count divisible by 4 holds
+        assert fiolab.cli._JACOBIAN_SAMPLES % 4 == 0
+        cfg = {**_with(NORM_CFG, "operator", kind=kind),
+               "symbol": {"name": "quadratic_form", "diag": [1.0, 4.0]},
+               "grid": {"dim": 2, "half_width": 5.0, "points": [8, 12]}}
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert not report.failed
+        header = report.sweep_header
+        assert header[header.index("estimate") + 1] == "continuum_norm"
+        for row in report.sweep_rows:
+            assert dict(zip(header, row))["continuum_norm"] == continuum
+
+    @pytest.mark.parametrize("operator, weights", [
+        ("canonical", {"m_in": 0.5, "m_out": 0.0}),
+        ("canonical_inverse", {"m_in": 0.0, "m_out": -0.5}),
+        ("identity", {"m_in": 0.0, "m_out": 0.0}),
+    ])
+    def test_other_norm_rows_have_null_continuum_norm(self, operator, weights):
+        cfg = {**_with(NORM_CFG, "operator", kind=operator), "symbol": {"name": "euclidean"},
+               "weights": weights}
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        (row,) = report.sweep_rows
+        assert not report.failed
+        assert dict(zip(report.sweep_header, row))["continuum_norm"] is None
+
     @pytest.mark.parametrize("kind", ["norm", "smoothing"])
     def test_rows_carry_rel_residual(self, kind):
         # a converged row's residual is within the config's tol

@@ -252,6 +252,7 @@ class TestJacobianBound:
         shear = np.array([[1.0, 2.0], [-0.5, 3.0]])
         rep = check_jacobian_bound(linear_map(shear), 24)
         assert rep.min_abs_det == pytest.approx(abs(np.linalg.det(shear)), rel=1e-12)
+        assert rep.max_abs_det == pytest.approx(abs(np.linalg.det(shear)), rel=1e-12)
         assert rep.samples == 24
 
     def test_ellipse_matches_finite_differences(self):
@@ -262,6 +263,14 @@ class TestJacobianBound:
             abs(np.linalg.det(fd_jacobian(psi, xi))) for xi in sphere_points(2, 360)
         ]
         assert rep.min_abs_det == pytest.approx(min(fd_dets), rel=1e-6)
+        assert rep.max_abs_det == pytest.approx(max(fd_dets), rel=1e-6)
+
+    def test_ellipse_spans_one_to_four(self):
+        # |det D psi| of diag(1, 4) runs from 4 on the xi_1 axis to 1 on the
+        # xi_2 axis; a sample count divisible by 4 holds both axes
+        rep = check_jacobian_bound(gauss_phase(ELLIPSE), 8)
+        assert (rep.min_abs_det, rep.max_abs_det) == (1.0, 4.0)
+        assert rep.argmin_direction[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_determinant_is_degree_zero(self):
         psi = gauss_phase(ELLIPSE)
