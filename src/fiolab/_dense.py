@@ -1,4 +1,4 @@
-"""Chunked dense kernels for off-grid trigonometric sums.
+"""Chunked dense sums: off-grid trigonometric sums and dense quadrature kernels.
 
 The analysis sum
 
@@ -34,16 +34,21 @@ axes and ends in one matmul over the targets.  It never conjugates a table:
 so it runs on conj(w) and the stored tables and conjugates the grid-sized
 sum once.
 
-Targets are processed in chunks of ``_CHUNK_ENTRIES`` = 2^18 complex
-entries (4 MB) per axis table and per (chunk, N^(n-1)) intermediate, a
-size that keeps BLAS's own buffers small, but of at least 256 targets.
-That floor exceeds the budget once N^(n-1) > 1024: a 3-D chunk holds
-256 N^2 entries per intermediate, 2^20 (16 MB) at N = 64 and 2^22 (64 MB)
-at N = 128.  ``operators._dense_kernel`` sizes its kernel blocks by the
-same budget.
+Targets are processed in chunks of ``_CHUNK_ENTRIES // max(N^(n-1), N)``
+targets (at least one), so that each axis table of a chunk and each
+(chunk, N^(n-1)) intermediate holds at most ``_CHUNK_ENTRIES`` = 2^18
+complex entries (4 MB), a size that keeps BLAS's own buffers small.
 The full tables stay resident while all axes together hold fewer than
-``_RESIDENT_ENTRIES`` entries; larger ones are rebuilt from the factors for
-each chunk and dropped, so memory is O(chunk), not O(M N).
+``_RESIDENT_ENTRIES`` entries, and the factor tables are then dropped;
+larger tables keep only the factors and rebuild each chunk's tables from
+them, so memory is O(chunk), not O(M N).  Either way each phase table is
+held once.
+
+The same module holds ``_dense_kernel``, the blocked dense quadrature
+behind ``operators.pseudo_operator`` and ``operators.fio_operator``: a
+block holds ``_CHUNK_ENTRIES // inputs`` output rows (at least one).
+Both engines read ``_CHUNK_ENTRIES`` here, when a table or a kernel is
+built.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ import numpy as np
 
 from fiolab.lattice import Grid
 
-# budget of complex entries per chunked intermediate and per axis table of a chunk (4 MB);
-# operators' dense kernels size their blocks by it too
+# budget of complex entries per chunked intermediate, per axis table of a chunk
+# and per dense-kernel block (4 MB)
 _CHUNK_ENTRIES = 1 << 18
 # full phase tables are kept for the life of a table below this many complex entries (128 MB)
 _RESIDENT_ENTRIES = 1 << 23
@@ -70,8 +75,8 @@ def _expand(hi: np.ndarray, lo: np.ndarray, n: int) -> np.ndarray:
 class TrigTable:
     """Per-axis phase tables for fixed evaluation points on a fixed grid.
 
-    Only the factor tables are always kept; the full tables are kept when
-    they hold fewer than ``_RESIDENT_ENTRIES`` entries.  Nothing is written
+    The full tables are kept when they hold fewer than ``_RESIDENT_ENTRIES``
+    entries, and otherwise only their factor tables.  Nothing is written
     after construction.
     """
 
@@ -86,24 +91,23 @@ class TrigTable:
         axis = grid.spatial_axis()
         # factors[a] = (hi, lo) with hi[m, k] = exp(-i eta_a x_{s k}) and
         # lo[m, b] = exp(-i eta_a b dx), for eta_a = targets[m, a]
-        self._factors = [
+        factors = [
             (
                 np.exp(-1j * targets[:, a : a + 1] * axis[np.newaxis, ::s]),
                 np.exp(-1j * targets[:, a : a + 1] * (grid.dx * np.arange(s))[np.newaxis, :]),
             )
             for a in range(grid.dim)
         ]
-        self._resident = None
         if grid.dim * targets.shape[0] * n < _RESIDENT_ENTRIES:
-            self._resident = [_expand(hi, lo, n) for hi, lo in self._factors]
+            self._resident, self._factors = [_expand(hi, lo, n) for hi, lo in factors], None
+        else:
+            self._resident, self._factors = None, factors
 
     def _chunk(self) -> int:
         # targets per chunk: bounds the (chunk, N^(n-1)) intermediate and
-        # each (chunk, N) table of a chunk by _CHUNK_ENTRIES alike, except
-        # that the 256-target floor exceeds it once N^(n-1) > 1024
+        # each (chunk, N) table of a chunk by _CHUNK_ENTRIES alike
         n = self.grid.points_per_axis
-        per_target = max(n ** (self.grid.dim - 1), n)
-        return max(_CHUNK_ENTRIES // per_target, 256)
+        return max(_CHUNK_ENTRIES // max(n ** (self.grid.dim - 1), n), 1)
 
     def _phases(self, sl: slice) -> list:
         """Per-axis tables ``phases[a][m, j] = exp(-i targets[m, a] x_j)`` for chunk ``sl``."""
@@ -163,3 +167,38 @@ class TrigTable:
         for phase in phases[:-1]:
             g = phase[:, np.newaxis, :] * g.reshape(w.size, -1, 1)
         return (g.reshape(w.size, -1).T @ phases[-1]).reshape(self.grid.shape)
+
+
+def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: float):
+    """Dense quadrature ``out_m = sum_q exp(i phase(o_m, i_q)) amp(o_m, i_q) v_q in_measure``.
+
+    ``phase`` and ``amp`` (None for a unit amplitude) take stacked output and
+    input points, broadcast against each other.  Returns the apply and its
+    exact adjoint with respect to the ``in_measure``- and
+    ``out_measure``-weighted pairings; both act on flat arrays.
+    """
+
+    # output rows per kernel block, so that a block holds at most _CHUNK_ENTRIES entries
+    step = max(_CHUNK_ENTRIES // in_pts.shape[0], 1)
+    blocks = [slice(start, start + step) for start in range(0, out_pts.shape[0], step)]
+
+    def block(sl):
+        o_blk = out_pts[sl][:, np.newaxis, :]
+        i_blk = in_pts[np.newaxis, :, :]
+        ker = np.exp(1j * np.asarray(phase(o_blk, i_blk), dtype=float))
+        if amp is not None:
+            ker = ker * np.asarray(amp(o_blk, i_blk), dtype=np.complex128)
+        return ker
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        v = np.asarray(values, dtype=np.complex128).reshape(-1)
+        return np.concatenate([block(sl) @ v for sl in blocks]) * in_measure
+
+    def adjoint(values: np.ndarray) -> np.ndarray:
+        v = np.asarray(values, dtype=np.complex128).reshape(-1)
+        out = np.zeros(in_pts.shape[0], dtype=np.complex128)
+        for sl in blocks:
+            out += np.conj(block(sl)).T @ v[sl]
+        return out * out_measure
+
+    return apply, adjoint

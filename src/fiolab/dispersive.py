@@ -48,9 +48,10 @@ node it takes ``exp(i t lambda)`` on the distinct levels and gathers it,
 so every phase is ``exp(i t p^2)`` of the same floats, with no recurrence.
 
 The apply of ``S(T)`` splits its terms over ``_WORKERS = 2`` fixed workers:
-worker 0 on the calling thread and worker 1 on one thread that is joined
-before the call returns, so no thread outlives it and an error in either
-worker reaches the caller.  Worker ``w`` owns the terms ``r`` with
+worker 0 on the calling thread and worker 1 on the one thread of a
+``concurrent.futures.ThreadPoolExecutor`` that the apply opens and joins
+before it returns, so no thread outlives it and an error in either worker
+reaches the caller.  Worker ``w`` owns the terms ``r`` with
 ``r % _WORKERS == w``.  The worker count is fixed in code, not an option.
 Each worker sums its own terms in order, one at a time, with elementwise
 numpy only (``np.take`` gathers, which run without the GIL); the workers'
@@ -61,7 +62,7 @@ bitwise deterministic, independent of thread timing.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -132,37 +133,6 @@ class TimeWindow:
 def symbol_on_grid(p: HomogeneousSymbol, grid: Grid) -> np.ndarray:
     """Sample ``p`` on the frequency grid with ``p(0) = 0`` enforced."""
     return evaluate_multiplier(p.evaluate, grid, value_at_zero=0.0).real
-
-
-def _split(work: Callable[[int], np.ndarray]) -> np.ndarray:
-    """``work(0) + work(1) + ...`` over the ``_WORKERS`` workers, added in worker order.
-
-    Worker 0 runs on the calling thread and each other worker on its own
-    thread, joined before this returns; an exception raised by any worker
-    is raised here.
-    """
-    parts: list = [None] * _WORKERS
-    errors: list = []
-
-    def run(worker: int) -> None:
-        try:
-            parts[worker] = work(worker)
-        except BaseException as exc:  # raised again in the caller, below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(worker,)) for worker in range(1, _WORKERS)]
-    for thread in threads:
-        thread.start()
-    try:
-        total = work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    for part in parts[1:]:
-        total += part
-    return total
 
 
 def _level_index(p: HomogeneousSymbol, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +243,14 @@ def _smoothing_normal(
         # the ifft/fft normalizations of each round trip cancel exactly, and
         # so do those of the outer transform pair
         spec = half_d * np.fft.fftn(np.fft.ifftshift(v.values))
-        acc = _split(lambda worker: _worker_sum(factors, index, spec, w2_space, worker))
+        # worker 0 runs here; leaving the block joins the pool's thread, and
+        # result() raises a worker's error here
+        with ThreadPoolExecutor(max_workers=_WORKERS - 1) as pool:
+            others = [pool.submit(_worker_sum, factors, index, spec, w2_space, worker)
+                      for worker in range(1, _WORKERS)]
+            acc = _worker_sum(factors, index, spec, w2_space, 0)
+        for part in others:
+            acc += part.result()
         acc *= half_d
         return Field(grid, np.fft.fftshift(np.fft.ifftn(acc)))
 

@@ -37,7 +37,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from fiolab._dense import _CHUNK_ENTRIES, TrigTable
+from fiolab._dense import TrigTable, _dense_kernel
 from fiolab.lattice import (
     Field,
     Grid,
@@ -247,15 +247,14 @@ def canonical_transform_operator(
     n = grid.points_per_axis
     crop = (slice(0, n),) * grid.dim
 
-    def _filtered(values: np.ndarray) -> Field:
-        # Z: the field with its unpaired Nyquist modes zeroed
-        spec = zero_nyquist(forward_transform(Field(grid, values)).values, grid)
-        return inverse_transform(SpectralField(grid, spec))
+    def _filtered(spec: SpectralField) -> Field:
+        # Z: the field of spec with its unpaired Nyquist modes zeroed
+        return inverse_transform(SpectralField(grid, zero_nyquist(spec.values, grid)))
 
     def _apply(u: Field) -> Field:
         spec = forward_transform(u)
         tail = spectral_tail_fraction(spec)
-        filtered = inverse_transform(SpectralField(grid, zero_nyquist(spec.values, grid)))
+        filtered = _filtered(spec)
         out_spec = np.zeros(grid.size, dtype=np.complex128)
         out_spec[in_box] = table.analysis(filtered.values)
         out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
@@ -265,7 +264,7 @@ def canonical_transform_operator(
     def _adjoint(v: Field) -> Field:
         # in_box holds no Nyquist entry, so none of them is read
         spec = forward_transform(v).values.reshape(-1)
-        return _filtered(table.synthesis(spec[in_box]))
+        return _filtered(forward_transform(Field(grid, table.synthesis(spec[in_box]))))
 
     @functools.cache
     def _kernel_spectrum() -> np.ndarray:
@@ -278,8 +277,9 @@ def canonical_transform_operator(
 
     def _normal(u: Field) -> Field:
         padded = np.zeros((2 * n,) * grid.dim, dtype=np.complex128)
-        padded[crop] = _filtered(u.values).values
-        return _filtered(np.fft.ifftn(np.fft.fftn(padded) * _kernel_spectrum())[crop])
+        padded[crop] = _filtered(forward_transform(u)).values
+        conv = np.fft.ifftn(np.fft.fftn(padded) * _kernel_spectrum())[crop]
+        return _filtered(forward_transform(Field(grid, conv)))
 
     label = f"T[{m.label}]" if direction == "forward" else f"T^-1[{m.label}]"
     return OperatorHandle(grid, _apply, _adjoint, label=label, normal=_normal)
@@ -288,41 +288,6 @@ def canonical_transform_operator(
 # ---------------------------------------------------------------------------
 # dense kernels: pseudo-differential and phase-and-amplitude integral operators
 # ---------------------------------------------------------------------------
-
-
-def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: float):
-    """Dense quadrature ``out_m = sum_q exp(i phase(o_m, i_q)) amp(o_m, i_q) v_q in_measure``.
-
-    ``phase`` and ``amp`` (None for a unit amplitude) take stacked output and
-    input points, broadcast against each other.  Returns the apply and its
-    exact adjoint with respect to the ``in_measure``- and
-    ``out_measure``-weighted pairings; both act on flat arrays.
-    """
-
-    # output rows per kernel block, so that a block holds about _CHUNK_ENTRIES entries
-    step = max(_CHUNK_ENTRIES // in_pts.shape[0], 64)
-    blocks = [slice(start, start + step) for start in range(0, out_pts.shape[0], step)]
-
-    def block(sl):
-        o_blk = out_pts[sl][:, np.newaxis, :]
-        i_blk = in_pts[np.newaxis, :, :]
-        ker = np.exp(1j * np.asarray(phase(o_blk, i_blk), dtype=float))
-        if amp is not None:
-            ker = ker * np.asarray(amp(o_blk, i_blk), dtype=np.complex128)
-        return ker
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.complex128).reshape(-1)
-        return np.concatenate([block(sl) @ v for sl in blocks]) * in_measure
-
-    def adjoint(values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.complex128).reshape(-1)
-        out = np.zeros(in_pts.shape[0], dtype=np.complex128)
-        for sl in blocks:
-            out += np.conj(block(sl)).T @ v[sl]
-        return out * out_measure
-
-    return apply, adjoint
 
 
 def pseudo_operator(grid: Grid, a) -> OperatorHandle:

@@ -457,8 +457,8 @@ def check_symbol_class(
     dim: int,
     x_half_width: float,
     xi_half_width: float,
-    x_points: int = 65,
-    xi_points: int = 33,
+    x_points: int,
+    xi_points: int,
 ) -> SymbolClassReport:
     """Estimate mixed derivative bounds of an amplitude ``a(x, xi)``.
 

@@ -5,7 +5,9 @@ import pytest
 
 import fiolab._dense
 from fiolab._dense import TrigTable
-from fiolab.lattice import make_grid
+from fiolab.lattice import inner_product, make_grid
+from fiolab.operators import fio_operator, pseudo_operator
+from tests.conftest import random_field
 
 
 def _table(grid, targets, streamed: bool, monkeypatch):
@@ -14,15 +16,17 @@ def _table(grid, targets, streamed: bool, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(fiolab._dense, "_RESIDENT_ENTRIES", budget)
         table = TrigTable(grid, targets)
+    # each phase table is held once: full tables or their factors, never both
     assert (table._resident is None) == streamed
+    assert (table._factors is None) == (not streamed)
     return table
 
 
 @pytest.mark.parametrize("dim,n_pts", [(1, 8), (1, 10), (2, 6), (3, 4), (3, 6), (4, 4)])
 def test_trig_table_matches_brute_force_sums(dim, n_pts, monkeypatch):
-    # a one-entry cap forces the smallest target chunks (256), so 600
-    # targets also exercise a partial last chunk
-    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 1)
+    # a budget of 256 targets per chunk, so 600 targets make two full
+    # chunks and a partial last one
+    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 256 * max(n_pts ** (dim - 1), n_pts))
     grid = make_grid(dim, 3.0, n_pts)
     rng = np.random.default_rng(dim)
     xi_max = grid.dxi * n_pts / 2
@@ -139,3 +143,76 @@ def test_streamed_chunk_tables_freed_before_next_chunk(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < tables + intermediate + margin, (direction.__name__, peak)
+
+
+def test_chunk_follows_the_budget_below_256_targets(monkeypatch):
+    # 3-D N = 16 at a budget of 32 N^2 entries: chunks of 32 targets, so an
+    # intermediate holds 32 N^2 entries (128 KiB).  Measured peak of analysis
+    # plus synthesis: 459 KiB; with chunks of 256 targets it reached 1411 KiB.
+    grid = make_grid(3, 4.0, 16)
+    n = grid.points_per_axis
+    budget = 32 * n**2
+    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", budget)
+    rng = np.random.default_rng(5)
+    xi_max = grid.dxi * n / 2
+    targets = rng.uniform(-xi_max, xi_max, (3000, 3))
+    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    w = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+    table = TrigTable(grid, targets)
+    assert table._chunk() == budget // n**2 < 256
+    entry = np.dtype(np.complex128).itemsize
+    intermediate = budget * entry
+    margin = 4 * max(len(targets), grid.size) * entry
+    tracemalloc.start()
+    try:
+        table.analysis(u)
+        table.synthesis(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * intermediate + margin, peak
+
+
+def _counted(fn, blocks: list):
+    # records the rows of each block that fn is evaluated on
+    def counted(*args):
+        blocks.append(np.broadcast_shapes(*(a.shape for a in args))[0])
+        return fn(*args)
+    return counted
+
+
+# each builds a dense-kernel handle, passing one of its callables through ``wrap``
+DENSE_HANDLES = {
+    "pseudo": lambda grid, wrap: pseudo_operator(
+        grid, wrap(lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)))
+    ),
+    "fio": lambda grid, wrap: fio_operator(
+        grid,
+        wrap(lambda y, xi: -np.sum(y * xi, axis=-1) + 0.2 * np.sum(xi, axis=-1)
+             * np.tanh(np.sum(y, axis=-1))),
+        lambda y, xi: 1.0 / (1.0 + np.sum(y * y, axis=-1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSE_HANDLES))
+def test_dense_kernel_over_several_blocks(kind, monkeypatch):
+    # 1-D N = 16 at a budget of 5 rows of 16 inputs: blocks of 5, 5, 5 and 1
+    # rows, each evaluated once per apply and once per adjoint
+    grid = make_grid(1, 5.0, 16)
+    build = DENSE_HANDLES[kind]
+    whole = build(grid, lambda fn: fn)
+    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 5 * grid.size)
+    blocks: list = []
+    blocked = build(grid, lambda fn: _counted(fn, blocks))
+    u, v = random_field(grid, seed=1), random_field(grid, seed=2)
+
+    out = blocked.apply(u)
+    assert blocks == [5, 5, 5, 1]
+    back = blocked.apply_adjoint(v)
+    assert blocks == [5, 5, 5, 1] * 2
+
+    for got, want in ((out, whole.apply(u)), (back, whole.apply_adjoint(v))):
+        assert np.max(np.abs(got.values - want.values)) < 1e-13 * np.max(np.abs(want.values))
+    lhs, rhs = inner_product(out, v), inner_product(u, back)
+    assert abs(lhs - rhs) < 1e-13 * abs(lhs)
