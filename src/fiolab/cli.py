@@ -495,6 +495,10 @@ def _prepare_symbol_check(r: _Reader, raw: dict, seed: int):
         if spec and sampling[key] < spec.min_points:
             r.error(f"symbol_class.{key}", f"at least {spec.min_points} points for derivative "
                     f"order {max_order}", sampling[key])
+    # a sampling table that cannot be allocated is refused here; the probe is dropped at once
+    nx, nxi = sampling["x_points"], sampling["xi_points"]
+    r.build("symbol_class", lambda n: np.empty((nx,) * n + (nxi,) * n, np.complex128),
+            sampling["dim"])
 
     def body(report: ReportRecord):
         report.results.update(dict.fromkeys((

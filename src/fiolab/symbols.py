@@ -22,10 +22,13 @@ for gradients / Hessians).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from fiolab.lattice import bracket
 
 __all__ = [
     "HomogeneousSymbol",
@@ -346,7 +349,7 @@ def sphere_points(dim: int, count: int) -> np.ndarray:
         raise ValueError("sample count must be >= 1")
     if dim == 1:
         pts = np.array([[1.0], [-1.0]])
-        return pts[: max(count, 1)] if count < 2 else pts
+        return pts[:count]
     if dim == 2:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -434,16 +437,6 @@ class SymbolClassReport:
     xi_spacing: float
 
 
-def _multi_indices(dim: int, total: int):
-    """All multi-indices over ``dim`` axes with |alpha| == total."""
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _multi_indices(dim - 1, total - head):
-            yield (head,) + rest
-
-
 def sample_axis(half_width: float, points: int) -> np.ndarray:
     """``points`` equispaced samples of ``[-half_width, half_width]``."""
     if not np.isfinite(2.0 * half_width):
@@ -465,11 +458,13 @@ def check_symbol_class(
     The amplitude is sampled on a tensor grid over
     ``[-x_half_width, x_half_width]^n x [-xi_half_width, xi_half_width]^n``
     and every mixed derivative up to total order ``spec.max_order`` is
-    estimated by iterated central differences; the supremum of
-    ``|derivative| / weight`` over interior samples is the reported worst
-    constant.  Passing means the worst constant stays at or below the
-    tolerance.  The check is monotone in the order: higher orders only add
-    multi-indices.
+    estimated from the samples by iterated central differences, along the x
+    axes first and then the xi axes; the supremum of ``|derivative| / weight``
+    over interior samples is the reported worst constant.  Passing means the
+    worst constant stays at or below the tolerance.  The check is monotone in
+    the order: higher orders only add multi-indices.  Orders (alpha, beta)
+    are visited by |alpha| + |beta|, then |alpha|, then lexically, and the
+    first one visited wins a tie.
     """
     r = spec.max_order
     if min(x_points, xi_points) < spec.min_points:
@@ -482,64 +477,48 @@ def check_symbol_class(
     hx = x_axis[1] - x_axis[0]
     hxi = xi_axis[1] - xi_axis[0]
 
-    x_mesh = np.stack(np.meshgrid(*([x_axis] * dim), indexing="ij"), axis=-1)
-    xi_mesh = np.stack(np.meshgrid(*([xi_axis] * dim), indexing="ij"), axis=-1)
-    shape_x = x_mesh.shape[:-1]
-    shape_xi = xi_mesh.shape[:-1]
-    x_full = x_mesh.reshape(shape_x + (1,) * dim + (dim,))
-    xi_full = xi_mesh.reshape((1,) * dim + shape_xi + (dim,))
-    values = np.asarray(
-        a(np.broadcast_to(x_full, shape_x + shape_xi + (dim,)),
-          np.broadcast_to(xi_full, shape_x + shape_xi + (dim,))),
-        dtype=np.complex128,
-    )
+    axes = np.meshgrid(*([x_axis] * dim + [xi_axis] * dim), indexing="ij", sparse=True)
+    x = np.stack(np.broadcast_arrays(*axes[:dim]), axis=-1)
+    xi = np.stack(np.broadcast_arrays(*axes[dim:]), axis=-1)
+    values = np.asarray(a(*np.broadcast_arrays(x, xi)), dtype=np.complex128)
     if not np.all(np.isfinite(values)):
         # a NaN sample fails every comparison below and would pass silently
         raise ValueError("amplitude is not finite at every sample point")
 
-    bx = np.sqrt(1.0 + np.sum(x_mesh**2, axis=-1))
-    bxi = np.sqrt(1.0 + np.sum(xi_mesh**2, axis=-1))
+    bx = bracket(x)
+    bxi = bracket(xi)
+    spacings = (hx,) * dim + (hxi,) * dim
 
     # interior window: trim r layers per axis so iterated central stencils
     # never touch one-sided boundary values
     interior = tuple([slice(r, -r)] * (2 * dim))
 
+    # (alpha, beta) as one tuple over the x axes, then the xi axes
+    orders = sorted(
+        (o for o in itertools.product(range(r + 1), repeat=2 * dim) if sum(o) <= r),
+        key=lambda o: (sum(o), sum(o[:dim]), o),
+    )
     worst = -1.0
     worst_orders = ((0,) * dim, (0,) * dim)
-    worst_flat = 0
-    for total in range(r + 1):
-        for alpha_total in range(total + 1):
-            beta_total = total - alpha_total
-            for alpha in _multi_indices(dim, alpha_total):
-                for beta in _multi_indices(dim, beta_total):
-                    deriv = values
-                    for axis, order in enumerate(alpha):
-                        for _ in range(order):
-                            deriv = np.gradient(deriv, hx, axis=axis, edge_order=2)
-                    for axis, order in enumerate(beta):
-                        for _ in range(order):
-                            deriv = np.gradient(deriv, hxi, axis=dim + axis, edge_order=2)
-                    if spec.class_kind == "S00":
-                        weight = 1.0
-                    else:
-                        m1, m2 = spec.weight_orders
-                        wx = bx ** (m1 - alpha_total)
-                        wxi = bxi ** (m2 - beta_total)
-                        weight = wx.reshape(shape_x + (1,) * dim) * wxi.reshape(
-                            (1,) * dim + shape_xi
-                        )
-                    ratio = np.abs(deriv) / weight
-                    ratio_int = ratio[interior]
-                    k = int(np.argmax(ratio_int))
-                    val = float(ratio_int.reshape(-1)[k])
-                    if val > worst:
-                        worst = val
-                        worst_orders = (alpha, beta)
-                        worst_flat = k
-    inner_shape = tuple(s - 2 * r for s in shape_x) + tuple(s - 2 * r for s in shape_xi)
-    idx = np.unravel_index(worst_flat, inner_shape)
-    x_pt = tuple(float(x_axis[idx[i] + r]) for i in range(dim))
-    xi_pt = tuple(float(xi_axis[idx[dim + i] + r]) for i in range(dim))
+    worst_idx = (0,) * (2 * dim)
+    for o in orders:
+        deriv = values
+        for axis, order in enumerate(o):
+            for _ in range(order):
+                deriv = np.gradient(deriv, spacings[axis], axis=axis, edge_order=2)
+        weight = 1.0
+        if spec.class_kind == "SG":
+            m1, m2 = spec.weight_orders
+            weight = bx ** (m1 - sum(o[:dim])) * bxi ** (m2 - sum(o[dim:]))
+        ratio = (np.abs(deriv) / weight)[interior]
+        k = int(np.argmax(ratio))
+        val = float(ratio.flat[k])
+        if val > worst:
+            worst = val
+            worst_orders = (o[:dim], o[dim:])
+            worst_idx = np.unravel_index(k, ratio.shape)
+    x_pt = tuple(float(x_axis[i + r]) for i in worst_idx[:dim])
+    xi_pt = tuple(float(xi_axis[i + r]) for i in worst_idx[dim:])
     return SymbolClassReport(
         passes=bool(worst <= spec.bound_tolerance),
         worst_constant=worst,

@@ -247,6 +247,12 @@ REJECTED_CONFIGS = {
     "symbol-check-coarse-xi": (
         _with(SYMBOL_CHECK_CFG, "symbol_class", xi_points=6), "symbol_class.xi_points"
     ),
+    # the default 201 x 33 points per axis give a 3-D sampling table of 2.12 TiB
+    "symbol-check-unallocatable-table": (
+        {**SYMBOL_CHECK_CFG, "amplitude": {"name": "constant"},
+         "symbol_class": {"kind": "S00", "max_order": 1, "dim": 3}},
+        "symbol_class",
+    ),
     "json-array": ([EGOROV_CFG], "config"),
     "string-seed": ({**EGOROV_CFG, "seed": "abc"}, "seed"),
     "negative-seed": ({**EGOROV_CFG, "seed": -1}, "seed"),

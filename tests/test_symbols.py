@@ -353,6 +353,51 @@ class TestSymbolClass:
         assert two.worst_orders == ((one.worst_orders[0][0], 0), (0, 0))
         assert two.worst_point[0][0] == one.worst_point[0][0]
 
+    def test_exact_tie_keeps_the_first_order_visited(self):
+        # the (2, 0) and (0, 2) x-derivatives tie exactly; orders are visited
+        # by total order, then |alpha|, then lexically, so (0, 2) comes first
+        def amp(x, xi):
+            return (np.sin(3 * x[..., 0]) + np.sin(3 * x[..., 1])
+                    + np.cos(2 * xi[..., 0]) + np.cos(2 * xi[..., 1]))
+
+        rep = check_symbol_class(amp, SymbolClassSpec("S00", 2, 1.0), dim=2, x_half_width=3,
+                                 xi_half_width=3, x_points=15, xi_points=15)
+        assert rep.worst_constant == pytest.approx(4.811457709581117, rel=1e-12)
+        assert rep.worst_orders == ((0, 2), (0, 0))
+        assert rep.worst_point == ((-2.142857142857143, -0.4285714285714288),
+                                   (-2.142857142857143, -1.2857142857142858))
+
+    def test_sg_weights_in_two_dimensions_match_a_reference(self):
+        m1, m2, r, pts = -1.0, 0.5, 3, 11
+        spec = SymbolClassSpec("SG", r, 1.0, weight_orders=(m1, m2))
+        rep = check_symbol_class(self.GOOD, spec, dim=2, x_half_width=4, xi_half_width=3,
+                                 x_points=pts, xi_points=pts)
+        # reference: the samples on a full 4-D mesh (x_1, x_2, xi_1, xi_2),
+        # differentiated one axis at a time, in the same visit order
+        x_axis, xi_axis = np.linspace(-4, 4, pts), np.linspace(-3, 3, pts)
+        x1, x2, xi1, xi2 = np.meshgrid(x_axis, x_axis, xi_axis, xi_axis, indexing="ij")
+        samples = 1.0 / (1.0 + x1**2 + x2**2 + xi1**2 + xi2**2)
+        steps = (x_axis[1] - x_axis[0],) * 2 + (xi_axis[1] - xi_axis[0],) * 2
+        inner = (slice(r, -r),) * 4
+        worst, worst_orders = -1.0, None
+        for total in range(r + 1):
+            for a_total in range(total + 1):
+                b_total = total - a_total
+                for a1 in range(a_total + 1):
+                    for b1 in range(b_total + 1):
+                        orders = (a1, a_total - a1, b1, b_total - b1)
+                        deriv = samples
+                        for axis in range(4):
+                            for _ in range(orders[axis]):
+                                deriv = np.gradient(deriv, steps[axis], axis=axis, edge_order=2)
+                        weight = (np.sqrt(1.0 + x1**2 + x2**2) ** (m1 - a_total)
+                                  * np.sqrt(1.0 + xi1**2 + xi2**2) ** (m2 - b_total))
+                        val = np.max((np.abs(deriv) / weight)[inner])
+                        if val > worst:
+                            worst, worst_orders = val, (orders[:2], orders[2:])
+        assert rep.worst_constant == pytest.approx(worst, rel=1e-12, abs=1e-12)
+        assert rep.worst_orders == worst_orders
+
     def test_too_coarse_grid_rejected(self):
         spec = SymbolClassSpec("S00", 3, 1.0)
         with pytest.raises(ValueError, match="too coarse"):
