@@ -79,7 +79,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args
 
@@ -97,6 +97,7 @@ from fiolab.operators import (
     weight_operator,
 )
 from fiolab.symbols import (
+    SymbolClassReport,
     SymbolClassSpec,
     check_jacobian_bound,
     check_symbol_class,
@@ -243,7 +244,7 @@ class _Reader:
         """``make(*args)``; a rejection becomes a violation of ``field``."""
         try:
             return make(*args)
-        except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+        except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
             self.error(field, str(exc), args[0])
             return None
 
@@ -343,6 +344,8 @@ def _packet_field(grid, sigma: float, carrier) -> Field:
 def _prepare_egorov(r: _Reader, raw: dict, seed: int):
     grids, half = _read_grids(r, raw)
     p = _read_symbol(r, raw, grids[0].dim) if grids else None
+    if p is not None:  # egorov_residual builds this Gauss map per row; refuse a degenerate one
+        r.build("symbol", lambda _: gauss_phase(p), raw["symbol"])
     data = r.section(raw, "data", {})
     sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
     r.build("data.sigma", lambda s: [_packet_exponent(g, s) for g in grids], sigma)
@@ -405,7 +408,7 @@ _NORM_OPERATORS = ("identity", "bracket_multiplier", "canonical", "canonical_inv
 _JACOBIAN_SAMPLES = 360
 
 
-def _norm_operator(kind: str, grid, p):
+def _norm_operator(kind: str, grid, psi):
     if kind == "identity":
         return identity_operator(grid)
     if kind == "bracket_multiplier":
@@ -413,14 +416,14 @@ def _norm_operator(kind: str, grid, p):
             grid, lambda xi: (1.0 + np.sum(xi * xi, axis=-1)) ** 0.25, label="<xi>^1/2"
         )
     direction = "forward" if kind == "canonical" else "inverse"
-    return canonical_transform_operator(gauss_phase(p), grid, direction)
+    return canonical_transform_operator(psi, grid, direction)
 
 
-def _continuum_norm(kind: str, p) -> float:
+def _continuum_norm(kind: str, psi) -> float:
     """The continuum L2 norm of the canonical transform ``kind`` names, from
     sampled Jacobian determinants: ``(min |det D psi|)^{-1/2}``, or
     ``(max |det D psi|)^{1/2}`` for ``canonical_inverse``."""
-    jac = check_jacobian_bound(gauss_phase(p), _JACOBIAN_SAMPLES)
+    jac = check_jacobian_bound(psi, _JACOBIAN_SAMPLES)
     return jac.min_abs_det**-0.5 if kind == "canonical" else jac.max_abs_det**0.5
 
 
@@ -429,6 +432,7 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int):
     kind = r.read(r.section(raw, "operator"), "operator.kind", _one_of(_NORM_OPERATORS))
     canonical = kind in ("canonical", "canonical_inverse")
     p = _read_symbol(r, raw, grids[0].dim) if grids and canonical else None
+    psi = p and r.build("symbol", lambda _: gauss_phase(p), raw["symbol"])
     weights = r.section(raw, "weights", {})
     m_in = float(r.read(weights, "weights.m_in", _NUMBER, 0.0))
     m_out = float(r.read(weights, "weights.m_out", _NUMBER, 0.0))
@@ -437,14 +441,15 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int):
     r.build("weights.m_in", lambda m: [weight_operator(g, -m) for g in grids], m_in)
     tol = float(r.read(raw, "tol", _POSITIVE, 1e-6))
     max_iters = r.read(raw, "max_iters", _POSITIVE_INT, 200)
-    unweighted_canonical = canonical and m_in == m_out == 0
+    # a zero Jacobian determinant raises ZeroDivisionError, a violation of the symbol
+    continuum = (r.build("symbol", lambda _: _continuum_norm(kind, psi), raw["symbol"])
+                 if psi and m_in == m_out == 0 else None)
 
     def body(report: ReportRecord):
         def worker(grid, row):
             row.update(m_in=m_in, m_out=m_out, N=grid.points_per_axis, L=half)
-            op = _norm_operator(kind, grid, p)
-            row["label"] = op.label
-            row["continuum_norm"] = _continuum_norm(kind, p) if unweighted_canonical else None
+            op = _norm_operator(kind, grid, psi)
+            row.update(label=op.label, continuum_norm=continuum)
             est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
             row.update(estimate=est.estimate, iterations=est.iterations,
                        rel_residual=est.residual, converged=est.converged)
@@ -501,20 +506,10 @@ def _prepare_symbol_check(r: _Reader, raw: dict, seed: int):
             sampling["dim"])
 
     def body(report: ReportRecord):
-        report.results.update(dict.fromkeys((
-            "amplitude", "passes", "worst_constant", "worst_orders", "worst_point", "max_order",
-            "x_spacing", "xi_spacing")))
+        names = ["amplitude"] + [f.name for f in fields(SymbolClassReport)]
+        report.results.update(dict.fromkeys(names))
         rep = check_symbol_class(_AMPLITUDES[amp_name], spec, **sampling)
-        report.results.update(
-            amplitude=amp_name,
-            passes=rep.passes,
-            worst_constant=rep.worst_constant,
-            worst_orders=[list(rep.worst_orders[0]), list(rep.worst_orders[1])],
-            worst_point=[list(rep.worst_point[0]), list(rep.worst_point[1])],
-            max_order=rep.max_order,
-            x_spacing=rep.x_spacing,
-            xi_spacing=rep.xi_spacing,
-        )
+        report.results.update(amplitude=amp_name, **asdict(rep))
 
     return body
 
@@ -631,13 +626,13 @@ def validate_config(config: ExperimentConfig) -> list:
 
 
 def _finite_or_none(value):
-    """``value`` with every non-finite float in its dicts and lists set to ``None``."""
+    """``value`` with every non-finite float in its dicts, lists and tuples set to ``None``."""
     if isinstance(value, float) and not _is_number(value):
         return None
     if isinstance(value, dict):
         return {k: _finite_or_none(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_none(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return type(value)(_finite_or_none(v) for v in value)
     return value
 
 

@@ -156,8 +156,12 @@ def _same_grid(a: Grid, b: Grid) -> Grid:
     return a
 
 
-def _frozen_complex(values: np.ndarray, shape: tuple) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128).reshape(shape).copy()
+def _frozen_finite(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a new read-only complex array of ``shape``; a non-finite
+    entry is an error naming ``what``."""
+    arr = np.array(values, dtype=np.complex128, order="C").reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} values must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -175,10 +179,7 @@ class Field:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        arr = _frozen_complex(self.values, self.grid.shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_finite(self.values, self.grid.shape, "field"))
 
     def __add__(self, other: "Field") -> "Field":
         return Field(_same_grid(self.grid, other.grid), self.values + other.values)
@@ -200,10 +201,7 @@ class SpectralField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex(self.values, self.grid.shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("spectral values must be finite")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_finite(self.values, self.grid.shape, "spectral"))
 
 
 def forward_transform(f: Field) -> SpectralField:
@@ -243,15 +241,18 @@ def inner_product(f: Field, g: Field) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def nyquist_mask(grid: Grid) -> np.ndarray:
-    """Boolean mask of spectral entries with any axis at the unpaired mode."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        index = [slice(None)] * grid.dim
-        index[axis] = 0
-        mask[tuple(index)] = True
+def _edge_shell(grid: Grid, edge: int) -> np.ndarray:
+    """Read-only mask of the spectral entries with ``max_a |k_a - N/2| >= edge``,
+    for indices ``k`` in ``[0, N)`` (math order)."""
+    offset = np.abs(np.arange(grid.points_per_axis) - grid.points_per_axis // 2)
+    mask = functools.reduce(np.maximum, np.ix_(*[offset] * grid.dim)) >= edge
     mask.flags.writeable = False
     return mask
+
+
+def nyquist_mask(grid: Grid) -> np.ndarray:
+    """Boolean mask of spectral entries with any axis at the unpaired mode."""
+    return _edge_shell(grid, grid.points_per_axis // 2)
 
 
 def zero_nyquist(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -270,15 +271,7 @@ def spectral_tail_fraction(g: SpectralField) -> float:
     The shell is defined by ``max_a |k_a| >= TAIL_SHELL * N/2`` in index
     units: the outermost 10 percent band per axis.
     """
-    grid = g.grid
-    n_half = grid.points_per_axis // 2
-    idx = np.abs(np.arange(grid.points_per_axis) - n_half)
-    outer_1d = idx >= TAIL_SHELL * n_half
-    outer = np.zeros(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        expand = [np.newaxis] * grid.dim
-        expand[axis] = slice(None)
-        outer |= outer_1d[tuple(expand)]
+    outer = _edge_shell(g.grid, int(np.ceil(TAIL_SHELL * (g.grid.points_per_axis // 2))))
     total = float(np.sum(np.abs(g.values) ** 2))
     if total == 0.0:
         return 0.0

@@ -169,21 +169,21 @@ def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, 
 # ---------------------------------------------------------------------------
 
 
-def schur_bound(kernel: np.ndarray, row_volume: float = 1.0, col_volume: float = 1.0) -> float:
-    """Schur bound ``sqrt(R C)`` for the integral kernel ``s(x_j, y_l)``.
+def schur_bound(kernel: np.ndarray) -> float:
+    """Schur bound ``sqrt(R C)`` for the matrix ``s``.
 
-    ``R = sup_j sum_l |s| * col_volume`` and ``C = sup_l sum_j |s| * row_volume``
-    are the weighted row and column mass; the classical lemma is the case
-    ``R, C <= 1``.  Always an upper bound for the L2 -> L2 operator norm of
-    ``u -> sum_l s(.,y_l) u_l * col_volume``.
+    ``R = sup_j sum_l |s_jl|`` and ``C = sup_l sum_j |s_jl|`` are its row and
+    column mass; the classical lemma is the case ``R, C <= 1``.  Always an
+    upper bound for the operator norm of ``u -> s u``; for the integral
+    operator ``u -> sum_l s(., y_l) u_l dx^n`` on a grid, pass ``s dx^n``.
     """
     k = np.abs(np.asarray(kernel))
     if k.ndim != 2:
         raise ValueError("kernel must be a matrix")
     if not np.all(np.isfinite(k)):
         raise ValueError("kernel must be finite")
-    row_mass = float(np.max(np.sum(k, axis=1)) * col_volume) if k.size else 0.0
-    col_mass = float(np.max(np.sum(k, axis=0)) * row_volume) if k.size else 0.0
+    row_mass = float(np.max(np.sum(k, axis=1))) if k.size else 0.0
+    col_mass = float(np.max(np.sum(k, axis=0))) if k.size else 0.0
     return float(np.sqrt(row_mass * col_mass))
 
 

@@ -24,8 +24,9 @@ frequency-domain conventions apply throughout:
   vanishes beyond the box rather than wrapping around).
 
 Accuracy of a canonical transform is therefore limited by the field's
-spectral tail.  Each apply records it, and the number of mapped points
-that left the box, in the result's ``Field.meta``; neither is ever warned.
+spectral tail.  Each apply records it, and the number of output modes set
+to zero by these two rules, in the result's ``Field.meta``; neither is
+ever warned.
 """
 
 from __future__ import annotations
@@ -223,8 +224,10 @@ def canonical_transform_operator(
     frequencies and their factored phase tables are computed once; the full
     tables are kept, or rebuilt per target chunk on each apply when they are
     large (see ``fiolab._dense``).  Each apply records the input's spectral
-    tail (``spectral_tail``) and the number of mapped points that left the
-    frequency box (``out_of_box_modes``) in the result's ``Field.meta``.
+    tail (``spectral_tail``) and the number of output modes it sets to zero
+    (``out_of_box_modes``) in the result's ``Field.meta``: those whose mapped
+    point left the frequency box, and the ``N^n - (N-1)^n`` unpaired Nyquist
+    modes, which even the identity map counts.
 
     The handle's ``normal`` is ``T* T = Z A* A Z``, with ``Z`` the Nyquist
     filter and ``A`` the analysis sum over the in-box targets ``eta_m``.

@@ -460,7 +460,9 @@ def check_symbol_class(
     and every mixed derivative up to total order ``spec.max_order`` is
     estimated from the samples by iterated central differences, along the x
     axes first and then the xi axes; the supremum of ``|derivative| / weight``
-    over interior samples is the reported worst constant.  Passing means the
+    over interior samples is the reported worst constant; an SG weight or a
+    ratio that is not finite raises ``ValueError`` naming the orders, as a
+    non-finite amplitude sample does.  Passing means the
     worst constant stays at or below the tolerance.  The check is monotone in
     the order: higher orders only add multi-indices.  Orders (alpha, beta)
     are visited by |alpha| + |beta|, then |alpha|, then lexically, and the
@@ -507,10 +509,15 @@ def check_symbol_class(
             for _ in range(order):
                 deriv = np.gradient(deriv, spacings[axis], axis=axis, edge_order=2)
         weight = 1.0
-        if spec.class_kind == "SG":
-            m1, m2 = spec.weight_orders
-            weight = bx ** (m1 - sum(o[:dim])) * bxi ** (m2 - sum(o[dim:]))
-        ratio = (np.abs(deriv) / weight)[interior]
+        with np.errstate(all="ignore"):
+            if spec.class_kind == "SG":
+                m1, m2 = spec.weight_orders
+                weight = bx ** (m1 - sum(o[:dim])) * bxi ** (m2 - sum(o[dim:]))
+            ratio = (np.abs(deriv) / weight)[interior]
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(ratio))):
+            # an infinite weight gives a ratio of 0, a NaN one fails every comparison
+            raise ValueError(f"weight or derivative ratio is not finite at orders "
+                             f"(alpha, beta) = {(o[:dim], o[dim:])}")
         k = int(np.argmax(ratio))
         val = float(ratio.flat[k])
         if val > worst:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 import fiolab.cli
 import fiolab.dispersive
 import fiolab.normest
+import fiolab.symbols
 from fiolab.cli import (
     ExperimentConfig,
     main,
@@ -170,6 +172,13 @@ def _with(config, section, **fields):
     return {**config, section: {**config[section], **fields}}
 
 
+# positive on the unit circle, but |grad p| = 1e-10 along (1, 0): a degenerate Gauss map
+DEGENERATE_SYMBOL = {"name": "perturbed", "base": {"name": "euclidean"},
+                     "bump_amplitude": -0.9999999999, "bump_direction": [1.0, 0.0]}
+NORM_DEGENERATE = {**_with(NORM_CFG, "operator", kind="canonical"), "symbol": DEGENERATE_SYMBOL,
+                   "grid": {"dim": 2, "half_width": 5.0, "points": 16}}
+
+
 # configs that must be rejected before any computation, with the field named
 REJECTED_CONFIGS = {
     "egorov-carrier-length": (_with(EGOROV_CFG, "data", carrier=[1.0, 2.0]), "data.carrier"),
@@ -201,6 +210,8 @@ REJECTED_CONFIGS = {
         "symbol.name",
     ),
     "norm-zero-tol": ({**NORM_CFG, "tol": 0}, "tol"),
+    "norm-degenerate-gauss-map": (NORM_DEGENERATE, "symbol"),
+    "egorov-degenerate-gauss-map": ({**EGOROV_2D, "symbol": DEGENERATE_SYMBOL}, "symbol"),
     "symbol-check-unknown-amplitude": (
         _with(SYMBOL_CHECK_CFG, "amplitude", name="gaussian"),
         "amplitude.name",
@@ -347,6 +358,48 @@ def test_config_errors_caught_before_computation(tmp_path, capsys, case):
     assert f"[error] {field}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    NORM_DEGENERATE,
+    _with(NORM_DEGENERATE, "operator", kind="canonical_inverse"),
+    {**NORM_DEGENERATE, "weights": {"m_in": 0.5}},
+    {**EGOROV_2D, "symbol": DEGENERATE_SYMBOL},
+], ids=["norm", "norm-inverse", "norm-weighted", "egorov"])
+def test_degenerate_gauss_map_names_the_symbol_section(cfg):
+    (violation,) = validate_config(ExperimentConfig.from_dict(cfg))
+    assert (violation.field, violation.actual) == ("symbol", DEGENERATE_SYMBOL)
+    assert "gradient of symbol 'perturbed(euclidean)' degenerates" in violation.constraint
+
+
+@pytest.mark.parametrize("cfg, jacobian_checks", [
+    ({**_with(NORM_CFG, "operator", kind="canonical"), "symbol": {"name": "euclidean"},
+      "grid": {"dim": 2, "half_width": 5.0, "points": [8, 12]}}, 1),
+    ({**EGOROV_2D, "grid": {**EGOROV_2D["grid"], "points": [8, 12]}}, 0),
+], ids=["norm", "egorov"])
+def test_gauss_map_is_built_once_per_config(monkeypatch, cfg, jacobian_checks):
+    calls = []
+
+    def counted(name):
+        real = getattr(fiolab.cli, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("gauss_phase", "check_jacobian_bound"):
+        monkeypatch.setattr(f"fiolab.cli.{name}", counted(name))
+    assert not run_experiment(ExperimentConfig.from_dict(cfg)).failed
+    assert calls == ["gauss_phase"] + ["check_jacobian_bound"] * jacobian_checks
+
+
+def test_zero_jacobian_determinant_names_the_symbol(tmp_path, capsys, monkeypatch):
+    # (min |det D psi|)^{-1/2} of an exact 0 raises ZeroDivisionError
+    report = fiolab.symbols.JacobianReport(0.0, (1.0, 0.0), 360, 4.0)
+    monkeypatch.setattr("fiolab.cli.check_jacobian_bound", lambda psi, directions: report)
+    cfg = {**NORM_DEGENERATE, "symbol": {"name": "euclidean"}}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "[error] symbol: 0.0 cannot be raised to a negative power" in out
+    assert "Traceback" not in err
 
 
 def test_unallocatable_grid_names_the_points_value():
@@ -566,7 +619,7 @@ class TestRunExperiment:
             }
         )
         report = run_experiment(cfg)
-        assert report.results["passes"] is True
+        assert report.results["passes"] is True and not report.failed
 
     def test_cotlar_experiment(self):
         cfg = ExperimentConfig.from_dict(
@@ -705,23 +758,53 @@ class TestMainExitCodes:
 
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
-        "data, missing",
+        "data, missing, warning",
         [
             # x^2 overflows at every x sample, so sin(x^2) is NaN there
             ({**_with(SYMBOL_CHECK_CFG, "symbol_class", x_half_width=1e200),
-              "amplitude": {"name": "oscillating_square"}}, "worst_constant"),
+              "amplitude": {"name": "oscillating_square"}}, "worst_constant",
+             "amplitude is not finite at every sample point"),
+            # <x>^2000 overflows and <xi>^-2000 underflows, so their product is NaN
+            ({"kind": "symbol-check", "amplitude": {"name": "constant"},
+              "symbol_class": {"kind": "SG", "max_order": 1, "weight_orders": [2000, -2000],
+                               "dim": 1, "x_points": 21, "xi_points": 21}}, "passes",
+             "weight or derivative ratio is not finite at orders (alpha, beta) = ((0,), (0,))"),
         ],
-        ids=["symbol-check"],
+        ids=["symbol-check", "symbol-check-nan-weight"],
     )
-    def test_whole_run_failure_is_exit_two(self, tmp_path, capsys, data, missing):
+    def test_whole_run_failure_is_exit_two(self, tmp_path, capsys, data, missing, warning):
         path = write_config(tmp_path, data)
         assert main(["validate", "--config", str(path)]) == 0
         out = tmp_path / "out"
         assert main([data["kind"], "--config", str(path), "--out", str(out)]) == 2
         assert "config invalid" not in capsys.readouterr().err
         report = read_strict_json(out / "report.json")
-        assert report["failed"] and report["warnings"]
+        assert report["failed"] and report["warnings"] == [f"{data['kind']}: {warning}"]
         assert report["results"][missing] is None
+
+    def test_non_finite_entry_of_a_report_tuple_is_null(self, tmp_path, monkeypatch):
+        nan_point = fiolab.symbols.SymbolClassReport(True, 0.5, ((0,), (1,)), ((NAN,), (0.0,)),
+                                                     2, 0.1, 0.625)
+        monkeypatch.setattr("fiolab.cli.check_symbol_class", lambda *args, **kwargs: nan_point)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SYMBOL_CHECK_CFG)
+        assert main(["symbol-check", "--config", str(path), "--out", str(out)]) == 2
+        report = read_strict_json(out / "report.json")
+        assert report["results"]["worst_point"] == [[None], [0.0]]
+        assert report["results"]["worst_orders"] == [[0], [1]]
+        assert report["warnings"] == ["symbol-check: non-finite numbers reported as null"]
+
+    def test_cotlar_non_convergence_is_exit_two(self, tmp_path, monkeypatch):
+        # one Lanczos step leaves a random 8 x 8 family unconverged
+        monkeypatch.setattr("fiolab.cli.cotlar_bound",
+                            functools.partial(fiolab.normest.cotlar_bound, max_iters=1))
+        cfg = _with(COTLAR_CFG, "family", kind="random_matrices", size=2, points=8)
+        out = tmp_path / "out"
+        assert main(["cotlar", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+        report = read_strict_json(out / "report.json")
+        assert report["failed"] is True and report["warnings"] == []
+        assert report["results"]["all_converged"] is False
 
     def test_cotlar_bound_failure_is_reported(self, tmp_path, monkeypatch):
         def failing_bound(family, **kwargs):

@@ -216,3 +216,9 @@ def test_dense_kernel_over_several_blocks(kind, monkeypatch):
         assert np.max(np.abs(got.values - want.values)) < 1e-13 * np.max(np.abs(want.values))
     lhs, rhs = inner_product(out, v), inner_product(u, back)
     assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+def test_trig_table_rejects_targets_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"targets must have shape \(M, dim\)"):
+        TrigTable(make_grid(2, 3.0, 8), np.zeros(shape))

@@ -187,6 +187,11 @@ class TestSmoothingConstant:
             assert est.estimate >= prev - 1e-10
             prev = est.estimate
 
+    def test_unknown_derivative_kind_rejected(self):
+        g = make_grid(1, 8.0, 16)
+        with pytest.raises(ValueError, match="unknown derivative kind 'fractional'"):
+            smoothing_constant(EUCLID_1D, g, TimeWindow(1.0, 9), 1.0, "fractional")
+
 
 class TestHalfDerivativeRatio:
     def test_identity_for_euclidean(self):

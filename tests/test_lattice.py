@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiolab.lattice import (
+    TAIL_SHELL,
     Field,
     SpectralField,
     bracket,
@@ -17,6 +18,7 @@ from fiolab.lattice import (
     weighted_norm,
     zero_nyquist,
 )
+from fiolab.lattice import _edge_shell
 from tests.conftest import random_field
 
 
@@ -225,3 +227,29 @@ class TestNyquistHandling:
         spec2 = np.zeros(g.shape, dtype=complex)
         spec2[1] = 1.0  # near the band edge
         assert spectral_tail_fraction(SpectralField(g, spec2)) == 1.0
+        assert spectral_tail_fraction(SpectralField(g, np.zeros(g.shape))) == 0.0
+
+
+def _shell_reference(grid, edge: float) -> np.ndarray:
+    """Entries with some axis index k at ``|k - N/2| >= edge``, one axis at a time."""
+    n = grid.points_per_axis
+    outer_1d = np.abs(np.arange(n) - n // 2) >= edge
+    mask = np.zeros(grid.shape, dtype=bool)
+    for axis in range(grid.dim):
+        expand = [np.newaxis] * grid.dim
+        expand[axis] = slice(None)
+        mask |= outer_1d[tuple(expand)]
+    return mask
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 20, 32])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_edge_shells_match_a_per_axis_loop(dim, n):
+    g = make_grid(dim, 3.0, n)
+    np.testing.assert_array_equal(nyquist_mask(g), _shell_reference(g, n // 2))
+    tail = _shell_reference(g, TAIL_SHELL * (n // 2))
+    np.testing.assert_array_equal(_edge_shell(g, int(np.ceil(TAIL_SHELL * (n // 2)))), tail)
+    # distinct powers of 2 per entry (cycled), so a wrong shell changes the fraction
+    spec = 2.0 ** (np.arange(g.size) % 40).reshape(g.shape)
+    energy = np.abs(spec) ** 2
+    assert spectral_tail_fraction(SpectralField(g, spec)) == np.sum(energy[tail]) / np.sum(energy)

@@ -117,6 +117,11 @@ class TestSolver:
             assert abs(est.estimate - top) <= tol * top
             assert est.estimate <= top * (1.0 + 1e-12)  # a Ritz value is a lower bound
 
+    def test_zero_start_rejected(self):
+        g = make_grid(1, 4.0, 8)
+        with pytest.raises(ValueError, match="solver start vector is zero"):
+            power_iteration(lambda u: u, Field(g, np.zeros(g.shape)), 1e-6, 10)
+
     def test_cluster_top_found_or_not_converged(self):
         tol = 1e-8
         est, _ = _diagonal_solve(CLUSTER, CLUSTER_START, tol, 100)
@@ -180,7 +185,7 @@ class TestSchurBound:
 
     def test_discrete_delta_kernel(self):
         g = make_grid(1, 2.0, 4)
-        assert schur_bound(np.eye(4) / g.dx, g.dx, g.dx) == pytest.approx(1.0)
+        assert schur_bound(np.eye(4) / g.dx * g.dx) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("size", [4, 8, 16])
     def test_dominates_spectral_norm_random(self, size):
@@ -196,7 +201,7 @@ class TestSchurBound:
             kernel = rng.random((8, 8)) + 1j * rng.random((8, 8))
             h = scale(g.cell_volume, matrix_operator(g, kernel))
             est = operator_norm(h, max_iters=500, tol=1e-11, seed=trial)
-            assert schur_bound(kernel, g.dx, g.dx) >= est.estimate - 1e-9
+            assert schur_bound(kernel * g.dx) >= est.estimate - 1e-9
 
     def test_rejects_bad_kernels(self):
         with pytest.raises(ValueError):

@@ -128,12 +128,22 @@ class TestCanonicalTransform:
         out = canonical_transform_operator(scaling_map(1.5, 1), g).apply(u)
         assert out.meta["spectral_tail"] < 1e-30
 
-    @pytest.mark.parametrize("dim, expected", [(1, 9), (2, 16**2 - 7**2)])
-    def test_dilation_out_of_box_modes(self, dim, expected):
+    def test_unknown_direction_rejected(self):
+        g = make_grid(1, 4.0, 8)
+        with pytest.raises(ValueError, match="direction must be 'forward' or 'inverse'"):
+            canonical_transform_operator(identity_map(1), g, "backward")
+
+    @pytest.mark.parametrize("c, dim, n, expected", [
+        (2.0, 1, 16, 9), (2.0, 2, 16, 16**2 - 7**2),
+        (1.0, 1, 8, 8 - 7), (1.0, 2, 8, 8**2 - 7**2), (1.0, 3, 8, 8**3 - 7**3),
+    ])
+    def test_dilation_out_of_box_modes(self, c, dim, n, expected):
         # psi(xi) = 2 xi keeps index k in the box only for |2k| < N/2: 7 of
-        # the 16 indices per axis; the rest are counted, however smooth u is
-        g = make_grid(dim, 6.0, 16)
-        out = canonical_transform_operator(scaling_map(2.0, dim), g).apply(gaussian_field(g, 1.0))
+        # the 16 indices per axis; the rest are counted, however smooth u is.
+        # The identity (c = 1) moves no point out of the box, and counts the
+        # N^n - (N-1)^n output modes with an axis at the unpaired Nyquist index
+        g = make_grid(dim, 6.0, n)
+        out = canonical_transform_operator(scaling_map(c, dim), g).apply(gaussian_field(g, 1.0))
         assert out.meta["out_of_box_modes"] == expected
 
     def test_inverse_then_forward_refines_to_identity(self):

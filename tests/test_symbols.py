@@ -432,6 +432,18 @@ class TestSymbolClass:
             SymbolClassSpec("SG", 1, 1.0)  # missing weight orders
         with pytest.raises(ValueError):
             SymbolClassSpec("weird", 1, 1.0)
+        with pytest.raises(ValueError, match="bound_tolerance must be positive"):
+            SymbolClassSpec("S00", 1, 0.0)
+
+    @pytest.mark.parametrize("weight_orders", [(2000, -2000), (2000, 0)])
+    def test_non_finite_sg_weight_raises(self, weight_orders):
+        # <x>^2000 overflows: times <xi>^-2000, which underflows, it is NaN, and
+        # alone it makes the ratio 0; either way the check would pass silently
+        spec = SymbolClassSpec("SG", 1, 1.0, weight_orders)
+        constant = lambda x, xi: np.ones(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
+        with pytest.raises(ValueError, match=r"at orders \(alpha, beta\) = \(\(0,\), \(0,\)\)"):
+            check_symbol_class(constant, spec, dim=1, x_half_width=10.0, xi_half_width=10.0,
+                               x_points=21, xi_points=21)
 
 
 class TestSpherePoints:
@@ -446,3 +458,25 @@ class TestSpherePoints:
         rot = linear_map(np.array([[0.0, -1.0], [1.0, 0.0]]), label="rot90")
         pts = sphere_points(2, 16)
         np.testing.assert_allclose(invert_map_batch(rot, rot.forward(pts)), pts, atol=1e-14)
+
+
+# (builder, its arguments, the message it rejects them with)
+REJECTED_INPUTS = {
+    "non-square-form": (quadratic_form_symbol, ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],),
+                        "must be square"),
+    "non-symmetric-form": (quadratic_form_symbol, ([[1.0, 1.0], [0.0, 1.0]],), "must be symmetric"),
+    "indefinite-form": (quadratic_form_symbol, ([[1.0, 0.0], [0.0, -1.0]],),
+                        "must be positive definite"),
+    "bump-direction-shape": (perturbed_symbol, (ELLIPSE, 0.1, [1.0, 0.0, 0.0]),
+                             r"bump direction must have shape \(2,\)"),
+    "zero-scaling": (scaling_map, (0.0, 2), "scaling factor must be positive"),
+    "negative-scaling": (scaling_map, (-1.5, 2), "scaling factor must be positive"),
+    "no-sphere-points": (sphere_points, (2, 0), "sample count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+def test_symbol_builders_reject_bad_inputs(case):
+    build, args, message = REJECTED_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        build(*args)
