@@ -22,8 +22,8 @@ holds to rounding error.  Weighted norms use the bracket weight
 ``<x> = sqrt(1 + |x|^2)``.
 
 The index 0 entry of each spectral axis is the unpaired Nyquist mode
-(frequency ``-N/2 * dxi``); nonsmooth frequency-domain operations zero it
-via :func:`zero_nyquist`.
+(frequency ``-N/2 * dxi``); nonsmooth frequency-domain operations zero the
+entries of :func:`nyquist_mask`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "inner_product",
     "norm",
     "bracket",
-    "zero_nyquist",
     "nyquist_mask",
     "spectral_tail_fraction",
 ]
@@ -204,18 +203,24 @@ class SpectralField:
         object.__setattr__(self, "values", _frozen_finite(self.values, self.grid.shape, "spectral"))
 
 
+def _spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Math-order spectrum of spatial samples, as a new writable array."""
+    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values))) * grid.cell_volume
+
+
+def _samples(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spatial samples of a math-order spectrum, as a new writable array."""
+    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(values))) / grid.cell_volume
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Discrete analogue of ``uhat(xi) = int u(x) exp(-i xi x) dx``."""
-    shifted = np.fft.ifftshift(f.values)
-    spec = np.fft.fftshift(np.fft.fftn(shifted)) * f.grid.cell_volume
-    return SpectralField(f.grid, spec)
+    return SpectralField(f.grid, _spectrum(f.values, f.grid))
 
 
 def inverse_transform(g: SpectralField) -> Field:
     """Inverse of :func:`forward_transform` (exact round trip)."""
-    shifted = np.fft.ifftshift(g.values)
-    vals = np.fft.fftshift(np.fft.ifftn(shifted)) / g.grid.cell_volume
-    return Field(g.grid, vals)
+    return Field(g.grid, _samples(g.values, g.grid))
 
 
 def bracket(points: np.ndarray) -> np.ndarray:
@@ -255,13 +260,6 @@ def nyquist_mask(grid: Grid) -> np.ndarray:
     return _edge_shell(grid, grid.points_per_axis // 2)
 
 
-def zero_nyquist(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Return a copy with the unpaired Nyquist modes set to zero."""
-    out = np.array(values, dtype=np.complex128)
-    out[nyquist_mask(grid)] = 0.0
-    return out
-
-
 TAIL_SHELL = 0.9
 
 
@@ -269,10 +267,13 @@ def spectral_tail_fraction(g: SpectralField) -> float:
     """Energy fraction carried by the outer frequency shell.
 
     The shell is defined by ``max_a |k_a| >= TAIL_SHELL * N/2`` in index
-    units: the outermost 10 percent band per axis.
+    units: the outermost 10 percent band per axis.  An exact power-of-two
+    rescaling before squaring makes the fraction independent of scale.
     """
     outer = _edge_shell(g.grid, int(np.ceil(TAIL_SHELL * (g.grid.points_per_axis // 2))))
-    total = float(np.sum(np.abs(g.values) ** 2))
+    mags = np.abs(g.values)
+    mags = np.ldexp(mags, -np.frexp(mags.max())[1])
+    total = float(np.sum(mags**2))
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(g.values[outer]) ** 2) / total)
+    return float(np.sum(mags[outer] ** 2) / total)

@@ -44,12 +44,13 @@ from fiolab.lattice import (
     Grid,
     SpectralField,
     _same_grid,
+    _samples,
+    _spectrum,
     bracket,
     forward_transform,
     inverse_transform,
     nyquist_mask,
     spectral_tail_fraction,
-    zero_nyquist,
 )
 from fiolab.symbols import CanonicalMap, invert_map_batch
 
@@ -227,7 +228,8 @@ def canonical_transform_operator(
     tail (``spectral_tail``) and the number of output modes it sets to zero
     (``out_of_box_modes``) in the result's ``Field.meta``: those whose mapped
     point left the frequency box, and the ``N^n - (N-1)^n`` unpaired Nyquist
-    modes, which even the identity map counts.
+    modes, which even the identity map counts.  Every call of the handle
+    freezes two arrays: its input's spectrum and its result.
 
     The handle's ``normal`` is ``T* T = Z A* A Z``, with ``Z`` the Nyquist
     filter and ``A`` the analysis sum over the in-box targets ``eta_m``.
@@ -244,30 +246,25 @@ def canonical_transform_operator(
     targets = _canonical_targets(m, grid, direction)
     xi_max = grid.dxi * grid.points_per_axis / 2.0
     in_box = np.all(np.abs(targets) < xi_max * (1.0 - 1e-13), axis=-1)
-    in_box &= ~nyquist_mask(grid).reshape(-1)
+    nyquist = nyquist_mask(grid)
+    in_box &= ~nyquist.reshape(-1)
     table = TrigTable(grid, targets[in_box])
     out_of_box_count = int(np.sum(~in_box))
     n = grid.points_per_axis
     crop = (slice(0, n),) * grid.dim
 
-    def _filtered(spec: SpectralField) -> Field:
-        # Z: the field of spec with its unpaired Nyquist modes zeroed
-        return inverse_transform(SpectralField(grid, zero_nyquist(spec.values, grid)))
-
     def _apply(u: Field) -> Field:
         spec = forward_transform(u)
-        tail = spectral_tail_fraction(spec)
-        filtered = _filtered(spec)
         out_spec = np.zeros(grid.size, dtype=np.complex128)
-        out_spec[in_box] = table.analysis(filtered.values)
-        out = inverse_transform(SpectralField(grid, out_spec.reshape(grid.shape)))
-        meta = {"spectral_tail": tail, "out_of_box_modes": out_of_box_count}
-        return Field(grid, out.values, meta)
+        out_spec[in_box] = table.analysis(_samples(np.where(nyquist, 0, spec.values), grid))
+        meta = {"spectral_tail": spectral_tail_fraction(spec), "out_of_box_modes": out_of_box_count}
+        return Field(grid, _samples(out_spec.reshape(grid.shape), grid), meta)
 
     def _adjoint(v: Field) -> Field:
         # in_box holds no Nyquist entry, so none of them is read
         spec = forward_transform(v).values.reshape(-1)
-        return _filtered(forward_transform(Field(grid, table.synthesis(spec[in_box]))))
+        out_spec = _spectrum(table.synthesis(spec[in_box]), grid)
+        return Field(grid, _samples(np.where(nyquist, 0, out_spec), grid))
 
     @functools.cache
     def _kernel_spectrum() -> np.ndarray:
@@ -280,9 +277,9 @@ def canonical_transform_operator(
 
     def _normal(u: Field) -> Field:
         padded = np.zeros((2 * n,) * grid.dim, dtype=np.complex128)
-        padded[crop] = _filtered(forward_transform(u)).values
+        padded[crop] = _samples(np.where(nyquist, 0, forward_transform(u).values), grid)
         conv = np.fft.ifftn(np.fft.fftn(padded) * _kernel_spectrum())[crop]
-        return _filtered(forward_transform(Field(grid, conv)))
+        return Field(grid, _samples(np.where(nyquist, 0, _spectrum(conv, grid)), grid))
 
     label = f"T[{m.label}]" if direction == "forward" else f"T^-1[{m.label}]"
     return OperatorHandle(grid, _apply, _adjoint, label=label, normal=_normal)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fiolab.lattice import Field, forward_transform, inverse_transform, zero_nyquist
-from fiolab.lattice import SpectralField
+from fiolab.lattice import Field, SpectralField, forward_transform, inverse_transform, nyquist_mask
 
 
 def random_field(grid, seed=0, nyquist_free=False):
@@ -10,7 +9,7 @@ def random_field(grid, seed=0, nyquist_free=False):
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     f = Field(grid, vals)
     if nyquist_free:
-        spec = zero_nyquist(forward_transform(f).values, grid)
+        spec = np.where(nyquist_mask(grid), 0, forward_transform(f).values)
         f = inverse_transform(SpectralField(grid, spec))
     return f
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,10 @@ from fiolab.lattice import (
     nyquist_mask,
     spectral_tail_fraction,
     weighted_norm,
-    zero_nyquist,
 )
 from fiolab.lattice import _edge_shell
+from fiolab.operators import canonical_transform_operator
+from fiolab.symbols import scaling_map
 from tests.conftest import random_field
 
 
@@ -213,12 +216,6 @@ class TestNyquistHandling:
         assert mask[0, :].all() and mask[:, 0].all()
         assert mask.sum() == 2 * 8 - 1
 
-    def test_zeroing(self):
-        g = make_grid(2, 3.0, 8)
-        spec = np.ones(g.shape, dtype=complex)
-        out = zero_nyquist(spec, g)
-        assert out[0, 3] == 0 and out[3, 0] == 0 and out[4, 4] == 1
-
     def test_tail_fraction(self):
         g = make_grid(1, 3.0, 32)
         spec = np.zeros(g.shape, dtype=complex)
@@ -228,6 +225,20 @@ class TestNyquistHandling:
         spec2[1] = 1.0  # near the band edge
         assert spectral_tail_fraction(SpectralField(g, spec2)) == 1.0
         assert spectral_tail_fraction(SpectralField(g, np.zeros(g.shape))) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+    def test_tail_fraction_is_scale_invariant(self, scale):
+        # squared raw magnitudes of a rough field underflow to 0 at 1e-170
+        # (read as tail-free) and overflow to a NaN at 1e160; a canonical
+        # apply reports the same fraction in its meta
+        g = make_grid(1, 6.0, 16)
+        u = Field(g, np.random.default_rng(6).standard_normal(g.shape) * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = spectral_tail_fraction(forward_transform(u))
+            meta = canonical_transform_operator(scaling_map(1.5, 1), g).apply(u).meta
+        assert tail == pytest.approx(0.12385466560680596, rel=1e-14)
+        assert meta["spectral_tail"] == tail
 
 
 def _shell_reference(grid, edge: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fiolab.lattice as lattice
 from fiolab._dense import TrigTable
 from fiolab.lattice import (
     Field,
@@ -219,6 +220,19 @@ def count_syntheses(monkeypatch) -> list:
     return calls
 
 
+def count_freezes(monkeypatch) -> list:
+    """Record every array lattice freezes from now on (by kind); returns the record."""
+    calls = []
+    original = lattice._frozen_finite
+
+    def counted(values, shape, what):
+        calls.append(what)
+        return original(values, shape, what)
+
+    monkeypatch.setattr(lattice, "_frozen_finite", counted)
+    return calls
+
+
 class TestCanonicalNormal:
     # oracle: the handle's own apply followed by its adjoint, T* T
     @pytest.mark.parametrize("case", sorted(NORMAL_CASES))
@@ -266,6 +280,20 @@ class TestCanonicalNormal:
                               1e-8, 200)
         assert est.converged and est.iterations == ref.iterations
         assert est.estimate == pytest.approx(ref.estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(NORMAL_CASES))
+    def test_each_call_freezes_two_arrays(self, case, monkeypatch):
+        # the input's spectrum and the result; the Nyquist filter and the
+        # transforms between them work on raw arrays
+        h = normal_case(case)
+        u = random_field(h.grid, seed=37)
+        freezes = count_freezes(monkeypatch)
+        made = []
+        for call in (h.apply, h.apply_adjoint, h.normal):
+            freezes.clear()
+            call(u)
+            made.append(freezes.copy())
+        assert made == [["spectral", "field"]] * 3
 
     def test_kernel_built_once_on_first_normal(self, monkeypatch):
         # egorov-style use (build, apply, adjoint) synthesizes once; the

@@ -5,7 +5,8 @@ that imported a function by name, and refuses when one of those names is
 missing or bound to a different object.  Installing it here keeps a rename
 or a dropped import from surfacing only in the benchmark run.  The tracer
 also reads ``out_of_box_modes`` from a canonical transform's ``Field.meta``
-to count the trigonometric-sum work, so a traced apply is checked too.
+to count the trigonometric-sum work, so a traced apply is checked too, and
+rebuilds the canonical handle, which must keep its ``normal``.
 """
 
 import os
@@ -32,6 +33,23 @@ h.apply_adjoint(h.apply(Field(h.grid, np.ones(h.grid.shape))))
 print(spans.layer_metrics(rec)["operators.trig_cmacs"])
 """
 
+# the tracer rebuilds a canonical handle with dataclasses.replace, and the
+# benchmark's m = 0 norm rows rely on the rebuilt handle keeping its Toeplitz
+# normal: the relative gap between normal(u) and apply_adjoint(apply(u))
+TRACED_NORMAL = INSTALL + """
+import numpy as np
+import fiolab.operators as operators
+from fiolab.lattice import Field, make_grid, norm
+from fiolab.symbols import gauss_phase, quadratic_form_symbol
+g = make_grid(2, 10.0, 16)
+h = operators.canonical_transform_operator(gauss_phase(quadratic_form_symbol(np.diag([1.0, 4.0]))), g)
+assert h.normal is not None
+rng = np.random.default_rng(0)
+u = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+expected = h.apply_adjoint(h.apply(u))
+print(norm(h.normal(u) - expected) / norm(expected))
+"""
+
 
 def run_python(script):
     # a subprocess, so the patched functions never reach this test session
@@ -50,3 +68,7 @@ def test_span_tracer_installs():
 
 def test_span_tracer_counts_canonical_work():
     assert float(run_python(TRACED_CANONICAL)) == 7 * 16
+
+
+def test_traced_canonical_handle_keeps_its_normal():
+    assert float(run_python(TRACED_NORMAL)) <= 1e-13
