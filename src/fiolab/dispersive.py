@@ -310,11 +310,11 @@ def egorov_residual(p: HomogeneousSymbol, u: Field) -> float:
     """
     grid = u.grid
     psi = gauss_phase(p)
-    t_fwd = canonical_transform_operator(psi, grid, "forward")
-    t_inv = canonical_transform_operator(psi, grid, "inverse")
     lap = multiplier_operator(grid, lambda xi: np.sum(xi * xi, axis=-1), label="-laplacian")
     p2 = symbol_on_grid(p, grid) ** 2
 
-    conjugated = t_fwd.apply(lap.apply(t_inv.apply(u)))
+    # one transform's tables alive at a time: T^-1 is dropped before T is built
+    inverted = canonical_transform_operator(psi, grid, "inverse").apply(u)
+    conjugated = canonical_transform_operator(psi, grid, "forward").apply(lap.apply(inverted))
     direct = multiplier_operator(grid, p2).apply(u)
     return norm(conjugated - direct) / norm(u)

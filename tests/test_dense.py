@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import fiolab._dense
-from fiolab._dense import TrigTable
+import fiolab.operators
+from fiolab._dense import TrigTable, _pairs
 from fiolab.lattice import inner_product, make_grid
-from fiolab.operators import fio_operator, pseudo_operator
+from fiolab.operators import canonical_transform_operator, fio_operator, pseudo_operator
+from fiolab.symbols import gauss_phase, quadratic_form_symbol
 from tests.conftest import random_field
 
 
@@ -22,17 +24,31 @@ def _table(grid, targets, streamed: bool, monkeypatch):
     return table
 
 
+def _paired_targets(rng, xi_max: float, dim: int) -> np.ndarray:
+    # 270 random targets and their exact negations, the zero target, and 29
+    # unpaired targets with 29 negations one ulp off (599 in all), shuffled
+    half = rng.uniform(-xi_max, xi_max, (270, dim))
+    near = rng.uniform(-xi_max, xi_max, (29, dim))
+    targets = np.concatenate([half, -half, np.zeros((1, dim)), near, -np.nextafter(near, np.inf)])
+    return targets[rng.permutation(len(targets))]
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["random", "paired"])
 @pytest.mark.parametrize("dim,n_pts", [(1, 8), (1, 10), (2, 6), (3, 4), (3, 6), (4, 4)])
-def test_trig_table_matches_brute_force_sums(dim, n_pts, monkeypatch):
-    # a budget of 256 targets per chunk, so 600 targets make two full
-    # chunks and a partial last one
+def test_trig_table_matches_brute_force_sums(dim, n_pts, paired, monkeypatch):
+    # a budget of 256 targets per chunk, so 128 representatives: the 600
+    # random targets make four full chunks and a partial last one, the 329
+    # representatives of the paired set two and a partial one
     monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 256 * max(n_pts ** (dim - 1), n_pts))
     grid = make_grid(dim, 3.0, n_pts)
     rng = np.random.default_rng(dim)
     xi_max = grid.dxi * n_pts / 2
-    targets = rng.uniform(-xi_max, xi_max, (600, dim))
+    if paired:
+        targets = _paired_targets(rng, xi_max, dim)
+    else:
+        targets = rng.uniform(-xi_max, xi_max, (600, dim))
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    w = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    w = rng.standard_normal(len(targets)) + 1j * rng.standard_normal(len(targets))
 
     # oracle: the full phase matrix exp(-i eta_m . x_j), no per-axis factoring
     phase = np.exp(-1j * (targets @ grid.spatial_vectors().T))
@@ -42,6 +58,9 @@ def test_trig_table_matches_brute_force_sums(dim, n_pts, monkeypatch):
     results = []
     for streamed in (False, True):
         table = _table(grid, targets, streamed, monkeypatch)
+        # one representative per pair: 270 pairs, zero and 58 singles
+        assert table._partner.size == (270 if paired else 0)
+        assert table._rep.size == (329 if paired else 600)
         analysis = table.analysis(u)
         err = np.max(np.abs(analysis - expected_analysis))
         assert err < 1e-13 * np.max(np.abs(expected_analysis))
@@ -69,6 +88,38 @@ def test_trig_table_without_targets(dim, n_pts, streamed, monkeypatch):
     synthesis = table.synthesis(np.zeros(0))
     assert synthesis.shape == grid.shape
     assert not np.any(synthesis)
+
+
+def test_pairs_fold_only_exact_negations():
+    # 40 targets and their negations, 10 targets and their negations one ulp
+    # off, and the zeros 0.0 and -0.0 of one row
+    rng = np.random.default_rng(11)
+    t, near = rng.uniform(-5.0, 5.0, (40, 2)), rng.uniform(-5.0, 5.0, (10, 2))
+    targets = np.concatenate([t, near, -np.nextafter(near, np.inf), [[0.0, 0.0], [-0.0, 0.0]], -t])
+    rep, partner = _pairs(targets)
+    assert partner.size == 41
+    np.testing.assert_array_equal(targets[partner], -targets[rep[:41]])
+    assert sorted(np.concatenate([rep, partner])) == list(range(len(targets)))
+    assert set(rep[41:]) == set(range(40, 60))
+
+
+def test_canonical_table_holds_one_row_per_pair(monkeypatch):
+    # the Gauss map of diag(1, 4) is odd and the in-box targets of 2-D N = 32
+    # are symmetric (Nyquist modes excluded), so all but the zero target pair up
+    built = []
+
+    class Recorded(TrigTable):
+        def __init__(self, grid, targets):
+            super().__init__(grid, targets)
+            built.append(self)
+
+    monkeypatch.setattr(fiolab.operators, "TrigTable", Recorded)
+    grid = make_grid(2, 10.0, 32)
+    canonical_transform_operator(gauss_phase(quadratic_form_symbol(np.diag([1.0, 4.0]))), grid)
+    (table,) = built
+    m = table.targets.shape[0]
+    assert m % 2 == 1 and table._partner.size == m // 2
+    assert [t.shape[0] for t in table._resident] == [(m + 1) // 2] * grid.dim
 
 
 def test_factorized_phases_accurate_at_large_arguments():
