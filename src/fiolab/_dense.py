@@ -128,6 +128,10 @@ class TrigTable:
         self.targets = targets
         self._rep, self._partner = _pairs(targets)
         rep = targets[self._rep]
+        # representatives per chunk, fixed here with the budget read at build time
+        step = max(self._chunk() // 2, 1)
+        self._slices = [slice(start, min(start + step, self._rep.size))
+                        for start in range(0, self._rep.size, step)]
         n = grid.points_per_axis
         s = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         axis = grid.spatial_axis()
@@ -143,7 +147,7 @@ class TrigTable:
         self._resident = None
         if grid.dim * targets.shape[0] * n < _RESIDENT_ENTRIES:
             tables = [np.empty((rep.shape[0], 2, n)) for _ in range(grid.dim)]
-            for sl in self._slices():
+            for sl in self._slices:
                 for table, part in zip(tables, self._phases(sl)):
                     table[sl] = part
             self._resident, self._factors = tables, None
@@ -156,11 +160,6 @@ class TrigTable:
         # pair per axis.
         n = self.grid.points_per_axis
         return max(_CHUNK_ENTRIES // max(n ** (self.grid.dim - 1), n), 1)
-
-    def _slices(self) -> list:
-        step = max(self._chunk() // 2, 1)
-        m_rep = self._rep.size
-        return [slice(start, min(start + step, m_rep)) for start in range(0, m_rep, step)]
 
     def _phases(self, sl: slice) -> list:
         """Per-axis (chunk, 2, N) real and imaginary rows of ``exp(-i eta_a x_j)``, for
@@ -183,7 +182,7 @@ class TrigTable:
         # (N, 2 N^(n-1)) real right factor of every chunk's matmul: [Re u^T | Im u^T]
         ut = np.concatenate((u.real.T, u.imag.T), axis=1)
         out = np.empty(self.targets.shape[0], dtype=np.complex128)
-        for sl in self._slices():
+        for sl in self._slices:
             paired = self._partner[sl]
             plus, minus = self._analysis_chunk(ut, self._phases(sl))
             out[self._rep[sl]] = plus
@@ -226,7 +225,7 @@ class TrigTable:
         # matmul writes its share to buf
         acc = np.zeros((n, 2 * k))
         buf = np.empty_like(acc)
-        for sl in self._slices():
+        for sl in self._slices:
             paired = self._partner[sl]
             w_partner = np.zeros(sl.stop - sl.start, dtype=np.complex128)
             w_partner[: paired.size] = w[paired]

@@ -107,7 +107,8 @@ from fiolab.symbols import (
     quadratic_form_symbol,
     sample_axis,
 )
-from fiolab.dispersive import DerivativeKind, TimeWindow, egorov_residual, smoothing_constant
+from fiolab.dispersive import (DerivativeKind, TimeWindow, _half_derivative, egorov_residual,
+                               smoothing_constant)
 
 __all__ = [
     "ExperimentConfig",
@@ -117,8 +118,6 @@ __all__ = [
     "run_experiment",
     "main",
 ]
-
-EXPERIMENT_KINDS = ("egorov", "smoothing", "norm", "symbol-check", "cotlar")
 
 
 @dataclass(frozen=True)
@@ -320,25 +319,21 @@ def _sweep(report: ReportRecord, header: list, key: str, entries: list, worker) 
 # ---------------------------------------------------------------------------
 
 
-def _packet_exponent(grid, sigma: float) -> np.ndarray:
-    """``|x|^2 / (2 sigma^2)`` on the grid; raises where it is not finite
-    (``sigma^2`` underflowing or overflowing, or ``sigma`` far below the spacing)."""
+def _packet_field(grid, sigma: float, carrier) -> Field:
+    """Gaussian wave packet ``exp(-|x|^2 / (2 sigma^2) + i x . carrier)``, the
+    egorov probe; raises where the exponent is not finite (``sigma^2``
+    underflowing or overflowing, or ``sigma`` far below the spacing)."""
     mesh = grid.spatial_mesh()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         exponent = np.sum(mesh * mesh, axis=-1) / (2.0 * sigma**2)
     if not np.all(np.isfinite(exponent)):
         raise ValueError(f"packet exponent |x|^2 / (2 sigma^2) is not finite on the "
                          f"{grid.points_per_axis}-point grid")
-    return exponent
-
-
-def _packet_field(grid, sigma: float, carrier) -> Field:
-    """Gaussian wave packet used as default probe data."""
-    envelope = np.exp(-_packet_exponent(grid, sigma))
+    envelope = np.exp(-exponent)
     if carrier is None:
         return Field(grid, envelope)
     k0 = np.asarray(carrier, dtype=float)
-    return Field(grid, envelope * np.exp(1j * np.einsum("...i,i->...", grid.spatial_mesh(), k0)))
+    return Field(grid, envelope * np.exp(1j * np.einsum("...i,i->...", mesh, k0)))
 
 
 def _prepare_egorov(r: _Reader, raw: dict, seed: int):
@@ -348,19 +343,30 @@ def _prepare_egorov(r: _Reader, raw: dict, seed: int):
         r.build("symbol", lambda _: gauss_phase(p), raw["symbol"])
     data = r.section(raw, "data", {})
     sigma = float(r.read(data, "data.sigma", _POSITIVE, 1.2))
-    r.build("data.sigma", lambda s: [_packet_exponent(g, s) for g in grids], sigma)
     carrier = r.read(data, "data.carrier", _vector(grids[0].dim), None) if grids else None
+    # |x . carrier| <= L sum_a |carrier_a| on the box, with equality at the node -L (1, ..., 1)
+    # for a carrier of one sign
+    if carrier and not np.isfinite(float(half) * sum(abs(float(k)) for k in carrier)):
+        r.error("data.carrier", "phase x . carrier finite on the box", carrier)
+        carrier = None
+    packets = r.build("data.sigma", lambda s: [_packet_field(g, s, carrier) for g in grids], sigma)
 
     def body(report: ReportRecord):
-        def worker(grid, row):
-            row.update(N=grid.points_per_axis, L=half)
-            row["residual"] = egorov_residual(p, _packet_field(grid, sigma, carrier))
+        def worker(packet, row):
+            row.update(N=packet.grid.points_per_axis, L=half)
+            row["residual"] = egorov_residual(p, packet)
             row["ok"] = True
 
-        done = _sweep(report, ["N", "L", "residual", "ok"], "N", grids, worker)
+        done = _sweep(report, ["N", "L", "residual", "ok"], "N", packets, worker)
         report.results["residuals"] = {str(row["N"]): row["residual"] for row in done}
 
     return body
+
+
+def _solver_columns(row: dict, name: str, est) -> None:
+    """Write a solver estimate's four columns, the estimate under ``name``."""
+    row.update({name: est.estimate}, iterations=est.iterations, rel_residual=est.residual,
+               converged=est.converged)
 
 
 def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
@@ -386,10 +392,8 @@ def _prepare_smoothing(r: _Reader, raw: dict, seed: int):
     def body(report: ReportRecord):
         def worker(w, row):
             row.update(T=w.horizon, N_t=w.steps, delta=delta, kind=kind)
-            est = smoothing_constant(p, grid, w, delta, kind, seed=seed, tol=tol,
-                                     max_iters=max_iters)
-            row.update(constant=est.estimate, iterations=est.iterations,
-                       rel_residual=est.residual, converged=est.converged)
+            _solver_columns(row, "constant", smoothing_constant(
+                p, grid, w, delta, kind, seed=seed, tol=tol, max_iters=max_iters))
 
         header = ["T", "N_t", "delta", "kind", "constant", "iterations", "rel_residual",
                   "converged"]
@@ -412,9 +416,7 @@ def _norm_operator(kind: str, grid, psi):
     if kind == "identity":
         return identity_operator(grid)
     if kind == "bracket_multiplier":
-        return multiplier_operator(
-            grid, lambda xi: (1.0 + np.sum(xi * xi, axis=-1)) ** 0.25, label="<xi>^1/2"
-        )
+        return multiplier_operator(grid, _half_derivative(grid, "inhomogeneous"), label="<xi>^1/2")
     direction = "forward" if kind == "canonical" else "inverse"
     return canonical_transform_operator(psi, grid, direction)
 
@@ -450,9 +452,8 @@ def _prepare_norm(r: _Reader, raw: dict, seed: int):
             row.update(m_in=m_in, m_out=m_out, N=grid.points_per_axis, L=half)
             op = _norm_operator(kind, grid, psi)
             row.update(label=op.label, continuum_norm=continuum)
-            est = operator_norm(op, m_in, m_out, tol=tol, max_iters=max_iters, seed=seed)
-            row.update(estimate=est.estimate, iterations=est.iterations,
-                       rel_residual=est.residual, converged=est.converged)
+            _solver_columns(row, "estimate", operator_norm(op, m_in, m_out, tol=tol,
+                                                           max_iters=max_iters, seed=seed))
 
         header = ["label", "m_in", "m_out", "N", "L", "estimate", "continuum_norm", "iterations",
                   "rel_residual", "converged"]
@@ -566,6 +567,7 @@ _PREPARE = {
     "symbol-check": _prepare_symbol_check,
     "cotlar": _prepare_cotlar,
 }
+EXPERIMENT_KINDS = tuple(_PREPARE)
 
 
 def _prepare(config: ExperimentConfig):
@@ -586,7 +588,9 @@ def _prepare(config: ExperimentConfig):
     seed = r.read(raw if config.seed is None else {"seed": config.seed}, "seed", _SEED, 0)
     body = _PREPARE[config.kind](r, raw, seed)
     named = {x.field for x in r.violations}
-    for path, value in _non_finite_numbers(raw):
+    non_finite: list = []
+    _scrubbed(raw, non_finite)
+    for path, value in non_finite:
         if not any(path == f or path.startswith((f + ".", f + "[")) for f in named):
             r.error(path, "finite number (the report echoes the config as strict JSON)", value)
 
@@ -598,8 +602,9 @@ def _prepare(config: ExperimentConfig):
         except Exception as exc:  # noqa: BLE001 - a numerical failure, reported
             report.failed = True
             report.warnings.append(f"{config.kind}: {exc}")
-        results, rows = _finite_or_none(report.results), _finite_or_none(report.sweep_rows)
-        if (results, rows) != (report.results, report.sweep_rows):
+        found: list = []
+        results, rows = _scrubbed(report.results, found), _scrubbed(report.sweep_rows, found)
+        if found:
             report.results, report.sweep_rows = results, rows
             report.failed = True
             report.warnings.append(f"{config.kind}: non-finite numbers reported as null")
@@ -608,32 +613,23 @@ def _prepare(config: ExperimentConfig):
     return r.violations, run
 
 
-def _non_finite_numbers(value, path: str = ""):
-    """``(dotted path, value)`` of each NaN or infinite float in parsed JSON."""
+def _scrubbed(value, found: list, path: str = ""):
+    """``value`` with every NaN or infinite float in its dicts, lists and
+    tuples set to ``None``; each one's ``(dotted path, value)`` is appended to
+    ``found``."""
     if isinstance(value, float) and not _is_number(value):
-        yield path, value
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _non_finite_numbers(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _non_finite_numbers(item, f"{path}[{i}]")
+        found.append((path, value))
+        return None
+    if isinstance(value, dict):
+        return {k: _scrubbed(v, found, f"{path}.{k}" if path else str(k)) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_scrubbed(v, found, f"{path}[{i}]") for i, v in enumerate(value))
+    return value
 
 
 def validate_config(config: ExperimentConfig) -> list:
     """Collect violations; empty error list means the experiment can run."""
     return _prepare(config)[0]
-
-
-def _finite_or_none(value):
-    """``value`` with every non-finite float in its dicts, lists and tuples set to ``None``."""
-    if isinstance(value, float) and not _is_number(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _finite_or_none(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_finite_or_none(v) for v in value)
-    return value
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ReportRecord:

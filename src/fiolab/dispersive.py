@@ -221,20 +221,24 @@ def _worker_sum(factors: list, index: np.ndarray, spec: np.ndarray,
     return acc
 
 
+def _half_derivative(grid: Grid, kind: DerivativeKind) -> np.ndarray:
+    """``D^{1/2}`` on the frequency grid, math order: ``<xi>^{1/2}`` for the
+    inhomogeneous kind, ``|xi|^{1/2}`` for the homogeneous one."""
+    mesh = grid.frequency_mesh()
+    mag2 = np.sum(mesh * mesh, axis=-1)
+    if kind == "inhomogeneous":
+        return (1.0 + mag2) ** 0.25
+    if kind == "homogeneous":
+        return mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
+    raise ValueError(f"unknown derivative kind {kind!r}")
+
+
 def _smoothing_normal(
     p: HomogeneousSymbol, grid: Grid, window: TimeWindow, delta: float, kind: DerivativeKind
 ) -> Callable[[Field], Field]:
     """The apply of ``S(T)`` (module docstring): the level factor of the time
     kernel, built once, summed term by term over the two workers."""
-    mesh = grid.frequency_mesh()
-    mag2 = np.sum(mesh * mesh, axis=-1)
-    if kind == "inhomogeneous":
-        half_d = (1.0 + mag2) ** 0.25
-    elif kind == "homogeneous":
-        half_d = mag2**0.25  # |0|^(1/2) = 0 at the zero frequency
-    else:
-        raise ValueError(f"unknown derivative kind {kind!r}")
-    half_d = np.fft.ifftshift(half_d)
+    half_d = np.fft.ifftshift(_half_derivative(grid, kind))
     w2_space = np.fft.ifftshift(bracket(grid.spatial_mesh()) ** (-2.0 * delta))
     levels, index = _level_index(p, grid)
     factors = _level_factor(levels, window)
@@ -295,8 +299,7 @@ def half_derivative_ratio_operator(grid: Grid, p: HomogeneousSymbol) -> Operator
     counterpart; reduces to the identity for the Euclidean symbol.
     """
     p2 = symbol_on_grid(p, grid) ** 2
-    mesh = grid.frequency_mesh()
-    mult = (1.0 + np.sum(mesh * mesh, axis=-1)) ** 0.25 * (1.0 + p2) ** -0.25
+    mult = _half_derivative(grid, "inhomogeneous") * (1.0 + p2) ** -0.25
     return multiplier_operator(grid, mult, label="half-derivative ratio")
 
 

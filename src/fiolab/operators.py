@@ -201,15 +201,14 @@ def identity_operator(grid: Grid) -> OperatorHandle:
 
 def _canonical_targets(m: CanonicalMap, grid: Grid, direction: str) -> np.ndarray:
     freqs = grid.frequency_vectors()
-    mags = np.linalg.norm(freqs, axis=-1)
-    targets = np.zeros_like(freqs)
-    nz = mags > 0
-    if direction == "forward":
-        targets[nz] = m.forward(freqs[nz])
-    elif direction == "inverse":
-        targets[nz] = invert_map_batch(m, freqs[nz])
-    else:
+    if direction == "inverse":
+        return invert_map_batch(m, freqs)  # maps the zero frequency to 0
+    if direction != "forward":
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    # a map's forward is not defined at the zero frequency, whose target is 0
+    nz = np.linalg.norm(freqs, axis=-1) > 0
+    targets = np.zeros_like(freqs)
+    targets[nz] = m.forward(freqs[nz])
     return targets
 
 

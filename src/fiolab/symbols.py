@@ -87,7 +87,10 @@ class CanonicalMap:
     exact inverse (a linear map's, or a quadratic-form Gauss map's
     ``|eta| grad p^*(eta)``) ends the iteration before its first step.  The
     residual check still gates every point either way.
-    The map value at the origin is defined as 0 by the continuity limit.
+    ``forward`` is not defined at the origin (a Gauss map returns NaN there).
+    Its continuity limit 0 is a convention of the callers:
+    ``operators._canonical_targets`` applies it for ``forward``, and
+    :func:`invert_map_batch` for the inverse.
     """
 
     dim: int

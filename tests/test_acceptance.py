@@ -117,9 +117,10 @@ def test_criterion_04_weighted_uniform_boundedness():
     # INTEGER weight exponents |m| < n/2, extended by interpolation only up
     # to the greatest integer strictly below n/2; at n = 2 that covers
     # m = 0 alone.  The fractional weights m = +-0.9 lie outside every
-    # hypothesis, and the measured discrete norms do grow (box-edge weight
-    # effects compounding with the conical frequency point), so this
-    # criterion is expected to fail at m = +-0.9 while m = 0 passes.
+    # hypothesis, and the measured discrete norms do grow (the growth sits
+    # in the frequency band that refinement adds at fixed L, not at the box
+    # edge or at the conical frequency point), so this criterion is expected
+    # to fail at m = +-0.9 while m = 0 passes.
     psi = gauss_phase(ELLIPSE_2D)
     slopes = {}
     for m in (-0.9, 0.0, 0.9):

@@ -182,6 +182,9 @@ NORM_DEGENERATE = {**_with(NORM_CFG, "operator", kind="canonical"), "symbol": DE
 # configs that must be rejected before any computation, with the field named
 REJECTED_CONFIGS = {
     "egorov-carrier-length": (_with(EGOROV_CFG, "data", carrier=[1.0, 2.0]), "data.carrier"),
+    # x . carrier overflows at the box corner x = -L (1, 1), so the packet is not finite
+    "egorov-overflowing-carrier": (_with(EGOROV_2D, "data", carrier=[1e308, 0.0]),
+                                   "data.carrier"),
     "egorov-sigma-zero": (_with(EGOROV_CFG, "data", sigma=0), "data.sigma"),
     # sigma^2 underflows to 0, so the packet centre would be 0/0
     "egorov-underflowing-sigma": (_with(EGOROV_CFG, "data", sigma=1e-200), "data.sigma"),
@@ -388,6 +391,21 @@ def test_gauss_map_is_built_once_per_config(monkeypatch, cfg, jacobian_checks):
         monkeypatch.setattr(f"fiolab.cli.{name}", counted(name))
     assert not run_experiment(ExperimentConfig.from_dict(cfg)).failed
     assert calls == ["gauss_phase"] + ["check_jacobian_bound"] * jacobian_checks
+
+
+def test_egorov_rows_run_the_packets_validation_built(monkeypatch):
+    cfg = _with(EGOROV_2D, "grid", points=[8, 12])
+    real_packet, real_residual = fiolab.cli._packet_field, fiolab.cli.egorov_residual
+    built, probed = [], []
+    monkeypatch.setattr("fiolab.cli._packet_field",
+                        lambda *args: built.append(real_packet(*args)) or built[-1])
+    monkeypatch.setattr("fiolab.cli.egorov_residual",
+                        lambda p, u: probed.append(u) or real_residual(p, u))
+    assert validate_config(ExperimentConfig.from_dict(cfg)) == []
+    assert [u.grid.points_per_axis for u in built] == [8, 12]
+    built.clear()
+    assert not run_experiment(ExperimentConfig.from_dict(cfg)).failed
+    assert len(built) == 2 and [id(u) for u in probed] == [id(u) for u in built]
 
 
 def test_zero_jacobian_determinant_names_the_symbol(tmp_path, capsys, monkeypatch):

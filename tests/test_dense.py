@@ -162,6 +162,21 @@ def _sixteen_chunks(monkeypatch):
     return grid, targets, u, w
 
 
+def test_chunks_follow_the_budget_read_at_build(monkeypatch):
+    # built under a budget of 256 targets per chunk: the 4096 unpaired
+    # targets are 4096 representatives in 32 chunks of 128; a budget cut to
+    # a quarter after the build must not change the chunks
+    grid, targets, u, w = _sixteen_chunks(monkeypatch)
+    table = TrigTable(grid, targets)
+    chunks = []
+    analysis_chunk = table._analysis_chunk
+    monkeypatch.setattr(table, "_analysis_chunk",
+                        lambda *args: chunks.append(1) or analysis_chunk(*args))
+    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 1 << 12)
+    table.analysis(u)
+    assert len(chunks) == 32
+
+
 def test_streamed_tables_bound_peak_memory(monkeypatch):
     # a streamed table holds one chunk's tables at a time, a resident one
     # all 2 x 4096 x 64 entries (8 MB)
