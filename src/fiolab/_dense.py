@@ -10,58 +10,57 @@ the phase factorizes per axis,
 
     exp(-i eta . x) = prod_a exp(-i eta_a x_{j_a}),
 
-so the whole contraction needs only per-axis (M, N) phase tables.  Because
-the nodes are equispaced, x_j = x_0 + j dx, each table factorizes once
-more: with s = ceil(sqrt(N)),
+so the whole contraction needs only per-axis phase tables.  Because the
+nodes are equispaced, x_j = x_0 + j dx, each table factorizes once more:
+with s = ceil(sqrt(N)),
 
     exp(-i eta x_{s a + b}) = exp(-i eta x_{s a}) * exp(-i eta b dx),
 
-so only O(M sqrt(N)) complex exponentials are taken, and a table is an outer
-product of two small factor tables.  Both directions (analysis and its
-adjoint with respect to the dx^n / (dxi/2pi)^n weighted inner products)
-read the same tables.
+so a table row takes only O(sqrt(N)) complex exponentials: it is an outer
+product of two small factor rows.  Both directions (analysis and its adjoint
+with respect to the dx^n / (dxi/2pi)^n weighted inner products) read the
+same tables.
 
-Targets come in exact pairs {eta, -eta} wherever the map behind them is
-odd, and the table of -eta is the conjugate of the table of eta.  So the
-tables are held for one representative of each pair.  One lexicographic
-sort finds the pairs: negation reverses the order, so sorted position i
-can pair only with position M-1-i, and only an exact negative is taken.  A
-target without a partner (the zero target, targets of a map that is not
-odd) is a representative whose partner has weight zero; it takes the same
-path and costs a whole pair.  Each table row P = p + iq is held as its
-real and imaginary rows p and q, (2, N) per axis, the memory of one
-complex row.
+A row depends on |eta_a| alone: with p + iq = exp(-i |eta_a| x_j), the row
+of eta_a = s_a |eta_a| is p + i s_a q.  So the targets are held as a suffix
+tree of their absolute coordinates, and each keeps only its sign vector s.
+One ``np.lexsort`` of |eta|, last axis as the primary key, makes every
+level's nodes and every subtree contiguous: level n-1 holds the distinct
+|eta_(n-1)|, level a the distinct pairs (|eta_a|, parent node), and the
+leaves (level 0) the distinct |eta|.  Each node holds the real rows p and q,
+(2, N), of its own coordinate.  Only exactly equal absolute values share a
+row (0.0 and -0.0 do), so the pairs {eta, -eta} of an odd map, and the
+orbits of all 2^n reflections that the Gauss map of a symbol even in each
+coordinate gives, share rows exactly.
 
-Every intermediate is target-major: its rows are representatives, and
-each row is contiguous.  Analysis contracts the last axis first, by one
-real BLAS matmul of the stacked (p, q) rows against [Re u | Im u] (the
-field seen as (N^(n-1), N), transposed), which gives X = p u and Y = q u.
-The representative's sum is X + iY and its partner's X - iY; each
-remaining axis, right to left, maps the pair (X, Y) to
-(X p - Y q, X q + Y p) contracted over the axis, a rotation by the
-target's phase, in one batched matmul of the target's contiguous
-(4 N^k, N) block with its (N, 2) rows.  Synthesis is the mirror image: from
-sigma = g + h and eps = -i (g - h), with g and h the weights of the
-representative and its partner, each leading axis, left to right,
-rotates (sigma, eps) into (sigma p + eps q, eps p - sigma q), and one real
-matmul over the representatives with the last axis's (p, q) rows gives
-the sum.  A pair takes the arithmetic, exponentials and memory of one
-target with complex tables, so an odd map needs half of each.
+Analysis contracts the last axis first, by one real BLAS matmul of the last
+level's stacked (p, q) rows against [Re u | Im u] (the field seen as
+(N^(n-1), N), transposed).  Each further axis, right to left, contracts every
+parent's components with its children's (p, q) rows in one batched matmul,
+which doubles the components: bit a of a component's mask set means "q on
+axis a".  A target's sum is then
 
-Representatives are processed in chunks of half of
-``_CHUNK_ENTRIES // max(N^(n-1), N)`` (at least one), so that the X and Y
-rows of a chunk together, and each (p, q) axis table of a chunk, hold at
-most ``_CHUNK_ENTRIES`` = 2^18 complex entries' worth (4 MB), a size that
-keeps BLAS's own buffers small.  Synthesis writes every chunk's share into
-one grid-sized buffer and adds it to another, both allocated once per call.  The full tables stay
-resident while complex tables for all targets would hold fewer than
-``_RESIDENT_ENTRIES`` entries; the rule counts every target, not only the
-representatives, so pairing never makes a table resident that was
-streamed.  The factor tables are then dropped; larger tables keep only
-the factors and rebuild each chunk's tables from them, so memory is
-O(chunk), not O(M N).  Either way each phase table is held once: a
-resident table holds N complex entries' worth per axis and
-representative, about N/2 per target on an odd map.
+    sum_mask comp[leaf, mask] prod_{a in mask} (i s_a).
+
+Synthesis is the exact mirror: the leaves take their targets' weights times
+the conjugate factors, each axis, left to right, sums every parent's
+children's coefficients against their (p, q) rows in one batched matmul, and
+one real matmul over the last level's nodes gives the sum.  A target that
+shares no row costs what it did with complex tables.
+
+Targets are processed in chunks: runs of consecutive leaves, each with the
+nodes above them (a node two chunks share is contracted in both).  A chunk
+takes at most ``_caps()[a]`` nodes at level a, read at build time, so that
+each intermediate and each axis table of a chunk hold at most
+``_CHUNK_ENTRIES`` = 2^18 complex entries' worth (4 MB), a size that keeps
+BLAS's own buffers small.  Synthesis adds every chunk's share into one
+grid-sized buffer through another, both allocated once per call.  The full
+tables stay resident while complex tables for all targets would hold fewer
+than ``_RESIDENT_ENTRIES`` entries (counting targets, not nodes, so shared
+rows never make a table resident that was streamed), and the factor tables
+are then dropped; larger tables keep only the factors and rebuild each
+chunk's tables from them, so memory is O(chunk), not O(M N).  Either way
+each phase table is held once.
 
 The same module holds ``_dense_kernel``, the blocked dense quadrature
 behind ``operators.pseudo_operator`` and ``operators.fio_operator``: a
@@ -91,33 +90,46 @@ def _expand(hi: np.ndarray, lo: np.ndarray, n: int) -> np.ndarray:
     return (hi[:, :, np.newaxis] * lo[:, np.newaxis, :]).reshape(m, k * lo.shape[1])[:, :n]
 
 
-def _pairs(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives and partners, ``targets[partner[i]] == -targets[rep[i]]`` exactly.
+def _firsts(ids: np.ndarray) -> np.ndarray:
+    """Start of every run of equal entries in the sorted ``ids``."""
+    return np.flatnonzero(np.diff(ids, prepend=-1))
 
-    ``rep`` lists the paired representatives first, in the order of
-    ``partner``, then every target without a partner.  Negation reverses
-    lexicographic order, so after one sort the only candidate partner of
-    sorted position i is position M-1-i (``+ 0.0`` maps -0.0 to 0.0); a
-    lone zero target sorts to the middle and stays single.
-    """
-    t = targets + 0.0
-    m = t.shape[0]
-    order = np.lexsort(t.T[::-1])
-    low, high = order[: m // 2], order[::-1][: m // 2]
-    exact = np.all(t[low] == -t[high], axis=1)
-    single = np.ones(m, dtype=bool)
-    single[low[exact]] = single[high[exact]] = False
-    return np.concatenate([low[exact], np.flatnonzero(single)]), high[exact]
+
+def _families(parent: np.ndarray) -> list:
+    """``(who, kids, k)`` per child count k: the parents ``who`` with k children
+    and those children in order, from each child's parent (sorted)."""
+    firsts = _firsts(parent)
+    counts = np.diff(firsts, append=parent.size)
+    whos = [(np.flatnonzero(counts == k), int(k)) for k in np.unique(counts)]
+    return [(who, (firsts[who, np.newaxis] + np.arange(k)).reshape(-1), k) for who, k in whos]
+
+
+def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # rows[index] for a sorted ``index`` without repeats; no copy when it takes every row
+    return rows if index.size == len(rows) else rows[index]
+
+
+def _place(parts: list, size: int) -> np.ndarray:
+    # the rows of (index, part) pairs, flattened per row, in index order; a
+    # part that covers every row is returned as it is
+    out = None
+    for index, part in parts:
+        part = part.reshape(index.size, -1)
+        if index.size == size:
+            return part
+        if out is None:
+            out = np.empty((size, part.shape[1]))
+        out[index] = part
+    return out
 
 
 class TrigTable:
     """Per-axis phase tables for fixed evaluation points on a fixed grid.
 
-    Tables are held for one representative of each exact pair {eta, -eta}
-    of targets, as the real and imaginary rows of ``exp(-i eta_a x_j)`` per
-    axis.  The full tables are kept when complex tables for all targets
-    would hold fewer than ``_RESIDENT_ENTRIES`` entries, and otherwise only
-    their factor tables.  Nothing is written after construction.
+    The rows ``exp(-i |eta_a| x_j)``, as real and imaginary parts, are held
+    on a suffix tree of the absolute target coordinates: in full, or as factor
+    tables when complex tables for all targets would hold
+    ``_RESIDENT_ENTRIES`` entries or more.  Nothing is written after build.
     """
 
     def __init__(self, grid: Grid, targets: np.ndarray):
@@ -126,52 +138,74 @@ class TrigTable:
             raise ValueError("targets must have shape (M, dim)")
         self.grid = grid
         self.targets = targets
-        self._rep, self._partner = _pairs(targets)
-        rep = targets[self._rep]
-        # representatives per chunk, fixed here with the budget read at build time
-        step = max(self._chunk() // 2, 1)
-        self._slices = [slice(start, min(start + step, self._rep.size))
-                        for start in range(0, self._rep.size, step)]
+        m = targets.shape[0]
+        mag = np.abs(targets)
+        self._order = np.lexsort(mag.T)
+        mag = mag[self._order]
+        # node[a][t] is the level-a node of sorted target t: a new node starts
+        # where |eta_a| or a later coordinate changes
+        node = [None] * grid.dim
+        new = np.arange(m) == 0
+        for a in reversed(range(grid.dim)):
+            new[1:] |= mag[1:, a] != mag[:-1, a]
+            node[a] = np.cumsum(new) - 1
+        first = [_firsts(ids) for ids in node]
+        self._leaf = node[0]
+        parent = [node[a + 1][first[a]] for a in range(grid.dim - 1)]
+        # units[t, mask] = prod over the axes a in mask of i s_a, with axis 0
+        # the mask's leading bit
+        self._units = np.ones((m, 1), dtype=np.complex128)
+        for unit in np.where(targets[self._order] < 0, -1j, 1j).T[::-1]:
+            self._units = np.concatenate((self._units, self._units * unit[:, np.newaxis]), axis=1)
+        # chunks: runs of consecutive leaves, fixed here with the budget read
+        # at build time, each as its sorted targets, its nodes per level and,
+        # below the last level, the families of its nodes by parent
+        above = [ids[first[0]] for ids in node]  # each leaf's node per level
+        leaf_bounds = np.append(first[0], m)
+        self._chunks = []
+        caps, start = self._caps(), 0
+        while start < first[0].size:
+            stop = max(min(int(np.searchsorted(up, up[start] + cap))
+                           for up, cap in zip(above, caps)), start + 1)
+            nodes = [slice(up[start], up[stop - 1] + 1) for up in above]
+            families = [_families(parent[a][nodes[a]]) for a in range(grid.dim - 1)]
+            self._chunks.append((slice(leaf_bounds[start], leaf_bounds[stop]), nodes, families))
+            start = stop
         n = grid.points_per_axis
         s = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         axis = grid.spatial_axis()
-        # factors[a] = (hi, lo) with hi[r, k] = exp(-i eta_a x_{s k}) and
-        # lo[r, b] = exp(-i eta_a b dx), for eta_a = rep[r, a]
-        self._factors = [
-            (
-                np.exp(-1j * rep[:, a : a + 1] * axis[np.newaxis, ::s]),
-                np.exp(-1j * rep[:, a : a + 1] * (grid.dx * np.arange(s))[np.newaxis, :]),
-            )
-            for a in range(grid.dim)
-        ]
+        # factors[a] = (hi, lo) with hi[r, k] = exp(-i v x_{s k}) and
+        # lo[r, b] = exp(-i v b dx), for v = |eta_a| of level-a node r
+        self._factors = []
+        for a in range(grid.dim):
+            v = mag[first[a], a][:, np.newaxis]
+            self._factors.append((np.exp(-1j * v * axis[np.newaxis, ::s]),
+                                  np.exp(-1j * v * (grid.dx * np.arange(s))[np.newaxis, :])))
         self._resident = None
-        if grid.dim * targets.shape[0] * n < _RESIDENT_ENTRIES:
-            tables = [np.empty((rep.shape[0], 2, n)) for _ in range(grid.dim)]
-            for sl in self._slices:
-                for table, part in zip(tables, self._phases(sl)):
+        if grid.dim * m * n < _RESIDENT_ENTRIES:
+            tables = [np.empty((ids.size, 2, n)) for ids in first]
+            for _, nodes, _ in self._chunks:
+                for table, sl, part in zip(tables, nodes, self._phases(nodes)):
                     table[sl] = part
             self._resident, self._factors = tables, None
 
-    def _chunk(self) -> int:
-        # targets per chunk: bounds the (chunk, N^(n-1)) complex intermediate
-        # and each (chunk, N) complex table of a chunk by _CHUNK_ENTRIES
-        # alike.  A chunk holds half as many representatives; each has two
-        # complex rows of the intermediate (X and Y) and one (2, N) real row
-        # pair per axis.
-        n = self.grid.points_per_axis
-        return max(_CHUNK_ENTRIES // max(n ** (self.grid.dim - 1), n), 1)
+    def _caps(self) -> list:
+        # nodes per chunk at each level: a level-a node holds 2^(n-a) components
+        # of N^a complex entries once axes a..n-1 are contracted, and (2, N) real
+        # table rows, which streaming builds from one complex row (2N in all)
+        dim, n = self.grid.dim, self.grid.points_per_axis
+        return [max(_CHUNK_ENTRIES // max(2 ** (dim - a) * n**a, 2 * n), 1) for a in range(dim)]
 
-    def _phases(self, sl: slice) -> list:
-        """Per-axis (chunk, 2, N) real and imaginary rows of ``exp(-i eta_a x_j)``, for
-        representatives ``sl``."""
+    def _phases(self, nodes: list) -> list:
+        """Per-axis (nodes, 2, N) real and imaginary rows of ``exp(-i |eta_a| x_j)``,
+        for the level-a nodes ``nodes[a]``."""
         if self._resident is not None:
-            return [table[sl] for table in self._resident]
+            return [table[sl] for table, sl in zip(self._resident, nodes)]
         n = self.grid.points_per_axis
-        c = sl.stop - sl.start
         return [
             np.ascontiguousarray(
-                _expand(hi[sl], lo[sl], n).view(np.float64).reshape(c, n, 2).transpose(0, 2, 1))
-            for hi, lo in self._factors
+                _expand(hi[sl], lo[sl], n).view(np.float64).reshape(-1, n, 2).transpose(0, 2, 1))
+            for (hi, lo), sl in zip(self._factors, nodes)
         ]
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
@@ -182,34 +216,33 @@ class TrigTable:
         # (N, 2 N^(n-1)) real right factor of every chunk's matmul: [Re u^T | Im u^T]
         ut = np.concatenate((u.real.T, u.imag.T), axis=1)
         out = np.empty(self.targets.shape[0], dtype=np.complex128)
-        for sl in self._slices:
-            paired = self._partner[sl]
-            plus, minus = self._analysis_chunk(ut, self._phases(sl))
-            out[self._rep[sl]] = plus
-            out[paired] = minus[: paired.size]
+        for ts, nodes, families in self._chunks:
+            comp = self._analysis_chunk(ut, nodes, families)
+            leaves = comp[self._leaf[ts] - nodes[0].start]
+            out[self._order[ts]] = np.einsum("tk,tk->t", leaves, self._units[ts])
         out *= grid.cell_volume
         return out
 
-    def _analysis_chunk(self, ut: np.ndarray, phases: list) -> tuple:
+    def _analysis_chunk(self, ut: np.ndarray, nodes: list, families: list) -> np.ndarray:
         # A method of its own, so that a chunk's tables are freed on return,
-        # before the caller builds the next chunk's.  With P = p + iq a
-        # representative's table row, one real matmul on the last axis gives
-        # X = p u and Y = q u, as real and imaginary parts (Xr, Xi, Yr, Yi),
-        # target-major.  The representative's sum is X + iY and its
-        # partner's, with conj(P), X - iY.  Each remaining axis, right to
-        # left, contracts a target's contiguous (4 N^k, N) block with its
-        # rows p and q in one batched matmul, and maps the pair to U + iV
-        # and U - iV with U = X p - Y q, V = X q + Y p.
+        # before the caller builds the next chunk's.  Returns the leaves'
+        # complex components (leaves, 2^n), from real intermediates laid out
+        # (nodes, mask bits a..n-1, Re/Im, x_0..x_(a-1)).  On a leading axis
+        # the parents with k children each contract their components with the
+        # children's stacked (2k, N) rows in one batched matmul.  The last
+        # axis's matmul runs per family of the axis before it, so that its
+        # components, the largest, are never gathered.
         n = self.grid.points_per_axis
-        *leading, last = phases
-        c = last.shape[0]
-        xy = (last.reshape(2 * c, n) @ ut).reshape(c, 2, 2, -1)
-        for pq in reversed(leading):
-            z = np.matmul(xy.reshape(c, -1, n), pq.transpose(0, 2, 1)).reshape(c, 2, 2, -1, 2)
-            (xp, xq), (yp, yq) = np.moveaxis(z[:, 0], -1, 0), np.moveaxis(z[:, 1], -1, 0)
-            xy = np.stack((xp - yq, xq + yp), axis=1)
-        xr, xi, yr, yi = xy.reshape(c, 4).T
-        return xr - yi + 1j * (xi + yr), xr + yi + 1j * (xi - yr)
+        phases = self._phases(nodes)
+        comp = phases[0].reshape(-1, n) @ ut if self.grid.dim == 1 else None
+        for a in reversed(range(self.grid.dim - 1)):
+            parts = []
+            for who, kids, k in families[a]:
+                above = (_take(phases[-1], who).reshape(-1, n) @ ut if comp is None
+                         else _take(comp, who)).reshape(who.size, -1, n).transpose(0, 2, 1)
+                parts.append((kids, np.matmul(_take(phases[a], kids).reshape(-1, 2 * k, n), above)))
+            comp = _place(parts, len(phases[a]))
+        return comp.reshape(len(phases[0]), -1).view(np.complex128)
 
     def synthesis(self, weights: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`analysis`: scatter weighted exponentials back.
@@ -220,42 +253,37 @@ class TrigTable:
         grid = self.grid
         n = grid.points_per_axis
         k = grid.size // n
-        w = np.asarray(weights, dtype=np.complex128)
-        # the sum, transposed, as [Re | Im] (N, 2 N^(n-1)); each chunk's
+        w = np.asarray(weights, dtype=np.complex128)[self._order]
+        # the sum, transposed, as [Re | Im] (N, 2 N^(n-1)); each last-axis
         # matmul writes its share to buf
         acc = np.zeros((n, 2 * k))
         buf = np.empty_like(acc)
-        for sl in self._slices:
-            paired = self._partner[sl]
-            w_partner = np.zeros(sl.stop - sl.start, dtype=np.complex128)
-            w_partner[: paired.size] = w[paired]
-            self._synthesis_chunk(w[self._rep[sl]], w_partner, self._phases(sl), buf)
-            acc += buf
+        for ts, nodes, families in self._chunks:
+            coef = w[ts, np.newaxis] * self._units[ts].conj()
+            coef = np.add.reduceat(coef, _firsts(self._leaf[ts]), axis=0)
+            self._synthesis_chunk(coef, nodes, families, acc, buf)
         out = buf.view(np.complex128).reshape(k, n)
         np.multiply(acc[:, :k].T, grid.spectral_weight, out=out.real)
         np.multiply(acc[:, k:].T, grid.spectral_weight, out=out.imag)
         return out.reshape(grid.shape)
 
-    def _synthesis_chunk(self, w_rep, w_partner, phases: list, buf: np.ndarray) -> None:
+    def _synthesis_chunk(self, coef: np.ndarray, nodes: list, families: list, acc, buf) -> None:
         # A method of its own, so that a chunk's tables are freed on return,
-        # before the caller builds the next chunk's.  Writes to buf the
-        # transposed chunk's share, which on the last axis is
-        #     sum_m G_m conj(P(m, j)) + H_m P(m, j) = sum_m sigma_m p(m, j) + eps_m q(m, j)
-        # with P = p + iq, where G and H are the target-major outer products
-        # of the leading axes from w_rep (with conjugated rows) and
-        # w_partner, sigma = G + H and eps = -i (G - H).  Each leading axis,
-        # left to right, maps (sigma, eps) to (sigma p + eps q, eps p - sigma q)
-        # in one batched matmul of the target's (4 N^k, 2) coefficients with
-        # its rows p and q.
+        # before the caller builds the next chunk's.  Adds to acc the
+        # transposed chunk's share, from the leaves' complex coefficients
+        # (leaves, 2^n): the exact mirror of _analysis_chunk, with the last
+        # axis's matmul run per family of the axis before.
         n = self.grid.points_per_axis
-        *leading, last = phases
-        c = last.shape[0]
-        sigma, eps = w_rep + w_partner, -1j * (w_rep - w_partner)
-        se = np.stack((sigma.real, sigma.imag, eps.real, eps.imag), axis=1)[:, :, np.newaxis]
-        for pq in leading:
-            rotated = np.concatenate((se[:, 2:], -se[:, :2]), axis=1)
-            se = np.matmul(np.stack((se, rotated), axis=-1).reshape(c, -1, 2), pq).reshape(c, 4, -1)
-        np.matmul(last.reshape(2 * c, n).T, se.reshape(2 * c, -1), out=buf)
+        phases = self._phases(nodes)
+        parts = [(np.arange(len(phases[0])), coef.view(np.float64))]
+        for a in range(self.grid.dim - 1):
+            h = _place(parts, len(phases[a])).reshape(len(phases[a]), 2, -1)
+            parts = [(who, np.matmul(_take(h, kids).reshape(who.size, 2 * k, -1).transpose(0, 2, 1),
+                                     _take(phases[a], kids).reshape(-1, 2 * k, n)))
+                     for who, kids, k in families[a]]
+        for who, part in parts:
+            rows = _take(phases[-1], who).reshape(-1, n).T
+            acc += np.matmul(rows, part.reshape(2 * who.size, -1), out=buf)
 
 
 def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: float):

@@ -5,7 +5,7 @@ import pytest
 
 import fiolab._dense
 import fiolab.operators
-from fiolab._dense import TrigTable, _pairs
+from fiolab._dense import TrigTable
 from fiolab.lattice import inner_product, make_grid
 from fiolab.operators import canonical_transform_operator, fio_operator, pseudo_operator
 from fiolab.symbols import gauss_phase, quadratic_form_symbol
@@ -24,29 +24,66 @@ def _table(grid, targets, streamed: bool, monkeypatch):
     return table
 
 
+def _rows_per_level(table) -> list:
+    # the rows of each axis's table, held in full or as factors
+    held = table._resident if table._resident is not None else [hi for hi, _ in table._factors]
+    return [rows.shape[0] for rows in held]
+
+
+def _leaves(table) -> np.ndarray:
+    # the leaf of each target, in the caller's order
+    leaf = np.empty_like(table._leaf)
+    leaf[table._order] = table._leaf
+    return leaf
+
+
 def _paired_targets(rng, xi_max: float, dim: int) -> np.ndarray:
     # 270 random targets and their exact negations, the zero target, and 29
-    # unpaired targets with 29 negations one ulp off (599 in all), shuffled
+    # unpaired targets with 29 negations one ulp off (599 in all)
     half = rng.uniform(-xi_max, xi_max, (270, dim))
     near = rng.uniform(-xi_max, xi_max, (29, dim))
-    targets = np.concatenate([half, -half, np.zeros((1, dim)), near, -np.nextafter(near, np.inf)])
-    return targets[rng.permutation(len(targets))]
+    return np.concatenate([half, -half, np.zeros((1, dim)), near, -np.nextafter(near, np.inf)])
 
 
-@pytest.mark.parametrize("paired", [False, True], ids=["random", "paired"])
+def _orbit_targets(rng, xi_max: float, dim: int) -> np.ndarray:
+    # all 2^n reflections of 600 // 2^n random points, a third of which have
+    # a zero first coordinate and a quarter a zero last one, so that the
+    # reflections hold 0.0 and -0.0 alike
+    points = rng.uniform(-xi_max, xi_max, (600 >> dim, dim))
+    points[::3, 0] = 0.0
+    points[1::4, -1] = 0.0
+    signs = np.array(np.meshgrid(*[[1.0, -1.0]] * dim, indexing="ij")).reshape(dim, -1).T
+    return (points[np.newaxis] * signs[:, np.newaxis]).reshape(-1, dim)
+
+
+def _product_targets(rng, xi_max: float, dim: int) -> np.ndarray:
+    # a product set of about 600 targets with no sign symmetry: 30 x 20 in 2-D,
+    # 10 x 8 x 8 in 3-D, 6 x 5 x 5 x 4 in 4-D, so that a node has many children
+    sizes = {1: (600,), 2: (30, 20), 3: (10, 8, 8), 4: (6, 5, 5, 4)}[dim]
+    axes = [rng.uniform(-xi_max, xi_max, size) for size in sizes]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+TARGET_SETS = {
+    "random": lambda rng, xi_max, dim: rng.uniform(-xi_max, xi_max, (600, dim)),
+    "paired": _paired_targets,
+    "orbits": _orbit_targets,
+    "product": _product_targets,
+}
+
+
+@pytest.mark.parametrize("kind", list(TARGET_SETS))
 @pytest.mark.parametrize("dim,n_pts", [(1, 8), (1, 10), (2, 6), (3, 4), (3, 6), (4, 4)])
-def test_trig_table_matches_brute_force_sums(dim, n_pts, paired, monkeypatch):
-    # a budget of 256 targets per chunk, so 128 representatives: the 600
-    # random targets make four full chunks and a partial last one, the 329
-    # representatives of the paired set two and a partial one
+def test_trig_table_matches_brute_force_sums(dim, n_pts, kind, monkeypatch):
+    # a budget of 128 last-axis nodes per chunk: the 600 random targets make
+    # four full chunks and a partial last one, and chunks of the product sets
+    # end inside a node's subtree, so the nodes at their ends are shared
     monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 256 * max(n_pts ** (dim - 1), n_pts))
     grid = make_grid(dim, 3.0, n_pts)
     rng = np.random.default_rng(dim)
     xi_max = grid.dxi * n_pts / 2
-    if paired:
-        targets = _paired_targets(rng, xi_max, dim)
-    else:
-        targets = rng.uniform(-xi_max, xi_max, (600, dim))
+    targets = TARGET_SETS[kind](rng, xi_max, dim)
+    targets = targets[rng.permutation(len(targets))]
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     w = rng.standard_normal(len(targets)) + 1j * rng.standard_normal(len(targets))
 
@@ -54,13 +91,19 @@ def test_trig_table_matches_brute_force_sums(dim, n_pts, paired, monkeypatch):
     phase = np.exp(-1j * (targets @ grid.spatial_vectors().T))
     expected_analysis = phase @ u.reshape(-1) * grid.cell_volume
     expected_synthesis = (np.conj(phase).T @ w).reshape(grid.shape) * grid.spectral_weight
+    # level a has one row per distinct (|eta_a|, ..., |eta_(n-1)|)
+    distinct = [len(np.unique(np.abs(targets[:, a:]), axis=0)) for a in range(dim)]
 
     results = []
     for streamed in (False, True):
         table = _table(grid, targets, streamed, monkeypatch)
-        # one representative per pair: 270 pairs, zero and 58 singles
-        assert table._partner.size == (270 if paired else 0)
-        assert table._rep.size == (329 if paired else 600)
+        assert _rows_per_level(table) == distinct
+        # the chunks take every target once, in sorted order
+        assert [ts.start for ts, _, _ in table._chunks] == [0] + [
+            ts.stop for ts, _, _ in table._chunks][:-1]
+        assert table._chunks[-1][0].stop == len(targets)
+        if kind == "random":
+            assert len(table._chunks) == 5
         analysis = table.analysis(u)
         err = np.max(np.abs(analysis - expected_analysis))
         assert err < 1e-13 * np.max(np.abs(expected_analysis))
@@ -90,22 +133,27 @@ def test_trig_table_without_targets(dim, n_pts, streamed, monkeypatch):
     assert not np.any(synthesis)
 
 
-def test_pairs_fold_only_exact_negations():
-    # 40 targets and their negations, 10 targets and their negations one ulp
-    # off, and the zeros 0.0 and -0.0 of one row
+def test_rows_shared_only_by_equal_magnitudes():
+    # 40 targets with their three reflections, 10 targets one ulp off the
+    # first 10 in each coordinate, and the zero target in all four sign
+    # patterns of 0.0 and -0.0
     rng = np.random.default_rng(11)
-    t, near = rng.uniform(-5.0, 5.0, (40, 2)), rng.uniform(-5.0, 5.0, (10, 2))
-    targets = np.concatenate([t, near, -np.nextafter(near, np.inf), [[0.0, 0.0], [-0.0, 0.0]], -t])
-    rep, partner = _pairs(targets)
-    assert partner.size == 41
-    np.testing.assert_array_equal(targets[partner], -targets[rep[:41]])
-    assert sorted(np.concatenate([rep, partner])) == list(range(len(targets)))
-    assert set(rep[41:]) == set(range(40, 60))
+    t = rng.uniform(-5.0, 5.0, (40, 2))
+    near = np.nextafter(t[:10], np.inf)
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    flips = [t, t * [1.0, -1.0], t * [-1.0, 1.0], -t]
+    table = TrigTable(make_grid(2, 3.0, 8), np.concatenate(flips + [near, zeros]))
+    # 40 + 10 + 1 distinct |eta_1| and as many distinct |eta|
+    assert _rows_per_level(table) == [51, 51]
+    leaf = _leaves(table)
+    for flip in range(1, 4):
+        np.testing.assert_array_equal(leaf[40 * flip : 40 * (flip + 1)], leaf[:40])
+    assert len(set(leaf[160:170]) | set(leaf[:40])) == 50
+    assert len(set(leaf[170:])) == 1
 
 
-def test_canonical_table_holds_one_row_per_pair(monkeypatch):
-    # the Gauss map of diag(1, 4) is odd and the in-box targets of 2-D N = 32
-    # are symmetric (Nyquist modes excluded), so all but the zero target pair up
+def _built_tables(monkeypatch) -> list:
+    """Record every TrigTable that operators builds from now on."""
     built = []
 
     class Recorded(TrigTable):
@@ -114,12 +162,40 @@ def test_canonical_table_holds_one_row_per_pair(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(fiolab.operators, "TrigTable", Recorded)
+    return built
+
+
+def test_canonical_table_rows_per_level(monkeypatch):
+    # the Gauss map of diag(1, 4) commutes with both coordinate reflections
+    # and the in-box targets of 2-D N = 32 are symmetric (Nyquist modes
+    # excluded): 437 targets hold 106 rows for |eta_1| and 121 for |eta|,
+    # where one row per pair {eta, -eta} took 219 on each axis
+    built = _built_tables(monkeypatch)
     grid = make_grid(2, 10.0, 32)
     canonical_transform_operator(gauss_phase(quadratic_form_symbol(np.diag([1.0, 4.0]))), grid)
     (table,) = built
-    m = table.targets.shape[0]
-    assert m % 2 == 1 and table._partner.size == m // 2
-    assert [t.shape[0] for t in table._resident] == [(m + 1) // 2] * grid.dim
+    assert table.targets.shape[0] == 437
+    assert [t.shape[0] for t in table._resident] == [121, 106]
+
+
+@pytest.mark.parametrize("n_pts", [8, 16])
+def test_last_axis_matmul_runs_on_distinct_magnitudes(n_pts, monkeypatch):
+    # the 3-D diag(1, 1, 4) transform: the last-axis matmul of analysis and
+    # of synthesis takes one row per distinct |eta_3| (11 for the 147
+    # targets of N = 8, 96 for the 1447 of N = 16), not one per pair
+    built = _built_tables(monkeypatch)
+    grid = make_grid(3, 12.0, n_pts)
+    canonical_transform_operator(gauss_phase(quadratic_form_symbol(np.diag([1.0, 1.0, 4.0]))), grid)
+    (table,) = built
+    rows = []
+    phases = table._phases
+    monkeypatch.setattr(table, "_phases", lambda nodes: rows.append(phases(nodes)[-1].shape[0])
+                        or phases(nodes))
+    table.analysis(random_field(grid, seed=1).values)
+    table.synthesis(np.ones(table.targets.shape[0]))
+    distinct = np.unique(np.abs(table.targets[:, -1])).size
+    assert distinct == {8: 11, 16: 96}[n_pts]
+    assert sum(rows) == 2 * distinct
 
 
 def test_factorized_phases_accurate_at_large_arguments():
@@ -150,7 +226,8 @@ def _traced_peak(grid, targets, u, w) -> int:
 
 
 def _sixteen_chunks(monkeypatch):
-    # 4096 targets on a 2-D N = 64 grid, in 16 chunks of 256 targets
+    # 4096 targets on a 2-D N = 64 grid, at a budget of 256 targets' worth
+    # per chunk (128 nodes per level)
     monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 1 << 14)
     grid = make_grid(2, 5.0, 64)
     rng = np.random.default_rng(3)
@@ -158,16 +235,18 @@ def _sixteen_chunks(monkeypatch):
     targets = rng.uniform(-xi_max, xi_max, (4096, 2))
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     w = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    assert TrigTable(grid, targets)._chunk() * 16 == 4096
+    assert 2 * TrigTable(grid, targets)._caps()[-1] * 16 == 4096
     return grid, targets, u, w
 
 
 def test_chunks_follow_the_budget_read_at_build(monkeypatch):
-    # built under a budget of 256 targets per chunk: the 4096 unpaired
-    # targets are 4096 representatives in 32 chunks of 128; a budget cut to
-    # a quarter after the build must not change the chunks
+    # built under a budget of 128 nodes per level and chunk: the 4096
+    # targets, no two of which share a row, are 4096 leaves in 32 chunks of
+    # 128; a budget cut to a quarter after the build must not change the
+    # chunks
     grid, targets, u, w = _sixteen_chunks(monkeypatch)
     table = TrigTable(grid, targets)
+    assert [ts.stop - ts.start for ts, _, _ in table._chunks] == [128] * 32
     chunks = []
     analysis_chunk = table._analysis_chunk
     monkeypatch.setattr(table, "_analysis_chunk",
@@ -196,7 +275,7 @@ def test_streamed_chunk_tables_freed_before_next_chunk(monkeypatch):
     grid, targets, u, w = _sixteen_chunks(monkeypatch)
     table = _table(grid, targets, True, monkeypatch)
     n = grid.points_per_axis
-    chunk = table._chunk()
+    chunk = 2 * table._caps()[-1]  # targets' worth per chunk
     entry = np.dtype(np.complex128).itemsize
     tables = grid.dim * chunk * n * entry
     intermediate = chunk * n ** (grid.dim - 1) * entry
@@ -225,7 +304,7 @@ def test_chunk_follows_the_budget_below_256_targets(monkeypatch):
     u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     w = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
     table = TrigTable(grid, targets)
-    assert table._chunk() == budget // n**2 < 256
+    assert 2 * table._caps()[-1] == budget // n**2 < 256
     entry = np.dtype(np.complex128).itemsize
     intermediate = budget * entry
     margin = 4 * max(len(targets), grid.size) * entry
