@@ -7,8 +7,9 @@ For each workload declared in the checkout's ``BENCHMARK.json`` this runs
 
 then times the tier-1 suite, and writes the result objects (the last line
 each run prints), the machine fingerprint, the date, ``git rev-parse HEAD``,
-whether tracked files differ from HEAD, and the tier-1 wall time to the JSON
-file given.  Name it after the date and commit::
+whether tracked files differ from HEAD, the tier-1 wall time and the line
+counts of ``src/fiolab/*.py`` and ``tests/*.py`` to the JSON file given.
+Name it after the date and commit::
 
     python3 scripts/write_bench.py BENCH_20261018_a26d6fd.json
 
@@ -67,6 +68,16 @@ def run_tier1(checkout: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def count_lines(checkout: Path) -> dict:
+    """Lines (as ``wc -l`` counts them) of each file a pattern matches, and their total."""
+    counts = {}
+    for pattern in ("src/fiolab/*.py", "tests/*.py"):
+        files = {str(path.relative_to(checkout)): path.read_bytes().count(b"\n")
+                 for path in sorted(checkout.glob(pattern))}
+        counts[pattern] = {"files": files, "total": sum(files.values())}
+    return counts
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
@@ -94,6 +105,7 @@ def main() -> int:
         "workloads": {w: {"exit_code": r["exit_code"], "result": r["result"]}
                       for w, r in runs.items()},
         "tier1": tier1,
+        "lines": count_lines(checkout),
     }
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -104,19 +104,11 @@ def _families(parent: np.ndarray) -> list:
     return [(who, (firsts[who, np.newaxis] + np.arange(k)).reshape(-1), k) for who, k in whos]
 
 
-def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # rows[index] for a sorted ``index`` without repeats; no copy when it takes every row
-    return rows if index.size == len(rows) else rows[index]
-
-
 def _place(parts: list, size: int) -> np.ndarray:
-    # the rows of (index, part) pairs, flattened per row, in index order; a
-    # part that covers every row is returned as it is
+    # the rows of (index, part) pairs, flattened per row, in index order
     out = None
     for index, part in parts:
         part = part.reshape(index.size, -1)
-        if index.size == size:
-            return part
         if out is None:
             out = np.empty((size, part.shape[1]))
         out[index] = part
@@ -238,9 +230,9 @@ class TrigTable:
         for a in reversed(range(self.grid.dim - 1)):
             parts = []
             for who, kids, k in families[a]:
-                above = (_take(phases[-1], who).reshape(-1, n) @ ut if comp is None
-                         else _take(comp, who)).reshape(who.size, -1, n).transpose(0, 2, 1)
-                parts.append((kids, np.matmul(_take(phases[a], kids).reshape(-1, 2 * k, n), above)))
+                above = (phases[-1][who].reshape(-1, n) @ ut if comp is None
+                         else comp[who]).reshape(who.size, -1, n).transpose(0, 2, 1)
+                parts.append((kids, np.matmul(phases[a][kids].reshape(-1, 2 * k, n), above)))
             comp = _place(parts, len(phases[a]))
         return comp.reshape(len(phases[0]), -1).view(np.complex128)
 
@@ -278,11 +270,11 @@ class TrigTable:
         parts = [(np.arange(len(phases[0])), coef.view(np.float64))]
         for a in range(self.grid.dim - 1):
             h = _place(parts, len(phases[a])).reshape(len(phases[a]), 2, -1)
-            parts = [(who, np.matmul(_take(h, kids).reshape(who.size, 2 * k, -1).transpose(0, 2, 1),
-                                     _take(phases[a], kids).reshape(-1, 2 * k, n)))
+            parts = [(who, np.matmul(h[kids].reshape(who.size, 2 * k, -1).transpose(0, 2, 1),
+                                     phases[a][kids].reshape(-1, 2 * k, n)))
                      for who, kids, k in families[a]]
         for who, part in parts:
-            rows = _take(phases[-1], who).reshape(-1, n).T
+            rows = phases[-1][who].reshape(-1, n).T
             acc += np.matmul(rows, part.reshape(2 * who.size, -1), out=buf)
 
 

@@ -83,18 +83,14 @@ class Grid:
         """Frequency quadrature weight ``(dxi / 2 pi)^n``."""
         return (self.dxi / (2.0 * np.pi)) ** self.dim
 
-    @functools.lru_cache(maxsize=128)
     def spatial_axis(self) -> np.ndarray:
-        axis = -self.half_width + self.dx * np.arange(self.points_per_axis)
-        axis.flags.writeable = False
-        return axis
+        """Node coordinates on one axis, as a new array."""
+        return -self.half_width + self.dx * np.arange(self.points_per_axis)
 
-    @functools.lru_cache(maxsize=128)
     def frequency_axis(self) -> np.ndarray:
+        """Frequencies on one axis in math order, as a new array."""
         n = self.points_per_axis
-        axis = self.dxi * (np.arange(n) - n // 2)
-        axis.flags.writeable = False
-        return axis
+        return self.dxi * (np.arange(n) - n // 2)
 
     @functools.lru_cache(maxsize=64)
     def spatial_mesh(self) -> np.ndarray:

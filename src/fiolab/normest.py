@@ -156,11 +156,11 @@ def operator_norm(op: OperatorHandle, m_in: float = 0.0, m_out: float = 0.0, *, 
 
     Non-convergence is reported through the ``converged`` flag, never as an
     exception.  A weight of exponent 0 is left out, since ``<x>^0`` multiplies
-    by exactly 1; with no output weight, ``B`` keeps ``op``'s ``normal``.
+    by exactly 1; with neither weight, ``B`` is ``op`` and keeps its ``normal``.
     """
     outer = [weight_operator(op.grid, m_out)] if m_out else []
     inner = [weight_operator(op.grid, -m_in)] if m_in else []
-    b = compose(*outer, op, *inner)
+    b = compose(*outer, op, *inner) if outer or inner else op
     return power_iteration(_normal_apply(b), _random_field(op.grid, seed), tol, max_iters)
 
 

@@ -10,8 +10,8 @@ never an analytic formula, so the pairing identity ``<T u, v> = <u, T* v>``
 holds to rounding error by construction.  :func:`adjoint`, :func:`compose`,
 :func:`scale` and :func:`add` build new handles from old ones.  A handle may
 also carry ``normal``, a faster ``T* T``: the canonical transform sets it (a
-Toeplitz convolution, O(N^n log N) per call instead of O(N^{2n})), and
-:func:`compose` keeps it when the composition's leftmost factor has one.
+Toeplitz convolution, O(N^n log N) per call instead of O(N^{2n})), and no
+handle built by the algebra has one.
 
 Canonical transforms evaluate the input spectrum at the mapped frequency
 points by exact trigonometric sums (band-limited interpolation).  Two
@@ -21,7 +21,8 @@ frequency-domain conventions apply throughout:
   frequency operation;
 * mapped points that leave the representable frequency box produce zero
   output (the discrete field is modelled as band-limited, so the spectrum
-  vanishes beyond the box rather than wrapping around).
+  vanishes beyond the box rather than wrapping around); a mapped point
+  that is not finite is an error, not a point outside the box.
 
 Accuracy of a canonical transform is therefore limited by the field's
 spectral tail.  Each apply records it, and the number of output modes set
@@ -209,6 +210,10 @@ def _canonical_targets(m: CanonicalMap, grid: Grid, direction: str) -> np.ndarra
     nz = np.linalg.norm(freqs, axis=-1) > 0
     targets = np.zeros_like(freqs)
     targets[nz] = m.forward(freqs[nz])
+    bad = ~np.all(np.isfinite(targets), axis=-1)
+    if np.any(bad):
+        raise ValueError(f"map '{m.label}' is not finite at frequency "
+                         f"{freqs[np.argmax(bad)].tolist()}")
     return targets
 
 
@@ -227,7 +232,8 @@ def canonical_transform_operator(
     tail (``spectral_tail``) and the number of output modes it sets to zero
     (``out_of_box_modes``) in the result's ``Field.meta``: those whose mapped
     point left the frequency box, and the ``N^n - (N-1)^n`` unpaired Nyquist
-    modes, which even the identity map counts.  Every call of the handle
+    modes, which even the identity map counts.  A mapped point that is not
+    finite is an error naming its frequency.  Every call of the handle
     freezes two arrays: its input's spectrum and its result.
 
     The handle's ``normal`` is ``T* T = Z A* A Z``, with ``Z`` the Nyquist
@@ -374,11 +380,8 @@ def adjoint(h: OperatorHandle) -> OperatorHandle:
 
 
 def compose(*handles: OperatorHandle) -> OperatorHandle:
-    """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first).
-
-    When ``handles[0]`` has a ``normal``, so does the composition:
-    ``R* o handles[0].normal o R`` with ``R`` the composition of the rest.
-    """
+    """Composition ``handles[0] o handles[1] o ...`` (rightmost acts first),
+    with no ``normal``."""
     if not handles:
         raise ValueError("compose needs at least one handle")
     grid = functools.reduce(_same_grid, (h.grid for h in handles))
@@ -393,17 +396,7 @@ def compose(*handles: OperatorHandle) -> OperatorHandle:
             v = h.apply_adjoint(v)
         return v
 
-    head_normal, rest = handles[0].normal, handles[1:]
-    if head_normal is not None and rest:
-        r = compose(*rest)
-
-        def normal(u: Field) -> Field:
-            return r.apply_adjoint(head_normal(r.apply(u)))
-    else:
-        normal = head_normal
-
-    return OperatorHandle(grid, _apply, _adjoint, label=" o ".join(h.label for h in handles),
-                          normal=normal)
+    return OperatorHandle(grid, _apply, _adjoint, label=" o ".join(h.label for h in handles))
 
 
 def scale(c: complex, h: OperatorHandle) -> OperatorHandle:

@@ -246,8 +246,8 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
     """Canonical map ``psi(xi) = p(xi) grad p(xi) / |grad p(xi)|``.
 
     The Jacobian is assembled analytically from the symbol's gradient and
-    Hessian.  Construction fails if the gradient degenerates on sampled
-    directions of the unit sphere.  Newton's seed is the exact inverse
+    Hessian.  Construction fails if the gradient degenerates, or is NaN, on
+    sampled directions of the unit sphere.  Newton's seed is the exact inverse
     ``grad p^*(eta)`` at a unit ``eta`` when the symbol carries
     ``dual_gradient``, and the radial projection ``eta / p(eta)`` onto
     ``{p = 1}`` otherwise.
@@ -255,11 +255,11 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
     dim = p.dim
     samples = sphere_points(dim, GAUSS_CHECK_SAMPLES)
     gnorms = np.linalg.norm(p.gradient(samples), axis=-1)
-    if np.min(gnorms) < 1e-8:
-        worst = samples[int(np.argmin(gnorms))]
+    if not np.all(gnorms >= 1e-8):  # a NaN norm fails too
+        worst = int(np.argmin(gnorms))  # the first NaN, if any
         raise ValueError(
-            f"gradient of symbol '{p.label}' degenerates (|grad p| = {np.min(gnorms):.3e} "
-            f"at direction {worst.tolist()})"
+            f"gradient of symbol '{p.label}' degenerates (|grad p| = {gnorms[worst]:.3e} "
+            f"at direction {samples[worst].tolist()})"
         )
 
     def fwd(xi):
@@ -318,7 +318,7 @@ def invert_map_batch(
     residual = m.forward(xi) - direction
     for _ in range(max_iter):
         err = np.linalg.norm(residual, axis=-1)
-        todo = err > tol
+        todo = ~(err <= tol)  # a NaN residual is not converged
         if not np.any(todo):
             break
         jac = m.jacobian(xi[todo])
@@ -326,8 +326,8 @@ def invert_map_batch(
         xi[todo] = xi[todo] - step
         residual[todo] = m.forward(xi[todo]) - direction[todo]
     err = np.linalg.norm(residual, axis=-1)
-    if np.any(err > tol):
-        worst = int(np.argmax(err))
+    if not np.all(err <= tol):
+        worst = int(np.argmax(err))  # the first NaN, if any
         raise MapInversionError(
             f"inversion of map '{m.label}' did not converge after {max_iter} iterations "
             f"(residual {err[worst]:.3e} at direction {direction[worst].tolist()})"

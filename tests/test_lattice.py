@@ -68,6 +68,20 @@ class TestMakeGrid:
         assert axis[0] == pytest.approx(-8 * g.dxi)
         assert axis[-1] == pytest.approx(7 * g.dxi)
 
+    def test_mutating_an_axis_changes_no_later_read(self):
+        # each call builds a new axis; the meshes, built after the writes, stay exact
+        g = make_grid(2, 5.5, 12)
+        spatial = -g.half_width + g.dx * np.arange(12)
+        frequency = g.dxi * np.arange(-6, 6)
+        g.spatial_axis()[:] = np.nan
+        g.frequency_axis()[:] = np.nan
+        np.testing.assert_array_equal(g.spatial_axis(), spatial)
+        np.testing.assert_array_equal(g.frequency_axis(), frequency)
+        np.testing.assert_array_equal(g.spatial_mesh()[:, 3, 0], spatial)
+        np.testing.assert_array_equal(g.spatial_mesh()[3, :, 1], spatial)
+        np.testing.assert_array_equal(g.frequency_mesh()[:, 3, 0], frequency)
+        np.testing.assert_array_equal(g.frequency_mesh()[3, :, 1], frequency)
+
 
 class TestTransforms:
     def test_constant_field_concentrates_at_zero(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,16 @@ class TestGaussPhase:
         with pytest.raises(ValueError, match="degenerates"):
             gauss_phase(flat)
 
+    def test_nan_gradient_rejected(self):
+        # NaN within about 8 degrees of the xi_1 axis: 3 of the 64 sampled
+        # directions, the first of them (1, 0)
+        def grad(xi):
+            near_axis = xi[..., :1] > 0.99 * np.linalg.norm(xi, axis=-1, keepdims=True)
+            return np.where(near_axis, np.nan, ELLIPSE.gradient(xi))
+
+        with pytest.raises(ValueError, match=r"= nan at direction \[1.0, 0.0\]"):
+            gauss_phase(replace(ELLIPSE, gradient=grad))
+
 
 def spd_matrix(kind, dim, seed):
     rng = np.random.default_rng(seed)
@@ -229,6 +241,14 @@ class TestInvertMap:
         psi = gauss_phase(PERTURBED_ELLIPSE)
         with pytest.raises(MapInversionError, match="direction"):
             invert_map_batch(psi, np.array([[1.0, 1.0]]), tol=1e-16, max_iter=1)
+
+    def test_nan_residual_is_not_converged(self):
+        # psi(xi) = 2 xi, undefined where xi_1 > 0.75, seeded by the identity:
+        # the seed (1, 0) of eta = (1, 0) has a NaN residual, not a small one
+        psi = replace(scaling_map(2.0, 2), newton_seed=identity_map(2).forward,
+                      forward=lambda xi: np.where(xi[..., :1] > 0.75, np.nan, 2.0 * xi))
+        with pytest.raises(MapInversionError, match=r"residual nan at direction \[1.0, 0.0\]"):
+            invert_map_batch(psi, np.array([[1.0, 0.0]]))
 
     def test_exact_seed_takes_no_step(self):
         # the residual check still gates the closed-form seed
