@@ -62,11 +62,11 @@ are then dropped; larger tables keep only the factors and rebuild each
 chunk's tables from them, so memory is O(chunk), not O(M N).  Either way
 each phase table is held once.
 
-The same module holds ``_dense_kernel``, the blocked dense quadrature
-behind ``operators.pseudo_operator`` and ``operators.fio_operator``: a
-block holds ``_CHUNK_ENTRIES // inputs`` output rows (at least one).
-Both engines read ``_CHUNK_ENTRIES`` here, when a table or a kernel is
-built.
+The same module holds ``_dense_kernel``, the blocked dense quadrature from
+space to frequency behind ``operators.fio_operator``, its one caller
+(``operators.pseudo_operator`` is a scaled adjoint of an FIO): a block
+holds ``_CHUNK_ENTRIES // N^n`` frequency rows (at least one).  Both
+engines read ``_CHUNK_ENTRIES`` here, when a table or a kernel is built.
 """
 
 from __future__ import annotations
@@ -278,36 +278,34 @@ class TrigTable:
             acc += np.matmul(rows, part.reshape(2 * who.size, -1), out=buf)
 
 
-def _dense_kernel(phase, amp, out_pts, in_pts, in_measure: float, out_measure: float):
-    """Dense quadrature ``out_m = sum_q exp(i phase(o_m, i_q)) amp(o_m, i_q) v_q in_measure``.
+def _dense_kernel(phase, amp, grid: Grid):
+    """Dense quadrature from space to frequency,
+    ``I[xi_k] = sum_l exp(i phase(y_l, xi_k)) amp(y_l, xi_k) v_l (2pi)^n dy^n``.
 
-    ``phase`` and ``amp`` (None for a unit amplitude) take stacked output and
-    input points, broadcast against each other.  Returns the apply and its
-    exact adjoint with respect to the ``in_measure``- and
-    ``out_measure``-weighted pairings; both act on flat arrays.
+    ``phase`` and ``amp`` (None for a unit amplitude) take stacked spatial and
+    frequency points, broadcast against each other.  Returns the apply and its
+    exact adjoint with respect to the ``(2pi dy)^n``- and ``dxi^n``-weighted
+    pairings; both take and return flat arrays.
     """
-
-    # output rows per kernel block, so that a block holds at most _CHUNK_ENTRIES entries
-    step = max(_CHUNK_ENTRIES // in_pts.shape[0], 1)
-    blocks = [slice(start, start + step) for start in range(0, out_pts.shape[0], step)]
+    y, xi = grid.spatial_vectors()[np.newaxis], grid.frequency_vectors()[:, np.newaxis]
+    # frequency rows per kernel block, so that a block holds at most _CHUNK_ENTRIES entries
+    step = max(_CHUNK_ENTRIES // grid.size, 1)
+    blocks = [slice(start, start + step) for start in range(0, grid.size, step)]
 
     def block(sl):
-        o_blk = out_pts[sl][:, np.newaxis, :]
-        i_blk = in_pts[np.newaxis, :, :]
-        ker = np.exp(1j * np.asarray(phase(o_blk, i_blk), dtype=float))
-        if amp is not None:
-            ker = ker * np.asarray(amp(o_blk, i_blk), dtype=np.complex128)
-        return ker
+        ker = np.exp(1j * np.asarray(phase(y, xi[sl]), dtype=float))
+        return ker if amp is None else ker * np.asarray(amp(y, xi[sl]), dtype=np.complex128)
 
     def apply(values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=np.complex128).reshape(-1)
-        return np.concatenate([block(sl) @ v for sl in blocks]) * in_measure
+        return np.concatenate([block(sl) @ v for sl in blocks]) * (2 * np.pi * grid.dx) ** grid.dim
 
     def adjoint(values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=np.complex128).reshape(-1)
-        out = np.zeros(in_pts.shape[0], dtype=np.complex128)
+        # conj(sum_k conj(v_k) K[k]): the vector is conjugated, never a block
+        v = np.conj(np.asarray(values, dtype=np.complex128).reshape(-1))
+        out = np.zeros(grid.size, dtype=np.complex128)
         for sl in blocks:
-            out += np.conj(block(sl)).T @ v[sl]
-        return out * out_measure
+            out += v[sl] @ block(sl)
+        return np.conj(out) * grid.dxi**grid.dim
 
     return apply, adjoint

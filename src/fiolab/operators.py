@@ -296,27 +296,17 @@ def canonical_transform_operator(
 
 
 def pseudo_operator(grid: Grid, a) -> OperatorHandle:
-    """Quantization ``a(X, D)``: the dense kernel with phase ``x . xi`` from frequency to space,
+    """Quantization ``a(X, D)``, from frequency to space,
 
-        (a(X, D) u)(x) = (2pi)^{-n} sum_k e^{i x . xi_k} a(x, xi_k) uhat_k dxi^n.
+        (a(X, D) u)(x) = (2pi)^{-n} sum_k e^{i x . xi_k} a(x, xi_k) uhat_k dxi^n,
 
-    ``a(x, xi)`` takes stacked vectors of shape (..., n), broadcast against
-    each other.
+    built as ``(2pi)^{-n}`` times the adjoint of the FIO with phase ``-y . xi``
+    and amplitude ``conj a(y, xi)``.  ``a(x, xi)`` takes stacked vectors of
+    shape (..., n), broadcast against each other.
     """
-    apply, adjoint = _dense_kernel(
-        lambda x, xi: np.sum(x * xi, axis=-1),
-        a,
-        grid.spatial_vectors(),
-        grid.frequency_vectors(),
-        grid.spectral_weight,
-        grid.cell_volume,
-    )
-    return OperatorHandle(
-        grid,
-        lambda u: Field(grid, apply(forward_transform(u).values).reshape(grid.shape)),
-        lambda v: inverse_transform(SpectralField(grid, adjoint(v.values).reshape(grid.shape))),
-        label="a(X,D)",
-    )
+    fio = fio_operator(grid, lambda y, xi: np.sum(y * -xi, axis=-1),
+                       lambda y, xi: np.conj(a(y, xi)))
+    return replace(scale((2.0 * np.pi) ** -grid.dim, adjoint(fio)), label="a(X,D)")
 
 
 def fio_operator(grid: Grid, phase, a=None) -> OperatorHandle:
@@ -328,18 +318,10 @@ def fio_operator(grid: Grid, phase, a=None) -> OperatorHandle:
     :func:`pseudo_operator`; ``a=None`` is a unit amplitude.  Other amplitudes
     compose: ``a(x,xi)`` is ``compose(pseudo_operator(grid, a), fio_operator(grid,
     phase))``, and a factor ``b(y)`` or ``b(x)`` adds
-    ``multiplication_operator(grid, b)`` on the input or output side.
+    ``multiplication_operator(grid, b)`` on the input or output side.  Every
+    dense quadrature in the package, ``pseudo_operator``'s too, runs here.
     """
-    # (2pi)^n on both measures scales the apply and its adjoint alike
-    two_pi_n = (2.0 * np.pi) ** grid.dim
-    to_freq, from_freq = _dense_kernel(
-        lambda xi, y: phase(y, xi),
-        None if a is None else (lambda xi, y: a(y, xi)),
-        grid.frequency_vectors(),
-        grid.spatial_vectors(),
-        grid.cell_volume * two_pi_n,
-        grid.spectral_weight * two_pi_n,
-    )
+    to_freq, from_freq = _dense_kernel(phase, a, grid)
     return OperatorHandle(
         grid,
         lambda u: inverse_transform(SpectralField(grid, to_freq(u.values).reshape(grid.shape))),

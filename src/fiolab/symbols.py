@@ -217,14 +217,16 @@ def identity_map(dim: int) -> CanonicalMap:
 
 
 def scaling_map(c: float, dim: int) -> CanonicalMap:
-    if c <= 0:
-        raise ValueError("scaling factor must be positive")
+    if not 0 < c < np.inf:  # a NaN fails too
+        raise ValueError(f"scaling factor must be positive and finite, got {c}")
     return linear_map(c * np.eye(dim), label=f"scaling({c})")
 
 
 def linear_map(matrix: np.ndarray, label: str = "linear") -> CanonicalMap:
     """Map ``xi -> A xi`` for an invertible matrix (rotations, dilations)."""
     a = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"map matrix must be finite, got {a.tolist()}")
     dim = a.shape[0]
     a_inv = np.linalg.inv(a)
 
@@ -246,7 +248,7 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
     """Canonical map ``psi(xi) = p(xi) grad p(xi) / |grad p(xi)|``.
 
     The Jacobian is assembled analytically from the symbol's gradient and
-    Hessian.  Construction fails if the gradient degenerates, or is NaN, on
+    Hessian.  Construction fails if the gradient degenerates, or is not finite, on
     sampled directions of the unit sphere.  Newton's seed is the exact inverse
     ``grad p^*(eta)`` at a unit ``eta`` when the symbol carries
     ``dual_gradient``, and the radial projection ``eta / p(eta)`` onto
@@ -255,8 +257,9 @@ def gauss_phase(p: HomogeneousSymbol) -> CanonicalMap:
     dim = p.dim
     samples = sphere_points(dim, GAUSS_CHECK_SAMPLES)
     gnorms = np.linalg.norm(p.gradient(samples), axis=-1)
-    if not np.all(gnorms >= 1e-8):  # a NaN norm fails too
-        worst = int(np.argmin(gnorms))  # the first NaN, if any
+    ok = np.isfinite(gnorms) & (gnorms >= 1e-8)
+    if not np.all(ok):
+        worst = int(np.argmin(ok))  # the first direction that fails
         raise ValueError(
             f"gradient of symbol '{p.label}' degenerates (|grad p| = {gnorms[worst]:.3e} "
             f"at direction {samples[worst].tolist()})"

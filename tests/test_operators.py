@@ -362,6 +362,26 @@ class TestPseudo:
         ref = b(g.spatial_mesh()) * multiplier_operator(g, c).apply(u).values
         assert np.max(np.abs(out.values - ref)) < 1e-12 * np.max(np.abs(u.values))
 
+    def test_complex_non_separable_symbol_matches_explicit_kernel(self):
+        # oracle: the (x_j, y_l) matrix of a(X, D) F, summed over xi_k by hand,
+        # sum_k e^{i x_j . xi_k} a(x_j, xi_k) e^{-i xi_k . y_l} dy^n (dxi/2pi)^n;
+        # the adjoint is its conjugate transpose (both sides weigh dx^n)
+        g = make_grid(2, 5.0, 8)
+        amp = lambda x, xi: np.exp(
+            0.25j * np.sum(x * xi, axis=-1) + 0.1j * np.sum(x, axis=-1)
+        ) / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))
+        x = g.spatial_vectors()[:, np.newaxis, :]
+        xi = g.frequency_vectors()[np.newaxis, :, :]
+        kernel = np.exp(1j * np.sum(x * xi, axis=-1)) * amp(x, xi) * g.spectral_weight
+        matrix = kernel @ np.exp(-1j * (xi[0] @ x[:, 0].T)) * g.cell_volume
+        h = pseudo_operator(g, amp)
+        assert h.label == "a(X,D)"
+        u, v = random_field(g, seed=3), random_field(g, seed=4)
+        for got, want in ((h.apply(u), matrix @ u.values.reshape(-1)),
+                          (h.apply_adjoint(v), matrix.conj().T @ v.values.reshape(-1))):
+            err = np.max(np.abs(got.values.reshape(-1) - want))
+            assert err < 1e-12 * np.max(np.abs(want))
+
     def test_norm_uniform_across_refinement(self):
         # bounded-derivative symbol: operator norms must show no growth trend
         sym = lambda x, xi: 1.0 / (1.0 + np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))

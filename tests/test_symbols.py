@@ -173,6 +173,15 @@ class TestGaussPhase:
         with pytest.raises(ValueError, match=r"= nan at direction \[1.0, 0.0\]"):
             gauss_phase(replace(ELLIPSE, gradient=grad))
 
+    def test_infinite_gradient_rejected(self):
+        # +inf on the same 3 directions: a map built from it sends (1, 0) to NaN
+        def grad(xi):
+            near_axis = xi[..., :1] > 0.99 * np.linalg.norm(xi, axis=-1, keepdims=True)
+            return np.where(near_axis, np.inf, ELLIPSE.gradient(xi))
+
+        with pytest.raises(ValueError, match=r"= inf at direction \[1.0, 0.0\]"):
+            gauss_phase(replace(ELLIPSE, gradient=grad))
+
 
 def spd_matrix(kind, dim, seed):
     rng = np.random.default_rng(seed)
@@ -491,6 +500,10 @@ REJECTED_INPUTS = {
                              r"bump direction must have shape \(2,\)"),
     "zero-scaling": (scaling_map, (0.0, 2), "scaling factor must be positive"),
     "negative-scaling": (scaling_map, (-1.5, 2), "scaling factor must be positive"),
+    "nan-scaling": (scaling_map, (np.nan, 2), "scaling factor must be positive and finite"),
+    "infinite-scaling": (scaling_map, (np.inf, 2), "scaling factor must be positive and finite"),
+    "nan-matrix": (linear_map, ([[1.0, np.nan], [0.0, 1.0]],), "map matrix must be finite"),
+    "infinite-matrix": (linear_map, ([[np.inf, 0.0], [0.0, 1.0]],), "map matrix must be finite"),
     "no-sphere-points": (sphere_points, (2, 0), "sample count must be >= 1"),
 }
 
