@@ -10,9 +10,13 @@ the phase factorizes per axis,
 
     exp(-i eta . x) = prod_a exp(-i eta_a x_{j_a}),
 
-so the whole contraction needs only per-axis phase tables.  Because the
-nodes are equispaced, x_j = x_0 + j dx, each table factorizes once more:
-with s = ceil(sqrt(N)),
+so the whole contraction needs only per-axis phase tables.  The nodes
+x_j = -L + j dx are symmetric, x_(N-j) = -x_j, so p + iq = exp(-i |eta_a| x)
+has p even and q odd: p meets only the even part E_h = u_h + u_(N-h) of a
+field's axis and q only the odd part O_h = u_h - u_(N-h), h = 0..N/2, with
+E_0 = O_0 = u_0 (x = -L has no mirror node), E_(N/2) = u_(N/2), O_(N/2) = 0.
+So rows hold N/2 + 1 samples, and the field is folded into 2^n parity
+blocks.  Equispaced, a row factorizes: with s = ceil(sqrt(N/2 + 1)),
 
     exp(-i eta x_{s a + b}) = exp(-i eta x_{s a}) * exp(-i eta b dx),
 
@@ -21,46 +25,43 @@ product of two small factor rows.  Both directions (analysis and its adjoint
 with respect to the dx^n / (dxi/2pi)^n weighted inner products) read the
 same tables.
 
-A row depends on |eta_a| alone: with p + iq = exp(-i |eta_a| x_j), the row
-of eta_a = s_a |eta_a| is p + i s_a q.  So the targets are held as a suffix
-tree of their absolute coordinates, and each keeps only its sign vector s.
-One ``np.lexsort`` of |eta|, last axis as the primary key, makes every
-level's nodes and every subtree contiguous: level n-1 holds the distinct
-|eta_(n-1)|, level a the distinct pairs (|eta_a|, parent node), and the
-leaves (level 0) the distinct |eta|.  Each node holds the real rows p and q,
-(2, N), of its own coordinate.  Only exactly equal absolute values share a
-row (0.0 and -0.0 do), so the pairs {eta, -eta} of an odd map, and the
-orbits of all 2^n reflections that the Gauss map of a symbol even in each
-coordinate gives, share rows exactly.
+The row of eta_a = s_a |eta_a| is p + i s_a q, so the targets are held as a
+suffix tree of their absolute coordinates, and each keeps only its sign
+vector s.  One ``np.lexsort`` of |eta|, last axis as the primary key, makes
+every level's nodes and every subtree contiguous: level n-1 holds the
+distinct |eta_(n-1)|, level a the distinct pairs (|eta_a|, parent node),
+and the leaves (level 0) the distinct |eta|.  Each node holds the rows
+(p, q), (2, N/2 + 1), of its own coordinate.  Only exactly equal absolute
+values share a row (0.0 and -0.0 do), so the pairs {eta, -eta} of an odd
+map, and the orbits of all 2^n reflections that the Gauss map of a symbol
+even in each coordinate gives, share rows exactly.
 
 Analysis contracts the last axis first, by one real BLAS matmul of the last
-level's stacked (p, q) rows against [Re u | Im u] (the field seen as
-(N^(n-1), N), transposed).  Each further axis, right to left, contracts every
-parent's components with its children's (p, q) rows in one batched matmul,
-which doubles the components: bit a of a component's mask set means "q on
-axis a".  A target's sum is then
+level's rows against the folded [Re u | Im u] (the field seen as
+(N^(n-1), N), transposed), batched over parity.  Each further axis, right
+to left, contracts every parent's components with its children's rows in
+one matmul batched over parents and parity, which doubles the components:
+bit a of a component's mask set means "q on axis a", the odd block.  A
+target's sum is then
 
     sum_mask comp[leaf, mask] prod_{a in mask} (i s_a).
 
-Synthesis is the exact mirror: the leaves take their targets' weights times
-the conjugate factors, each axis, left to right, sums every parent's
-children's coefficients against their (p, q) rows in one batched matmul, and
-one real matmul over the last level's nodes gives the sum.  A target that
-shares no row costs what it did with complex tables.
+Synthesis is the exact transpose, from the leaves' weighted conjugate
+factors to the sum's parity blocks, which are unfolded once at the end.
 
 Targets are processed in chunks: runs of consecutive leaves, each with the
 nodes above them (a node two chunks share is contracted in both).  A chunk
 takes at most ``_caps()[a]`` nodes at level a, read at build time, so that
-each intermediate and each axis table of a chunk hold at most
-``_CHUNK_ENTRIES`` = 2^18 complex entries' worth (4 MB), a size that keeps
-BLAS's own buffers small.  Synthesis adds every chunk's share into one
-grid-sized buffer through another, both allocated once per call.  The full
-tables stay resident while complex tables for all targets would hold fewer
-than ``_RESIDENT_ENTRIES`` entries (counting targets, not nodes, so shared
-rows never make a table resident that was streamed), and the factor tables
-are then dropped; larger tables keep only the factors and rebuild each
-chunk's tables from them, so memory is O(chunk), not O(M N).  Either way
-each phase table is held once.
+each axis table of a chunk, and each intermediate counted with N entries per
+contracted axis (it holds N + 2), hold at most ``_CHUNK_ENTRIES`` = 2^18
+complex entries' worth (4 MB), a size that keeps BLAS's own buffers small.
+Synthesis adds every chunk's share into one folded buffer through another,
+both allocated once per call.  The full tables stay resident while complex
+tables for all targets would hold fewer than ``_RESIDENT_ENTRIES`` entries
+(counting targets, not nodes, so shared rows never make a table resident
+that was streamed), and the factor tables are then dropped; larger tables
+keep only the factors and rebuild each chunk's tables from them, so memory
+is O(chunk), not O(M N).  Either way each phase table is held once.
 
 The same module holds ``_dense_kernel``, the blocked dense quadrature from
 space to frequency behind ``operators.fio_operator``, its one caller
@@ -115,12 +116,32 @@ def _place(parts: list, size: int) -> np.ndarray:
     return out
 
 
+def _fold(x: np.ndarray, before: int, n: int) -> np.ndarray:
+    """``x`` (before, N, rest) folded on its N axis into E and O: (before, 2, N/2 + 1, rest)."""
+    x, m = x.reshape(before, n, -1), n // 2
+    y = np.empty((before, 2, m + 1, x.shape[-1]), x.dtype)
+    np.add(x[:, 1:m], x[:, :m:-1], out=y[:, 0, 1:m])
+    np.subtract(x[:, 1:m], x[:, :m:-1], out=y[:, 1, 1:m])
+    y[:, :, 0], y[:, 0, m], y[:, 1, m] = x[:, np.newaxis, 0], x[:, m], 0.0
+    return y
+
+
+def _unfold(y: np.ndarray, before: int, n: int) -> np.ndarray:
+    """Transpose of :func:`_fold`: (before, 2, N/2 + 1, rest) to (before, N, rest)."""
+    y, m = y.reshape(before, 2, n // 2 + 1, -1), n // 2
+    x = np.empty((before, n, y.shape[-1]), y.dtype)
+    np.add(y[:, 0, :m], y[:, 1, :m], out=x[:, :m])
+    np.subtract(y[:, 0, 1:m], y[:, 1, 1:m], out=x[:, :m:-1])
+    x[:, m] = y[:, 0, m]
+    return x
+
+
 class TrigTable:
     """Per-axis phase tables for fixed evaluation points on a fixed grid.
 
-    The rows ``exp(-i |eta_a| x_j)``, as real and imaginary parts, are held
-    on a suffix tree of the absolute target coordinates: in full, or as factor
-    tables when complex tables for all targets would hold
+    The rows ``exp(-i |eta_a| x_h)`` for h = 0..N/2, as real and imaginary
+    parts, are held on a suffix tree of the absolute target coordinates: in
+    full, or as factor tables when complex tables for all targets would hold
     ``_RESIDENT_ENTRIES`` entries or more.  Nothing is written after build.
     """
 
@@ -163,19 +184,18 @@ class TrigTable:
             families = [_families(parent[a][nodes[a]]) for a in range(grid.dim - 1)]
             self._chunks.append((slice(leaf_bounds[start], leaf_bounds[stop]), nodes, families))
             start = stop
-        n = grid.points_per_axis
-        s = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-        axis = grid.spatial_axis()
+        n, h = grid.points_per_axis, grid.points_per_axis // 2 + 1
+        s = math.isqrt(h - 1) + 1  # ceil(sqrt(N/2 + 1))
         # factors[a] = (hi, lo) with hi[r, k] = exp(-i v x_{s k}) and
         # lo[r, b] = exp(-i v b dx), for v = |eta_a| of level-a node r
         self._factors = []
         for a in range(grid.dim):
             v = mag[first[a], a][:, np.newaxis]
-            self._factors.append((np.exp(-1j * v * axis[np.newaxis, ::s]),
+            self._factors.append((np.exp(-1j * v * grid.spatial_axis()[np.newaxis, :h:s]),
                                   np.exp(-1j * v * (grid.dx * np.arange(s))[np.newaxis, :])))
         self._resident = None
         if grid.dim * m * n < _RESIDENT_ENTRIES:
-            tables = [np.empty((ids.size, 2, n)) for ids in first]
+            tables = [np.empty((ids.size, 2, h)) for ids in first]
             for _, nodes, _ in self._chunks:
                 for table, sl, part in zip(tables, nodes, self._phases(nodes)):
                     table[sl] = part
@@ -183,56 +203,67 @@ class TrigTable:
 
     def _caps(self) -> list:
         # nodes per chunk at each level: a level-a node holds 2^(n-a) components
-        # of N^a complex entries once axes a..n-1 are contracted, and (2, N) real
-        # table rows, which streaming builds from one complex row (2N in all)
+        # of (N + 2)^a complex entries once axes a..n-1 are contracted, counted
+        # as N^a, and (2, N/2 + 1) real rows, built from one complex row (< 2N)
         dim, n = self.grid.dim, self.grid.points_per_axis
         return [max(_CHUNK_ENTRIES // max(2 ** (dim - a) * n**a, 2 * n), 1) for a in range(dim)]
 
     def _phases(self, nodes: list) -> list:
-        """Per-axis (nodes, 2, N) real and imaginary rows of ``exp(-i |eta_a| x_j)``,
-        for the level-a nodes ``nodes[a]``."""
+        """Per-axis (nodes, 2, N/2 + 1) rows ``p = cos(|eta_a| x_h)`` and
+        ``q = -sin(|eta_a| x_h)``, h = 0..N/2, for the level-a nodes ``nodes[a]``."""
         if self._resident is not None:
             return [table[sl] for table, sl in zip(self._resident, nodes)]
-        n = self.grid.points_per_axis
+        h = self.grid.points_per_axis // 2 + 1
         return [
             np.ascontiguousarray(
-                _expand(hi[sl], lo[sl], n).view(np.float64).reshape(-1, n, 2).transpose(0, 2, 1))
+                _expand(hi[sl], lo[sl], h).view(np.float64).reshape(-1, h, 2).transpose(0, 2, 1))
             for (hi, lo), sl in zip(self._factors, nodes)
         ]
 
     def analysis(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the spectrum of ``values`` at the stored targets."""
         grid = self.grid
-        n = grid.points_per_axis
+        n, h = grid.points_per_axis, grid.points_per_axis // 2 + 1
+        # the field folded on each axis: (parity, h) of axis n-1, Re/Im, then of axes 0..n-2
         u = np.asarray(values, dtype=np.complex128).reshape(-1, n)
-        # (N, 2 N^(n-1)) real right factor of every chunk's matmul: [Re u^T | Im u^T]
-        ut = np.concatenate((u.real.T, u.imag.T), axis=1)
+        for a in range(grid.dim - 1):
+            u = _fold(u, (2 * h) ** a, n).reshape(-1, n)
+        f = _fold(np.concatenate((u.real.T, u.imag.T), axis=1), 1, n).reshape(2, h, -1)
         out = np.empty(self.targets.shape[0], dtype=np.complex128)
         for ts, nodes, families in self._chunks:
-            comp = self._analysis_chunk(ut, nodes, families)
+            comp = self._analysis_chunk(f, nodes, families)
             leaves = comp[self._leaf[ts] - nodes[0].start]
             out[self._order[ts]] = np.einsum("tk,tk->t", leaves, self._units[ts])
         out *= grid.cell_volume
         return out
 
-    def _analysis_chunk(self, ut: np.ndarray, nodes: list, families: list) -> np.ndarray:
+    def _analysis_chunk(self, f: np.ndarray, nodes: list, families: list) -> np.ndarray:
         # A method of its own, so that a chunk's tables are freed on return,
         # before the caller builds the next chunk's.  Returns the leaves'
         # complex components (leaves, 2^n), from real intermediates laid out
-        # (nodes, mask bits a..n-1, Re/Im, x_0..x_(a-1)).  On a leading axis
-        # the parents with k children each contract their components with the
-        # children's stacked (2k, N) rows in one batched matmul.  The last
-        # axis's matmul runs per family of the axis before it, so that its
-        # components, the largest, are never gathered.
-        n = self.grid.points_per_axis
+        # (nodes, mask bits a..n-1, Re/Im, (parity, h) of axes 0..a-1).  On a
+        # leading axis the parents with k children each contract their
+        # components with the children's rows, batched over parents and
+        # parity.  The last axis's matmul runs per family of the axis before
+        # it, so that its components, the largest, are never gathered.
+        h = self.grid.points_per_axis // 2 + 1
         phases = self._phases(nodes)
-        comp = phases[0].reshape(-1, n) @ ut if self.grid.dim == 1 else None
+
+        def last(who):
+            rows = phases[-1][who]
+            comp = np.empty((len(rows), 2, f.shape[-1]))
+            np.matmul(rows.transpose(1, 0, 2), f, out=comp.transpose(1, 0, 2))
+            return comp
+
+        comp = last(slice(None)) if self.grid.dim == 1 else None
         for a in reversed(range(self.grid.dim - 1)):
             parts = []
             for who, kids, k in families[a]:
-                above = (phases[-1][who].reshape(-1, n) @ ut if comp is None
-                         else comp[who]).reshape(who.size, -1, n).transpose(0, 2, 1)
-                parts.append((kids, np.matmul(phases[a][kids].reshape(-1, 2 * k, n), above)))
+                above = (last(who) if comp is None else comp[who]).reshape(who.size, -1, 2, h)
+                part = np.empty((who.size, k, 2, above.shape[1]))
+                np.matmul(phases[a][kids].reshape(who.size, k, 2, h).transpose(0, 2, 1, 3),
+                          above.transpose(0, 2, 3, 1), out=part.transpose(0, 2, 1, 3))
+                parts.append((kids, part))
             comp = _place(parts, len(phases[a]))
         return comp.reshape(len(phases[0]), -1).view(np.complex128)
 
@@ -243,39 +274,48 @@ class TrigTable:
         ``(dxi/2pi)^n sum_m exp(+i eta_m . x_j) w_m``.
         """
         grid = self.grid
-        n = grid.points_per_axis
-        k = grid.size // n
+        n, h = grid.points_per_axis, grid.points_per_axis // 2 + 1
+        k = (2 * h) ** (grid.dim - 1)
         w = np.asarray(weights, dtype=np.complex128)[self._order]
-        # the sum, transposed, as [Re | Im] (N, 2 N^(n-1)); each last-axis
-        # matmul writes its share to buf
-        acc = np.zeros((n, 2 * k))
+        # the folded sum; each last-axis matmul writes its share to buf
+        acc = np.zeros((2, h, 2 * k))
         buf = np.empty_like(acc)
         for ts, nodes, families in self._chunks:
             coef = w[ts, np.newaxis] * self._units[ts].conj()
             coef = np.add.reduceat(coef, _firsts(self._leaf[ts]), axis=0)
             self._synthesis_chunk(coef, nodes, families, acc, buf)
-        out = buf.view(np.complex128).reshape(k, n)
+        # unfolded: the last axis, then, weighted and transposed back, the others
+        acc = _unfold(acc, 1, n).reshape(n, 2 * k)
+        out = np.empty((k, n), dtype=np.complex128)
         np.multiply(acc[:, :k].T, grid.spectral_weight, out=out.real)
         np.multiply(acc[:, k:].T, grid.spectral_weight, out=out.imag)
+        for a in reversed(range(grid.dim - 1)):
+            out = _unfold(out, (2 * h) ** a, n)
         return out.reshape(grid.shape)
 
     def _synthesis_chunk(self, coef: np.ndarray, nodes: list, families: list, acc, buf) -> None:
         # A method of its own, so that a chunk's tables are freed on return,
-        # before the caller builds the next chunk's.  Adds to acc the
-        # transposed chunk's share, from the leaves' complex coefficients
-        # (leaves, 2^n): the exact mirror of _analysis_chunk, with the last
-        # axis's matmul run per family of the axis before.
-        n = self.grid.points_per_axis
+        # before the caller builds the next chunk's.  Adds to acc the chunk's
+        # folded share, from the leaves' complex coefficients (leaves, 2^n):
+        # _analysis_chunk's matmuls transposed, except that on a leading axis a
+        # parent's coefficients are set block-diagonally over parity, so that
+        # one BLAS matmul sums its (child, parity) pairs: per parity, a single
+        # child (most parents in 2-D) gives inner dimension 1, run without BLAS.
+        h = self.grid.points_per_axis // 2 + 1
         phases = self._phases(nodes)
         parts = [(np.arange(len(phases[0])), coef.view(np.float64))]
         for a in range(self.grid.dim - 1):
-            h = _place(parts, len(phases[a])).reshape(len(phases[a]), 2, -1)
-            parts = [(who, np.matmul(h[kids].reshape(who.size, 2 * k, -1).transpose(0, 2, 1),
-                                     phases[a][kids].reshape(-1, 2 * k, n)))
-                     for who, kids, k in families[a]]
+            below = _place(parts, len(phases[a])).reshape(len(phases[a]), 2, -1)
+            parts = []
+            for who, kids, k in families[a]:
+                coef = np.zeros((who.size, below.shape[-1], 2, k, 2))
+                np.einsum("wcpkp->wkpc", coef)[...] = below[kids].reshape(who.size, k, 2, -1)
+                rows = phases[a][kids].reshape(who.size, 2 * k, h)
+                parts.append((who, coef.reshape(who.size, -1, 2 * k) @ rows))
         for who, part in parts:
-            rows = phases[-1][who].reshape(-1, n).T
-            acc += np.matmul(rows, part.reshape(2 * who.size, -1), out=buf)
+            np.matmul(phases[-1][who].transpose(1, 2, 0),
+                      part.reshape(who.size, 2, -1).transpose(1, 0, 2), out=buf)
+            acc += buf
 
 
 def _dense_kernel(phase, amp, grid: Grid):

@@ -133,6 +133,63 @@ def test_trig_table_without_targets(dim, n_pts, streamed, monkeypatch):
     assert not np.any(synthesis)
 
 
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unpaired_and_mirrored_nodes_match_dense_sums(dim, streamed, monkeypatch):
+    # L = 0.7, N = 10: dx = 0.14 is inexact in binary.  Unit fields at the
+    # node x = -L (j = 0, no mirror), x = 0 (j = N/2) and a mirrored pair
+    # (j, N - j) on each axis; targets 0.0, -0.0 and one ulp inside the box
+    # edge on each axis, plus random ones
+    n = 10
+    grid = make_grid(dim, 0.7, n)
+    rng = np.random.default_rng(dim)
+    edge = np.nextafter(grid.dxi * n / 2, 0.0)
+    coords = np.array([0.0, -0.0, edge, -edge])
+    corners = np.stack(np.meshgrid(*[coords] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    targets = np.concatenate([corners, rng.uniform(-edge, edge, (20, dim))])
+    table = _table(grid, targets, streamed, monkeypatch)
+    phase = np.exp(-1j * (targets @ grid.spatial_vectors().T))
+
+    nodes = np.stack(np.meshgrid(*[[0, n // 2, 3, n - 3]] * dim, indexing="ij"), axis=-1)
+    for node in nodes.reshape(-1, dim):
+        delta = np.zeros(grid.shape)
+        delta[tuple(node)] = 1.0
+        got = table.analysis(delta)
+        want = phase @ delta.reshape(-1) * grid.cell_volume
+        assert np.max(np.abs(got - want)) < 1e-13 * grid.cell_volume, node
+    for m in range(len(targets)):
+        unit = np.zeros(len(targets))
+        unit[m] = 1.0
+        got = table.synthesis(unit)
+        want = np.conj(phase[m]).reshape(grid.shape) * grid.spectral_weight
+        assert np.max(np.abs(got - want)) < 1e-13 * grid.spectral_weight, targets[m]
+
+    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    w = rng.standard_normal(len(targets)) + 1j * rng.standard_normal(len(targets))
+    lhs = np.vdot(w, table.analysis(u)) * grid.spectral_weight
+    rhs = np.vdot(table.synthesis(w), u) * grid.cell_volume
+    assert abs(lhs - rhs) < 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 10), (2, 8), (3, 6)])
+def test_rows_hold_half_the_axis_plus_one(dim, n_pts, monkeypatch):
+    # a row holds cos and -sin at the nodes x_0..x_(N/2), -L to 0, for the
+    # field folded about x = 0: resident tables and each streamed chunk's
+    # rows are (nodes, 2, N/2 + 1)
+    monkeypatch.setattr(fiolab._dense, "_CHUNK_ENTRIES", 16 * max(n_pts ** (dim - 1), n_pts))
+    grid = make_grid(dim, 3.0, n_pts)
+    rng = np.random.default_rng(dim)
+    targets = rng.uniform(-grid.dxi * n_pts / 2, grid.dxi * n_pts / 2, (200, dim))
+    resident = _table(grid, targets, False, monkeypatch)
+    shapes = [(rows, 2, n_pts // 2 + 1) for rows in _rows_per_level(resident)]
+    assert [table.shape for table in resident._resident] == shapes
+    streamed = _table(grid, targets, True, monkeypatch)
+    assert len(streamed._chunks) > 1
+    for _, nodes, _ in streamed._chunks:
+        assert [rows.shape for rows in streamed._phases(nodes)] == [
+            (sl.stop - sl.start, 2, n_pts // 2 + 1) for sl in nodes]
+
+
 def test_rows_shared_only_by_equal_magnitudes():
     # 40 targets with their three reflections, 10 targets one ulp off the
     # first 10 in each coordinate, and the zero target in all four sign
